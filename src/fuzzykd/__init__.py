@@ -2,7 +2,7 @@
 
 from .basis import basis_dim, basis_labels, expand_basis, stack_design_matrix
 from .data import (Dataset, FoldPlan, load_bundled, load_csv, normalize,
-                   regroup_cleveland, stratified_folds)
+                   stratified_folds)
 from .distill import (DistillConfig, SoftLabelSet, dkd_loss, distill,
                       kd_loss, soft_labels, teacher_logits,
                       vanilla_kd_distill)

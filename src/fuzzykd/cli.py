@@ -12,13 +12,11 @@ import sys
 import numpy as np
 
 from .data import load_csv, normalize
-from .distill import DistillConfig, distill, trace_lines, vanilla_kd_distill
-from .harness import (GridSpec, format_report, run_method, rule_readout,
-                      sweep)
-from .rules import build_rule_base
+from .distill import trace_lines
+from .harness import (GridSpec, fit_method, format_report, run_method,
+                      rule_readout, sweep)
 from .serialize import load_model, save_model
-from .student import TrainConfig, init_student, onehot_encode, train_student
-from .teacher import fit_teacher, predict_teacher
+from .teacher import predict_teacher
 
 ENV_PREFIX = "FUZZYKD_"
 
@@ -152,58 +150,53 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _load(args):
-    ds = load_csv(args.data, header=args.header, label_col=args.label_col)
-    return ds
+    return load_csv(args.data, header=args.header, label_col=args.label_col)
+
+
+# flag dest -> GridSpec.fixed keyword; a command uses the flags it has
+_GRID_FLAGS = {"rules": "n_rules", "temp": "temperature",
+               "zeta": "target_weight", "lam": "non_target_weight",
+               "phi": "ce_weight", "reg_l": "reg", "epochs": "max_epochs",
+               "xi": "tol", "lr": "lr", "folds": "folds", "width": "width"}
+
+
+def _grid(args) -> GridSpec:
+    return GridSpec.fixed(**{key: getattr(args, flag)
+                             for flag, key in _GRID_FLAGS.items()
+                             if hasattr(args, flag)})
+
+
+def _fit_and_save(args, method: str, params: dict, teacher_seed: int):
+    """fit_method on all of --data, normalized; saves the model to --out."""
+    ds = _load(args)
+    X, _, _ = normalize(ds.X)
+    model, trace = fit_method(method, params, _grid(args), X, ds.y,
+                              ds.n_classes, teacher_seed, args.seed)
+    if not args.out:
+        raise SystemExit(f"{args.command} requires --out for the model file")
+    save_model(model, args.out)
+    return model, trace, X, ds
 
 
 def _cmd_train_teacher(args) -> None:
-    ds = _load(args)
-    X, _, _ = normalize(ds.X)
-    rb = build_rule_base(args.rules, X.shape[1], args.width, args.seed)
-    tm = fit_teacher(rb, X, ds.y.astype(float), args.reg_l,
-                     np.arange(ds.n_classes, dtype=float), args.order)
-    if not args.out:
-        raise SystemExit("train-teacher requires --out for the model file")
-    save_model(tm, args.out)
+    tm, _, X, ds = _fit_and_save(args, f"tsk-order-{args.order}-llm",
+                                 {"K": args.rules}, args.seed)
     resid = float(np.mean((predict_teacher(tm, X) - ds.y) ** 2))
     print(f"saved teacher to {args.out} (train MSE {resid:.6f})")
 
 
 def _cmd_train_student(args) -> None:
-    ds = _load(args)
-    X, _, _ = normalize(ds.X)
-    rb = build_rule_base(args.rules, X.shape[1], args.width, args.seed)
-    sm = init_student(rb, ds.n_classes, args.order)
-    cfg = TrainConfig(args.lr, args.epochs, args.xi)
-    sm, trace = train_student(sm, X, onehot_encode(ds.y, ds.n_classes), cfg)
-    if not args.out:
-        raise SystemExit("train-student requires --out for the model file")
-    save_model(sm, args.out)
+    _, trace, _, _ = _fit_and_save(args, f"tsk-order-{args.order}-gd",
+                                   {"K": args.rules}, args.seed)
     print(f"saved student to {args.out} ({_fit_summary(trace)})")
 
 
 def _cmd_distill(args) -> None:
-    ds = _load(args)
-    X, _, _ = normalize(ds.X)
-    labels = np.arange(ds.n_classes, dtype=float)
-    rb_t = build_rule_base(args.rules, X.shape[1], args.width, args.seed + 7)
-    tm = fit_teacher(rb_t, X, ds.y.astype(float), args.reg_l, labels)
-    t_out = predict_teacher(tm, X)
-    rb = build_rule_base(args.rules, X.shape[1], args.width, args.seed)
-    sm = init_student(rb, ds.n_classes)
-    Y = onehot_encode(ds.y, ds.n_classes)
-    cfg = DistillConfig(args.lr, args.epochs, args.xi,
-                        temperature=args.temp, target_weight=args.zeta,
-                        non_target_weight=args.lam, ce_weight=args.phi)
-    if args.vanilla:
-        sm, trace = vanilla_kd_distill(t_out, sm, X, Y, cfg,
-                                       kd_weight=args.lam,
-                                       class_labels=labels)
-    else:
-        sm, trace = distill(t_out, sm, X, Y, cfg, labels)
-    if not args.out:
-        raise SystemExit("distill requires --out for the model file")
-    save_model(sm, args.out)
+    # the CLI's own rule-base seeds, not the harness's per-fold _rb_seed
+    method = "distill-kd" if args.vanilla else "distill-dkd"
+    params = {"K": args.rules, "tau": args.temp, "zeta": args.zeta,
+              "lam": args.lam, "phi": args.phi}
+    _, trace, _, _ = _fit_and_save(args, method, params, args.seed + 7)
     if args.trace_out:
         _emit("\n".join(trace_lines(trace)), args.trace_out)
     print(f"saved distilled student to {args.out} ({_fit_summary(trace)})")
@@ -216,24 +209,16 @@ def _fit_summary(trace: list[dict]) -> str:
 
 
 def _cmd_evaluate(args) -> None:
-    ds = _load(args)
-    grid = GridSpec.fixed(n_rules=args.rules, temperature=args.temp,
-                          target_weight=args.zeta,
-                          non_target_weight=args.lam, ce_weight=args.phi,
-                          reg=args.reg_l, max_epochs=args.epochs,
-                          tol=args.xi, lr=args.lr, folds=args.folds,
-                          width=args.width)
-    rep = run_method(args.method, ds, grid, args.seed,
-                     dataset_name=os.path.basename(args.data),
-                     global_normalize=args.global_normalize)
-    _emit(format_report([rep], include_time=not args.no_time), args.out)
+    _report(args, _grid(args))
 
 
 def _cmd_gridsearch(args) -> None:
-    ds = _load(args)
     cls = GridSpec if args.grid == "full" else GridSpec.coarse
-    grid = cls(folds=args.folds)
-    rep = run_method(args.method, ds, grid, args.seed,
+    _report(args, cls(folds=args.folds))
+
+
+def _report(args, grid: GridSpec) -> None:
+    rep = run_method(args.method, _load(args), grid, args.seed,
                      dataset_name=os.path.basename(args.data),
                      global_normalize=args.global_normalize)
     _emit(format_report([rep], include_time=not args.no_time), args.out)
@@ -241,12 +226,7 @@ def _cmd_gridsearch(args) -> None:
 
 def _cmd_sweep(args) -> None:
     ds = _load(args)
-    grid = GridSpec(rule_counts=(args.rules,), temperatures=(args.temp,),
-                    target_weights=(args.zeta,),
-                    non_target_weights=(args.lam,), ce_weights=(args.phi,),
-                    reg=args.reg_l, max_epochs=args.epochs, tol=args.xi,
-                    lr=args.lr, folds=args.folds, width=args.width)
-    records = sweep(args.param, ds, grid, args.seed,
+    records = sweep(args.param, ds, _grid(args), args.seed,
                     dataset_name=os.path.basename(args.data))
     lines = [f"sweep parameter={r['parameter']} value={r['value']:g} "
              f"acc_mean={r['mean_accuracy']:.9f} "

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -30,11 +31,17 @@ class Dataset:
             raise ValueError("class indices must lie in 0..n_classes-1")
 
 
-def _try_float(cell: str) -> float | None:
+def _numeric_column(path, values: list[str], col: int) -> list[float] | None:
+    """Floats of one column, or None if any cell is not a number."""
     try:
-        return float(cell)
+        parsed = [float(v) for v in values]
     except ValueError:
         return None
+    for i, p in enumerate(parsed):
+        if not math.isfinite(p):
+            raise CsvParseError(f"{path}: non-finite value {values[i]!r} at "
+                                f"row {i + 1}, column {col + 1}")
+    return parsed
 
 
 def load_csv(path, delimiter: str = ",", header: bool = False,
@@ -44,7 +51,8 @@ def load_csv(path, delimiter: str = ",", header: bool = False,
     Numeric feature columns are parsed as floats; columns containing any
     non-numeric cell are encoded as integers in first-appearance order.
     Numeric labels are mapped to 0..C-1 by sorted value, non-numeric labels
-    in first-appearance order. Missing cells and ragged rows are rejected.
+    in first-appearance order. Missing cells, ragged rows and numeric cells
+    that parse to nan or +-inf are rejected.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         rows = [row for row in csv.reader(fh, delimiter=delimiter)
@@ -73,15 +81,15 @@ def load_csv(path, delimiter: str = ",", header: bool = False,
     X = np.empty((len(rows), len(feat_idx)))
     for out_j, j in enumerate(feat_idx):
         values = [cell.strip() for cell in cols[j]]
-        parsed = [_try_float(v) for v in values]
-        if any(p is None for p in parsed):
+        parsed = _numeric_column(path, values, j)
+        if parsed is None:
             codes: dict[str, int] = {}
             parsed = [codes.setdefault(v, len(codes)) for v in values]
         X[:, out_j] = parsed
 
     labels = [cell.strip() for cell in cols[label_col]]
-    numeric = [_try_float(v) for v in labels]
-    if all(p is not None for p in numeric):
+    numeric = _numeric_column(path, labels, label_col)
+    if numeric is not None:
         uniq = sorted(set(numeric))
         code = {v: i for i, v in enumerate(uniq)}
         y = [code[v] for v in numeric]
@@ -154,12 +162,6 @@ def stratified_folds(y: np.ndarray, k: int,
         assignments[idx] = (np.arange(idx.size) + offset) % k
         offset += idx.size
     return FoldPlan(k, assignments, seed)
-
-
-def regroup_cleveland(y: np.ndarray) -> np.ndarray:
-    """Collapse the 0..4 heart-disease risk labels to {0, 1, 2}."""
-    y = np.asarray(y, dtype=int)
-    return np.select([y == 0, y <= 3], [0, 1], default=2)
 
 
 def bundled_path(name: str):

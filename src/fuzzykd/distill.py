@@ -5,7 +5,8 @@ each class encoding. Both sides are softened with the same temperature; the
 KL between them splits exactly into a target/non-target binary KL plus the
 teacher's non-target mass times the KL among non-target classes. The
 distillation loss reweights those two parts independently and adds the
-cross-entropy against the ground truth.
+cross-entropy against the ground truth. The coupled KD baseline is the same
+loss with per-sample non-target weights, so one closure trains both.
 """
 from __future__ import annotations
 
@@ -120,43 +121,40 @@ def dkd_loss(teacher: SoftLabelSet,
     return tckl, nckl
 
 
-def _embed_non_target(values: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Scatter N x (C-1) non-target rows back into N x C with 0 at the target."""
-    n, cm1 = values.shape
-    out = np.zeros((n, cm1 + 1))
-    mask = np.ones((n, cm1 + 1), dtype=bool)
-    mask[np.arange(n), target] = False
-    out[mask] = values.ravel()
-    return out
-
-
 def _distill_loss_grad(Xh, Y, y_idx, teacher_sl, cfg, zeta, lam, phi):
-    """Closure pieces shared by distill and vanilla_kd_distill."""
-    n = Xh.shape[0]
+    """zeta*TCKL + lam*NCKL + phi*H over samples; per-fit work done once."""
+    n, c = Y.shape
     rows = np.arange(n)
     tau = cfg.temperature
     lam = np.asarray(lam, dtype=float)
     lam_col = (lam.reshape(n, 1) if lam.ndim else np.full((n, 1), float(lam)))
+    non_target = np.ones((n, c), dtype=bool)
+    non_target[rows, y_idx] = False
+    a = teacher_sl.binary[:, 0]
 
     def loss_grad(Q):
         logits = Xh @ Q
-        student_sl = soft_labels(logits, tau, y_idx)
-        tckl_rows, nckl_rows = _dkd_components(teacher_sl, student_sl)
+        if not np.isfinite(logits).all():
+            raise ValueError("logits must be finite")
+        u = softmax(logits, tau)
+        u_t = u[rows, y_idx]
+        tckl_rows = _kl_rows(teacher_sl.binary,
+                             np.column_stack([u_t, 1.0 - u_t]))
         p1 = softmax(logits)
         h = _cross_entropy(p1, Y)
 
-        a = teacher_sl.binary[:, 0]
-        pt = np.clip(student_sl.binary[:, 0], EPS, 1.0 - EPS)
+        pt = np.clip(u_t, EPS, 1.0 - EPS)
         coeff = (-a / pt + (1.0 - a) / (1.0 - pt)) * pt / tau
-        onehot_t = np.zeros_like(student_sl.probs)
-        onehot_t[rows, y_idx] = 1.0
-        g_tckl = coeff[:, None] * (onehot_t - student_sl.probs)
+        g_tckl = coeff[:, None] * (Y - u)
 
-        if teacher_sl.n_classes > 2:
-            diff = student_sl.non_target - teacher_sl.non_target
-            g_nckl = _embed_non_target(diff, y_idx) / tau
+        g_nckl = np.zeros((n, c))
+        if c > 2:
+            s_rest = softmax(logits[non_target].reshape(n, c - 1), tau)
+            nckl_rows = _kl_rows(teacher_sl.non_target, s_rest)
+            g_nckl[non_target] = (s_rest - teacher_sl.non_target).ravel()
+            g_nckl /= tau
         else:
-            g_nckl = np.zeros_like(student_sl.probs)
+            nckl_rows = np.zeros(n)
 
         g_h = p1 - Y
         g = zeta * g_tckl + lam_col * g_nckl + phi * g_h
@@ -167,15 +165,6 @@ def _distill_loss_grad(Xh, Y, y_idx, teacher_sl, cfg, zeta, lam, phi):
                              "nckl": float(nckl_rows.mean()), "h": h / n}
 
     return loss_grad
-
-
-def _dkd_components(teacher_sl, student_sl):
-    tckl_rows = _kl_rows(teacher_sl.binary, student_sl.binary)
-    if teacher_sl.n_classes == 2:
-        nckl_rows = np.zeros(teacher_sl.probs.shape[0])
-    else:
-        nckl_rows = _kl_rows(teacher_sl.non_target, student_sl.non_target)
-    return tckl_rows, nckl_rows
 
 
 def distill(teacher_out: np.ndarray, sm: StudentModel, X: np.ndarray,
@@ -191,16 +180,7 @@ def distill(teacher_out: np.ndarray, sm: StudentModel, X: np.ndarray,
     scale-free monitoring. Returns the trained model and a per-epoch trace
     of (epoch, tckl, nckl, h, total).
     """
-    Xh, Y, y_idx = _prepare(sm, X, y_onehot)
-    if class_labels is None:
-        class_labels = np.arange(Y.shape[1], dtype=float)
-    t_logits = teacher_logits(teacher_out, class_labels)
-    teacher_sl = soft_labels(t_logits, cfg.temperature, y_idx)
-    loss_grad = _distill_loss_grad(Xh, Y, y_idx, teacher_sl, cfg,
-                                   cfg.target_weight, cfg.non_target_weight,
-                                   cfg.ce_weight)
-    Q, trace = gradient_descent(sm.coeffs, loss_grad, cfg)
-    return StudentModel(sm.rule_base, Q, sm.n_classes, sm.order), trace
+    return _fit(teacher_out, sm, X, y_onehot, cfg, class_labels, None)
 
 
 def vanilla_kd_distill(teacher_out: np.ndarray, sm: StudentModel,
@@ -210,33 +190,29 @@ def vanilla_kd_distill(teacher_out: np.ndarray, sm: StudentModel,
                        ) -> tuple[StudentModel, list[dict]]:
     """Train the student on the coupled loss kd_weight*KL + ce_weight*H.
 
-    Baseline for ablation against distill; the optimized total is summed
-    over samples and trace rows carry (epoch, kd, h, total) with kd and h
-    as per-sample means.
+    Baseline for ablation against distill. Per sample, KL(u_T || u_S) =
+    TCKL + (1 - u_t) * NCKL (u_t: teacher target mass), so this runs
+    distill's fit at target weight kd_weight and per-sample non-target
+    weight kd_weight * (1 - u_t), ignoring cfg's two KL weights; the trace
+    rows are distill's.
     """
     if kd_weight < 0:
         raise ValueError("kd_weight must be non-negative")
+    return _fit(teacher_out, sm, X, y_onehot, cfg, class_labels, kd_weight)
+
+
+def _fit(teacher_out, sm, X, y_onehot, cfg, class_labels, kd_weight):
+    """distill's fit; kd_weight w (not None) sets the coupled KL's weights."""
     Xh, Y, y_idx = _prepare(sm, X, y_onehot)
     if class_labels is None:
         class_labels = np.arange(Y.shape[1], dtype=float)
-    t_logits = teacher_logits(teacher_out, class_labels)
-    teacher_sl = soft_labels(t_logits, cfg.temperature, y_idx)
-    n = Xh.shape[0]
-    tau = cfg.temperature
-    phi = cfg.ce_weight
-
-    def loss_grad(Q):
-        logits = Xh @ Q
-        student_sl = soft_labels(logits, tau, y_idx)
-        kd_rows = _kl_rows(teacher_sl.probs, student_sl.probs)
-        p1 = softmax(logits)
-        h = _cross_entropy(p1, Y)
-        g = (kd_weight * (student_sl.probs - teacher_sl.probs) / tau +
-             phi * (p1 - Y))
-        grad = Xh.T @ g
-        total = kd_weight * float(kd_rows.sum()) + phi * h
-        return total, grad, {"kd": float(kd_rows.mean()), "h": h / n}
-
+    teacher_sl = soft_labels(teacher_logits(teacher_out, class_labels),
+                             cfg.temperature, y_idx)
+    zeta, lam = cfg.target_weight, cfg.non_target_weight
+    if kd_weight is not None:
+        zeta, lam = kd_weight, kd_weight * teacher_sl.binary[:, 1]
+    loss_grad = _distill_loss_grad(Xh, Y, y_idx, teacher_sl, cfg, zeta, lam,
+                                   cfg.ce_weight)
     Q, trace = gradient_descent(sm.coeffs, loss_grad, cfg)
     return StudentModel(sm.rule_base, Q, sm.n_classes, sm.order), trace
 
@@ -247,10 +223,10 @@ def _prepare(sm: StudentModel, X, y_onehot):
 
 
 def trace_lines(trace: list[dict]) -> list[str]:
-    """Line-oriented text form of a loss trace, one record per epoch."""
+    """One text line per epoch: epoch, tckl/nckl/h where present, total."""
     lines = []
     for row in trace:
-        keys = [k for k in ("tckl", "nckl", "kd", "h") if k in row]
+        keys = [k for k in ("tckl", "nckl", "h") if k in row]
         parts = [f"epoch={row['epoch']}"]
         parts += [f"{k}={row[k]:.12g}" for k in keys]
         parts.append(f"total={row['total']:.12g}")

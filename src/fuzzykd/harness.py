@@ -16,7 +16,7 @@ from .distill import (DistillConfig, distill, teacher_logits,
 from .rules import PARTITION, PARTITION_LABELS, build_rule_base
 from .student import (StudentModel, TrainConfig, TrainingDiverged,
                       init_student, onehot_encode, predict_student,
-                      student_logits, train_student)
+                      train_student)
 from .teacher import TeacherModel, fit_teacher, predict_teacher
 
 METHODS = ("teacher-only", "student-only", "distill-kd", "distill-dkd")
@@ -81,31 +81,31 @@ class MethodReport:
     def _ok(self) -> list[FoldRecord]:
         return [r for r in self.records if r.error is None]
 
+    def _mean(self, name: str) -> float:
+        vals = [getattr(r, name) for r in self._ok()]
+        return float(np.mean(vals)) if vals else math.nan
+
+    def _std(self, name: str) -> float:
+        vals = [getattr(r, name) for r in self._ok()]
+        return float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
+
     def mean_accuracy(self) -> float:
-        ok = self._ok()
-        return float(np.mean([r.accuracy for r in ok])) if ok else math.nan
+        return self._mean("accuracy")
 
     def std_accuracy(self) -> float:
-        ok = self._ok()
-        vals = [r.accuracy for r in ok]
-        return float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
+        return self._std("accuracy")
 
     def mean_weighted_f(self) -> float:
-        ok = self._ok()
-        return float(np.mean([r.weighted_f for r in ok])) if ok else math.nan
+        return self._mean("weighted_f")
 
     def std_weighted_f(self) -> float:
-        ok = self._ok()
-        vals = [r.weighted_f for r in ok]
-        return float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
+        return self._std("weighted_f")
 
     def mean_rules(self) -> float:
-        ok = self._ok()
-        return float(np.mean([r.n_rules for r in ok])) if ok else math.nan
+        return self._mean("n_rules")
 
     def mean_seconds(self) -> float:
-        ok = self._ok()
-        return float(np.mean([r.seconds for r in ok])) if ok else math.nan
+        return self._mean("seconds")
 
     def n_failed(self) -> int:
         return len(self.records) - len(self._ok())
@@ -148,7 +148,7 @@ def weighted_f(pred: np.ndarray, truth: np.ndarray, n_classes: int) -> float:
 def _rb_seed(seed: int, fold: int, student_side: bool) -> int:
     # Same (seed, fold) -> same student rule base across methods, so that
     # per-fold deltas between student-only and the distilled runs isolate
-    # the loss change. The teacher draws an independent base by default.
+    # the loss change. The teacher draws an independent base (offset 7).
     return (seed * 1_000_003 + fold * 101 + (0 if student_side else 7)) % 2**31
 
 
@@ -177,49 +177,60 @@ def _candidates(method: str, grid: GridSpec) -> list[dict]:
             for k, t, lam, p in combos]
 
 
-def _fit_predict(method: str, params: dict, grid: GridSpec,
-                 Xtr, ytr, Xte, n_classes: int, seed: int, fold: int,
-                 share_rule_base: bool):
+def fit_method(method: str, params: dict, grid: GridSpec, X, y,
+               n_classes: int, teacher_seed: int, student_seed: int):
+    """Fit one method's model on (X, y) with one candidate's params.
+
+    grid supplies the fixed constants; the rule bases are drawn with
+    teacher_seed and student_seed. Returns (model, loss trace), the trace
+    empty for a teacher.
+    """
     kind, order = _parse_method(method)
     k = params["K"]
     class_labels = np.arange(n_classes, dtype=float)
-    teacher_seed = _rb_seed(seed, fold, student_side=share_rule_base)
-    student_seed = _rb_seed(seed, fold, student_side=True)
-
+    y_teacher = y.astype(float)
     if kind in ("teacher-only", "tsk-llm"):
-        rb = build_rule_base(k, Xtr.shape[1], grid.width, teacher_seed)
-        tm = fit_teacher(rb, Xtr, ytr.astype(float), grid.reg,
-                         class_labels, order)
-        return teacher_logits(predict_teacher(tm, Xte),
-                              class_labels).argmax(axis=1)
+        rb = build_rule_base(k, X.shape[1], grid.width, teacher_seed)
+        return fit_teacher(rb, X, y_teacher, grid.reg, class_labels,
+                           order), []
 
-    rb = build_rule_base(k, Xtr.shape[1], grid.width, student_seed)
-    Y = onehot_encode(ytr, n_classes)
+    sm = init_student(build_rule_base(k, X.shape[1], grid.width,
+                                      student_seed), n_classes, order)
+    Y = onehot_encode(y, n_classes)
     if kind in ("student-only", "tsk-gd"):
-        sm = init_student(rb, n_classes, order)
-        cfg = TrainConfig(grid.lr, grid.max_epochs, grid.tol)
-        sm, _ = train_student(sm, Xtr, Y, cfg)
-        return predict_student(sm, Xte)
+        return train_student(sm, X, Y,
+                             TrainConfig(grid.lr, grid.max_epochs, grid.tol))
 
-    rb_t = build_rule_base(k, Xtr.shape[1], grid.width, teacher_seed)
-    tm = fit_teacher(rb_t, Xtr, ytr.astype(float), grid.reg, class_labels)
-    t_out = predict_teacher(tm, Xtr)
-    sm = init_student(rb, n_classes)
+    rb_t = build_rule_base(k, X.shape[1], grid.width, teacher_seed)
+    tm = fit_teacher(rb_t, X, y_teacher, grid.reg, class_labels)
+    t_out = predict_teacher(tm, X)
+    # distill-kd has no zeta; lam stands in so that the config's all-zero
+    # check sees the KL term (vanilla_kd_distill ignores both weights)
+    cfg = DistillConfig(grid.lr, grid.max_epochs, grid.tol,
+                        temperature=params["tau"],
+                        target_weight=params.get("zeta", params["lam"]),
+                        non_target_weight=params["lam"],
+                        ce_weight=params["phi"])
     if kind == "distill-dkd":
-        cfg = DistillConfig(grid.lr, grid.max_epochs, grid.tol,
-                            temperature=params["tau"],
-                            target_weight=params["zeta"],
-                            non_target_weight=params["lam"],
-                            ce_weight=params["phi"])
-        sm, _ = distill(t_out, sm, Xtr, Y, cfg, class_labels)
-    else:
-        cfg = DistillConfig(grid.lr, grid.max_epochs, grid.tol,
-                            temperature=params["tau"], target_weight=0.0,
-                            non_target_weight=0.0, ce_weight=params["phi"])
-        sm, _ = vanilla_kd_distill(t_out, sm, Xtr, Y, cfg,
-                                   kd_weight=params["lam"],
-                                   class_labels=class_labels)
-    return predict_student(sm, Xte)
+        return distill(t_out, sm, X, Y, cfg, class_labels)
+    return vanilla_kd_distill(t_out, sm, X, Y, cfg, kd_weight=params["lam"],
+                              class_labels=class_labels)
+
+
+def predict_class(model, X: np.ndarray) -> np.ndarray:
+    """Predicted class indices of a fitted student or teacher."""
+    if isinstance(model, StudentModel):
+        return predict_student(model, X)
+    return teacher_logits(predict_teacher(model, X),
+                          model.class_labels).argmax(axis=1)
+
+
+def _fit_predict(method: str, params: dict, grid: GridSpec,
+                 Xtr, ytr, Xte, n_classes: int, seed: int, fold: int):
+    model, _ = fit_method(method, params, grid, Xtr, ytr, n_classes,
+                          _rb_seed(seed, fold, student_side=False),
+                          _rb_seed(seed, fold, student_side=True))
+    return predict_class(model, Xte)
 
 
 def _select_params(method, candidates, grid, Xtr, ytr, n_classes, seed, fold):
@@ -238,8 +249,7 @@ def _select_params(method, candidates, grid, Xtr, ytr, n_classes, seed, fold):
             tr, te = inner.split(i)
             try:
                 pred = _fit_predict(method, params, grid, Xtr[tr], ytr[tr],
-                                    Xtr[te], n_classes, seed, fold,
-                                    share_rule_base=False)
+                                    Xtr[te], n_classes, seed, fold)
                 accs.append(accuracy(pred, ytr[te]))
             except TrainingDiverged:
                 accs.append(0.0)
@@ -250,7 +260,7 @@ def _select_params(method, candidates, grid, Xtr, ytr, n_classes, seed, fold):
 
 
 def run_method(method: str, ds: Dataset, grid: GridSpec, seed: int,
-               dataset_name: str = "data", share_rule_base: bool = False,
+               dataset_name: str = "data",
                global_normalize: bool = False) -> MethodReport:
     """Outer CV evaluation of one method; one record per fold.
 
@@ -277,7 +287,7 @@ def run_method(method: str, ds: Dataset, grid: GridSpec, seed: int,
         t0 = time.perf_counter()
         try:
             pred = _fit_predict(method, params, grid, Xtr, ytr, Xte,
-                                ds.n_classes, seed, fold, share_rule_base)
+                                ds.n_classes, seed, fold)
             record.seconds = time.perf_counter() - t0
             record.accuracy = accuracy(pred, yte)
             record.weighted_f = weighted_f(pred, yte, ds.n_classes)
@@ -310,18 +320,12 @@ def sweep(parameter: str, ds: Dataset, grid: GridSpec, seed: int,
     records = []
     for value in values:
         params = dict(base)
-        if parameter == "tau":
-            params["tau"] = value
-        elif parameter == "zeta":
-            params["zeta"] = value
-        elif parameter == "lambda":
-            params["lam"] = value
-        elif parameter == "phi":
-            params["phi"] = value
-        elif parameter == "lambda/zeta":
+        if parameter == "lambda/zeta":
             params["lam"] = value * params["zeta"]
-        else:  # (lambda+zeta)/phi
+        elif parameter == "(lambda+zeta)/phi":
             params["phi"] = (params["lam"] + params["zeta"]) / value
+        else:
+            params["lam" if parameter == "lambda" else parameter] = value
         point = GridSpec.fixed(n_rules=params["K"], temperature=params["tau"],
                                target_weight=params["zeta"],
                                non_target_weight=params["lam"],
@@ -368,11 +372,7 @@ def rule_readout(model, sample: np.ndarray) -> str:
             lines.append(f"  output = {float(bx @ block):.4f}")
         else:
             raise TypeError(f"cannot explain {type(model).__name__}")
-    if isinstance(model, StudentModel):
-        pred = int(student_logits(model, x[None, :]).argmax())
-    else:
-        y = predict_teacher(model, x[None, :])
-        pred = int(teacher_logits(y, model.class_labels).argmax())
+    pred = int(predict_class(model, x[None, :])[0])
     lines.append(f"Predicted class: {pred}")
     return "\n".join(lines)
 

@@ -215,7 +215,7 @@ def _evaluate(loss_grad, Q, epoch):
     try:
         total, grad, parts = loss_grad(Q)
     except ValueError as exc:
-        # overflowing logits fail soft_labels' finiteness check
+        # overflowing logits fail the distillation loss's finiteness check
         raise TrainingDiverged(epoch) from exc
     if not np.isfinite(total):
         raise TrainingDiverged(epoch)

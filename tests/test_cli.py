@@ -43,6 +43,17 @@ def test_distill_writes_model_and_trace(tmp_path, iris_csv):
     assert load_model(out).order == 1
 
 
+def test_vanilla_distill_traces_decoupled_parts(tmp_path, iris_csv):
+    out = tmp_path / "kd.json"
+    trace = tmp_path / "trace.txt"
+    rc = main(["distill", "--vanilla", "--phi", "0", "--data", iris_csv,
+               "--rules", "4", "--epochs", "5", "--seed", "1",
+               "--out", str(out), "--trace-out", str(trace)])
+    assert rc == 0
+    lines = trace.read_text().strip().splitlines()
+    assert all(" tckl=" in ln and " nckl=" in ln for ln in lines)
+
+
 def test_evaluate_report_is_reproducible(tmp_path, iris_csv):
     args = ["evaluate", "--data", iris_csv, "--method", "distill-dkd",
             "--rules", "4", "--folds", "3", "--seed", "2", "--no-time"]

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from fuzzykd.data import (CsvParseError, Dataset, load_bundled, load_csv,
-                          normalize, regroup_cleveland, stratified_folds)
+                          normalize, stratified_folds)
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -44,6 +44,21 @@ class TestLoadCsv:
     def test_missing_cell_located(self, tmp_path):
         with pytest.raises(CsvParseError, match="row 2, column 2"):
             load_csv(write(tmp_path, "1,2,0\n1,,1\n"))
+
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-Infinity",
+                                      " INF "])
+    @pytest.mark.parametrize("text,where", [
+        ("1,2,0\n3,{},1\n", "row 2, column 2"),
+        ("1,2,0\n3,4,{}\n", "row 2, column 3"),
+    ])
+    def test_non_finite_cell_located(self, tmp_path, cell, text, where):
+        with pytest.raises(CsvParseError, match=f"non-finite.*{where}"):
+            load_csv(write(tmp_path, text.format(cell)))
+
+    def test_non_finite_text_in_categorical_column_kept(self, tmp_path):
+        ds = load_csv(write(tmp_path, "nan,1,A\nred,2,nan\nnan,3,A\n"))
+        np.testing.assert_array_equal(ds.X[:, 0], [0, 1, 0])
+        assert ds.class_names == ["A", "nan"]
 
     def test_empty_file_rejected(self, tmp_path):
         with pytest.raises(CsvParseError, match="no data"):
@@ -129,12 +144,6 @@ class TestStratifiedFolds:
     def test_too_few_folds_rejected(self):
         with pytest.raises(ValueError, match="folds"):
             stratified_folds([0, 1], 1)
-
-
-class TestRegroupCleveland:
-    def test_mapping(self):
-        got = regroup_cleveland(np.array([0, 1, 2, 3, 4]))
-        np.testing.assert_array_equal(got, [0, 1, 1, 1, 2])
 
 
 class TestBundledDatasets:

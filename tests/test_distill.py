@@ -8,9 +8,9 @@ from fuzzykd.distill import (DistillConfig, dkd_loss, distill, kd_loss,
                              soft_labels, teacher_logits, trace_lines,
                              vanilla_kd_distill)
 from fuzzykd.rules import build_rule_base
-from fuzzykd.student import (TrainConfig, design_matrix, init_student,
-                             onehot_encode, predict_student, softmax,
-                             train_student)
+from fuzzykd.student import (TrainConfig, cross_entropy, design_matrix,
+                             init_student, onehot_encode, predict_student,
+                             softmax, train_student)
 from fuzzykd.teacher import fit_teacher, predict_teacher
 
 from test_student import fd_gradient, toy_separable
@@ -291,6 +291,24 @@ class TestVanillaKd:
         g = fd_gradient(loss, sm.coeffs)
         np.testing.assert_allclose(trained.coeffs, sm.coeffs - 0.01 * g,
                                    atol=1e-4)
+
+    @pytest.mark.parametrize("tau,w,phi", [(1.0, 1.0, 1.0), (2.0, 2.0, 0.0),
+                                           (5.0, 0.5, 2.0)])
+    def test_final_total_matches_kl_oracle(self, tau, w, phi):
+        # the fit runs through the decoupled closure; the oracle is the
+        # coupled KL computed by kd_loss on the returned coefficients
+        rb, X, y, labels, t_out = three_class_setup()
+        sm = init_student(rb, 3)
+        Y = onehot_encode(y, 3)
+        cfg = DistillConfig(0.01, 12, 0.0, temperature=tau, ce_weight=phi)
+        trained, trace = vanilla_kd_distill(t_out, sm, X, Y, cfg,
+                                            kd_weight=w, class_labels=labels)
+        Xh = design_matrix(sm, X)
+        logits = Xh @ trained.coeffs
+        tsl = soft_labels(teacher_logits(t_out, labels), tau, y)
+        want = (len(y) * w * kd_loss(tsl, soft_labels(logits, tau, y)) +
+                phi * cross_entropy(softmax(logits), Y))
+        assert trace[-1]["total"] == pytest.approx(want, rel=1e-9)
 
     def test_negative_weight_rejected(self):
         rb, X, y, labels, t_out = three_class_setup()

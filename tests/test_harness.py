@@ -71,6 +71,12 @@ class TestRunMethod:
         for ra, rb_ in zip(a.records, b.records):
             assert abs(ra.accuracy - rb_.accuracy) < 1e-9
 
+    def test_coupled_kd_without_cross_entropy_runs(self):
+        rep = run_method("distill-kd", toy_dataset(),
+                         GridSpec.fixed(n_rules=3, ce_weight=0, folds=2),
+                         seed=0)
+        assert rep.n_failed() == 0
+
     def test_teacher_only_runs(self):
         ds = toy_dataset()
         rep = run_method("teacher-only", ds, GridSpec.fixed(folds=4), seed=0)
