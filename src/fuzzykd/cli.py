@@ -1,7 +1,10 @@
 """Command-line interface.
 
-Every flag can also be set through an environment variable with the
-FUZZYKD_ prefix (e.g. FUZZYKD_SEED=3 mirrors --seed 3); explicit flags win.
+These flags can also be set through an environment variable, named
+FUZZYKD_ plus the flag name in upper case with "-" as "_": --label-col,
+--seed, --out, --rules, --width, --lr, --epochs, --xi, --reg-L, --order,
+--temp, --zeta, --lambda, --phi and --folds (e.g. FUZZYKD_SEED=3 mirrors
+--seed 3, FUZZYKD_REG_L=50 mirrors --reg-L 50). Explicit flags win.
 """
 from __future__ import annotations
 
@@ -16,57 +19,53 @@ from .distill import trace_lines
 from .harness import (GridSpec, fit_method, format_report, run_method,
                       rule_readout, sweep)
 from .serialize import load_model, save_model
-from .teacher import predict_teacher
+from .student import STUDENT_ORDER
+from .teacher import TEACHER_ORDER, predict_teacher
 
 ENV_PREFIX = "FUZZYKD_"
+_FIXED = GridSpec.fixed()
 
 
-def _env_default(flag: str, fallback):
-    return os.environ.get(ENV_PREFIX + flag.upper().replace("-", "_"),
-                          fallback)
+def _flag(p, name: str, type, default, **kwargs) -> None:
+    """Add --name whose default the FUZZYKD_ variable of that name replaces.
+
+    argparse converts a string default with type, as it would the flag.
+    """
+    env = ENV_PREFIX + name.upper().replace("-", "_")
+    p.add_argument("--" + name, type=type,
+                   default=os.environ.get(env, default), **kwargs)
 
 
 def _add_common(p):
     p.add_argument("--data", required=True, help="input CSV file")
-    p.add_argument("--label-col", type=int,
-                   default=int(_env_default("label-col", -1)),
-                   help="label column index (default: last)")
+    _flag(p, "label-col", int, -1, help="label column index (default: last)")
     p.add_argument("--header", action="store_true",
                    help="first CSV row is a header")
-    p.add_argument("--seed", type=int, default=int(_env_default("seed", 0)))
-    p.add_argument("--out", default=_env_default("out", None),
-                   help="output path (default: stdout)")
+    _flag(p, "seed", int, 0)
+    _flag(p, "out", None, None, help="output path (default: stdout)")
 
 
 def _add_train(p):
-    p.add_argument("--rules", type=int,
-                   default=int(_env_default("rules", 8)))
-    p.add_argument("--width", type=float,
-                   default=float(_env_default("width", 0.5)))
-    p.add_argument("--lr", type=float, default=float(_env_default("lr", 0.01)),
-                   help="length of the student's first trial step along the "
-                        "negative gradient; later steps are line-searched "
-                        "L-BFGS steps (default 0.01)")
-    p.add_argument("--epochs", type=int,
-                   default=int(_env_default("epochs", 59)),
-                   help="most trial steps per student fit, one loss/gradient "
-                        "evaluation each (plus one at the start); also caps "
-                        "the epochs. Default 59: 60 evaluations, the cost of "
-                        "30 fixed-step epochs")
-    p.add_argument("--xi", type=float,
-                   default=float(_env_default("xi", 1e-5)))
-    p.add_argument("--reg-L", type=float, dest="reg_l",
-                   default=float(_env_default("reg-L", 100.0)))
+    _flag(p, "rules", int, _FIXED.rule_counts[0])
+    _flag(p, "width", float, _FIXED.width)
+    _flag(p, "lr", float, _FIXED.lr,
+          help="length of the student's first trial step along the negative "
+               "gradient; later steps are line-searched L-BFGS steps "
+               "(default %(default)s)")
+    _flag(p, "epochs", int, _FIXED.max_epochs,
+          help="most trial steps per student fit, one loss/gradient "
+               "evaluation each (plus one at the start); also caps the "
+               "epochs. Default %(default)s: 60 evaluations, the cost of 30 "
+               "fixed-step epochs")
+    _flag(p, "xi", float, _FIXED.tol)
+    _flag(p, "reg-L", float, _FIXED.reg, dest="reg_l")
 
 
 def _add_distill(p):
-    p.add_argument("--temp", type=float,
-                   default=float(_env_default("temp", 2.0)))
-    p.add_argument("--zeta", type=float,
-                   default=float(_env_default("zeta", 1.0)))
-    p.add_argument("--lambda", type=float, dest="lam",
-                   default=float(_env_default("lambda", 2.0)))
-    p.add_argument("--phi", type=float, default=float(_env_default("phi", 1.0)))
+    _flag(p, "temp", float, _FIXED.temperatures[0])
+    _flag(p, "zeta", float, _FIXED.target_weights[0])
+    _flag(p, "lambda", float, _FIXED.non_target_weights[0], dest="lam")
+    _flag(p, "phi", float, _FIXED.ce_weights[0])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,15 +79,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="closed-form fit of the high-order model")
     _add_common(p)
     _add_train(p)
-    p.add_argument("--order", type=int, choices=range(4),
-                   default=int(_env_default("order", 3)))
+    _flag(p, "order", int, TEACHER_ORDER, choices=range(4))
 
     p = sub.add_parser("train-student",
                        help="gradient training of the low-order model")
     _add_common(p)
     _add_train(p)
-    p.add_argument("--order", type=int, choices=range(4),
-                   default=int(_env_default("order", 1)))
+    _flag(p, "order", int, STUDENT_ORDER, choices=range(4))
 
     p = sub.add_parser("distill", help="distill the teacher into the student")
     _add_common(p)
@@ -107,8 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="distill-dkd",
                    help="teacher-only, student-only, distill-kd, "
                         "distill-dkd, tsk-order-N-llm or tsk-order-N-gd")
-    p.add_argument("--folds", type=int,
-                   default=int(_env_default("folds", 10)))
+    _flag(p, "folds", int, _FIXED.folds)
     p.add_argument("--global-normalize", action="store_true")
     p.add_argument("--no-time", action="store_true",
                    help="omit wall-time fields (byte-stable reports)")
@@ -117,8 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="evaluation with inner-CV hyperparameter search")
     _add_common(p)
     p.add_argument("--method", default="distill-dkd")
-    p.add_argument("--folds", type=int,
-                   default=int(_env_default("folds", 10)))
+    _flag(p, "folds", int, _FIXED.folds)
     p.add_argument("--grid", choices=("full", "coarse"), default="coarse")
     p.add_argument("--global-normalize", action="store_true")
     p.add_argument("--no-time", action="store_true")
@@ -130,8 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", required=True,
                    help="tau, zeta, lambda, phi, lambda/zeta or "
                         "(lambda+zeta)/phi")
-    p.add_argument("--folds", type=int,
-                   default=int(_env_default("folds", 10)))
+    _flag(p, "folds", int, _FIXED.folds)
 
     p = sub.add_parser("explain", help="linguistic rule readout of a model")
     p.add_argument("--model", required=True, help="serialized model file")
@@ -168,12 +162,12 @@ def _grid(args) -> GridSpec:
 
 def _fit_and_save(args, method: str, params: dict, teacher_seed: int):
     """fit_method on all of --data, normalized; saves the model to --out."""
+    if not args.out:
+        raise SystemExit(f"{args.command} requires --out for the model file")
     ds = _load(args)
     X, _, _ = normalize(ds.X)
     model, trace = fit_method(method, params, _grid(args), X, ds.y,
                               ds.n_classes, teacher_seed, args.seed)
-    if not args.out:
-        raise SystemExit(f"{args.command} requires --out for the model file")
     save_model(model, args.out)
     return model, trace, X, ds
 

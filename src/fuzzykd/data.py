@@ -20,7 +20,6 @@ class Dataset:
     n_classes: int
     feature_names: list[str] = field(default_factory=list)
     class_names: list[str] = field(default_factory=list)
-    normalization: np.ndarray | None = None  # per-feature (min, max) pairs
 
     def __post_init__(self):
         self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
@@ -153,6 +152,8 @@ def stratified_folds(y: np.ndarray, k: int,
     if k < 2:
         raise ValueError(f"need at least 2 folds, got {k}")
     y = np.asarray(y, dtype=int).ravel()
+    if k > y.size:
+        raise ValueError(f"cannot split {y.size} samples into {k} folds")
     rng = np.random.default_rng(seed)
     assignments = np.empty(y.size, dtype=int)
     offset = 0

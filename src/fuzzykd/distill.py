@@ -194,10 +194,12 @@ def vanilla_kd_distill(teacher_out: np.ndarray, sm: StudentModel,
     TCKL + (1 - u_t) * NCKL (u_t: teacher target mass), so this runs
     distill's fit at target weight kd_weight and per-sample non-target
     weight kd_weight * (1 - u_t), ignoring cfg's two KL weights; the trace
-    rows are distill's.
+    rows are distill's. kd_weight and cfg.ce_weight must not both be zero.
     """
     if kd_weight < 0:
         raise ValueError("kd_weight must be non-negative")
+    if kd_weight == 0 and cfg.ce_weight == 0:
+        raise ValueError("at least one loss weight must be non-zero")
     return _fit(teacher_out, sm, X, y_onehot, cfg, class_labels, kd_weight)
 
 

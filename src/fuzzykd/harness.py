@@ -3,24 +3,39 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .basis import basis_labels, expand_basis
+from .basis import MAX_ORDER, basis_labels, expand_basis
 from .data import Dataset, normalize, stratified_folds
 from .distill import (DistillConfig, distill, teacher_logits,
                       vanilla_kd_distill)
 from .rules import PARTITION, PARTITION_LABELS, build_rule_base
-from .student import (StudentModel, TrainConfig, TrainingDiverged,
-                      init_student, onehot_encode, predict_student,
-                      train_student)
-from .teacher import TeacherModel, fit_teacher, predict_teacher
+from .student import (STUDENT_ORDER, StudentModel, TrainConfig,
+                      TrainingDiverged, init_student, onehot_encode,
+                      predict_student, train_student)
+from .teacher import (TEACHER_ORDER, TeacherModel, fit_teacher,
+                      predict_teacher)
 
-METHODS = ("teacher-only", "student-only", "distill-kd", "distill-dkd")
-_ORDER_METHOD = re.compile(r"^tsk-order-([0-3])-(llm|gd)$")
+# method -> (fit, order). Fits: "llm" closed-form teacher, "gd" student by
+# gradient training, "kd"/"dkd" teacher distilled into a student.
+_METHODS = {"teacher-only": ("llm", TEACHER_ORDER),
+            "student-only": ("gd", STUDENT_ORDER),
+            "distill-kd": ("kd", STUDENT_ORDER),
+            "distill-dkd": ("dkd", STUDENT_ORDER),
+            **{f"tsk-order-{order}-{fit}": (fit, order)
+               for order in range(MAX_ORDER + 1) for fit in ("llm", "gd")}}
+# fit -> the candidate keys its grid search enumerates
+_SEARCHED = {"llm": ("K",), "gd": ("K",), "kd": ("K", "tau", "lam", "phi"),
+             "dkd": ("K", "tau", "zeta", "lam", "phi")}
+# candidate key -> (GridSpec field of its candidates, DistillConfig field)
+_KEYS = {"K": ("rule_counts", None),
+         "tau": ("temperatures", "temperature"),
+         "zeta": ("target_weights", "target_weight"),
+         "lam": ("non_target_weights", "non_target_weight"),
+         "phi": ("ce_weights", "ce_weight")}
 
 
 @dataclass(frozen=True)
@@ -33,9 +48,9 @@ class GridSpec:
     target_weights: tuple = (1, 2, 5, 10, 20, 100)
     non_target_weights: tuple = (1, 2, 5, 10, 20, 100)
     ce_weights: tuple = (1, 2, 5, 10, 20, 100)
-    max_epochs: int = 59
-    tol: float = 1e-5
-    lr: float = 0.01
+    max_epochs: int = TrainConfig.max_epochs
+    tol: float = TrainConfig.tol
+    lr: float = TrainConfig.lr
     folds: int = 10
     width: float = 0.5
 
@@ -51,8 +66,10 @@ class GridSpec:
         return cls(target_weights=(1,), **overrides)
 
     @classmethod
-    def fixed(cls, n_rules=8, temperature=2, target_weight=1,
-              non_target_weight=2, ce_weight=1, **overrides) -> "GridSpec":
+    def fixed(cls, n_rules=8, temperature=DistillConfig.temperature,
+              target_weight=DistillConfig.target_weight,
+              non_target_weight=DistillConfig.non_target_weight,
+              ce_weight=DistillConfig.ce_weight, **overrides) -> "GridSpec":
         """Degenerate single-candidate grid (no inner search)."""
         return cls(rule_counts=(n_rules,), temperatures=(temperature,),
                    target_weights=(target_weight,),
@@ -153,28 +170,15 @@ def _rb_seed(seed: int, fold: int, student_side: bool) -> int:
 
 
 def _parse_method(method: str) -> tuple[str, int]:
-    if method in METHODS:
-        return method, 3 if method == "teacher-only" else 1
-    m = _ORDER_METHOD.match(method)
-    if m:
-        return f"tsk-{m.group(2)}", int(m.group(1))
-    raise ValueError(f"unknown method {method!r}")
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    return _METHODS[method]
 
 
 def _candidates(method: str, grid: GridSpec) -> list[dict]:
-    kind, _ = _parse_method(method)
-    if kind in ("teacher-only", "student-only", "tsk-llm", "tsk-gd"):
-        return [{"K": k} for k in grid.rule_counts]
-    if kind == "distill-dkd":
-        combos = itertools.product(grid.rule_counts, grid.temperatures,
-                                   grid.target_weights,
-                                   grid.non_target_weights, grid.ce_weights)
-        return [{"K": k, "tau": t, "zeta": z, "lam": lam, "phi": p}
-                for k, t, z, lam, p in combos]
-    combos = itertools.product(grid.rule_counts, grid.temperatures,
-                               grid.non_target_weights, grid.ce_weights)
-    return [{"K": k, "tau": t, "lam": lam, "phi": p}
-            for k, t, lam, p in combos]
+    keys = _SEARCHED[_parse_method(method)[0]]
+    values = [getattr(grid, _KEYS[key][0]) for key in keys]
+    return [dict(zip(keys, combo)) for combo in itertools.product(*values)]
 
 
 def fit_method(method: str, params: dict, grid: GridSpec, X, y,
@@ -185,33 +189,27 @@ def fit_method(method: str, params: dict, grid: GridSpec, X, y,
     teacher_seed and student_seed. Returns (model, loss trace), the trace
     empty for a teacher.
     """
-    kind, order = _parse_method(method)
-    k = params["K"]
+    fit, order = _parse_method(method)
     class_labels = np.arange(n_classes, dtype=float)
-    y_teacher = y.astype(float)
-    if kind in ("teacher-only", "tsk-llm"):
-        rb = build_rule_base(k, X.shape[1], grid.width, teacher_seed)
-        return fit_teacher(rb, X, y_teacher, grid.reg, class_labels,
-                           order), []
 
-    sm = init_student(build_rule_base(k, X.shape[1], grid.width,
-                                      student_seed), n_classes, order)
+    def rule_base(seed):
+        return build_rule_base(params["K"], X.shape[1], grid.width, seed)
+
+    if fit == "llm":
+        return fit_teacher(rule_base(teacher_seed), X, y.astype(float),
+                           grid.reg, class_labels, order), []
+    sm = init_student(rule_base(student_seed), n_classes, order)
     Y = onehot_encode(y, n_classes)
-    if kind in ("student-only", "tsk-gd"):
+    if fit == "gd":
         return train_student(sm, X, Y,
                              TrainConfig(grid.lr, grid.max_epochs, grid.tol))
-
-    rb_t = build_rule_base(k, X.shape[1], grid.width, teacher_seed)
-    tm = fit_teacher(rb_t, X, y_teacher, grid.reg, class_labels)
+    tm = fit_teacher(rule_base(teacher_seed), X, y.astype(float), grid.reg,
+                     class_labels)
     t_out = predict_teacher(tm, X)
-    # distill-kd has no zeta; lam stands in so that the config's all-zero
-    # check sees the KL term (vanilla_kd_distill ignores both weights)
     cfg = DistillConfig(grid.lr, grid.max_epochs, grid.tol,
-                        temperature=params["tau"],
-                        target_weight=params.get("zeta", params["lam"]),
-                        non_target_weight=params["lam"],
-                        ce_weight=params["phi"])
-    if kind == "distill-dkd":
+                        **{_KEYS[key][1]: v for key, v in params.items()
+                           if key != "K"})
+    if fit == "dkd":
         return distill(t_out, sm, X, Y, cfg, class_labels)
     return vanilla_kd_distill(t_out, sm, X, Y, cfg, kd_weight=params["lam"],
                               class_labels=class_labels)
@@ -311,12 +309,9 @@ def sweep(parameter: str, ds: Dataset, grid: GridSpec, seed: int,
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ValueError(f"unknown sweep parameter {parameter!r}")
-    base = {"K": grid.rule_counts[0], "tau": grid.temperatures[0],
-            "zeta": grid.target_weights[0],
-            "lam": grid.non_target_weights[0], "phi": grid.ce_weights[0]}
-    values = {"tau": grid.temperatures, "zeta": grid.target_weights,
-              "phi": grid.ce_weights}.get(parameter,
-                                          grid.non_target_weights)
+    base = {key: getattr(grid, name)[0] for key, (name, _) in _KEYS.items()}
+    # lambda and both ratios run over the non-target weight candidates
+    values = getattr(grid, _KEYS.get(parameter, _KEYS["lam"])[0])
     records = []
     for value in values:
         params = dict(base)
@@ -326,13 +321,8 @@ def sweep(parameter: str, ds: Dataset, grid: GridSpec, seed: int,
             params["phi"] = (params["lam"] + params["zeta"]) / value
         else:
             params["lam" if parameter == "lambda" else parameter] = value
-        point = GridSpec.fixed(n_rules=params["K"], temperature=params["tau"],
-                               target_weight=params["zeta"],
-                               non_target_weight=params["lam"],
-                               ce_weight=params["phi"], reg=grid.reg,
-                               max_epochs=grid.max_epochs, tol=grid.tol,
-                               lr=grid.lr, folds=grid.folds,
-                               width=grid.width)
+        point = replace(grid, **{_KEYS[key][0]: (v,)
+                                 for key, v in params.items()})
         rep = run_method("distill-dkd", ds, point, seed, dataset_name)
         records.append({"parameter": parameter, "value": value,
                         "mean_accuracy": rep.mean_accuracy(),

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import fuzzykd.cli as cli
 from fuzzykd.cli import main
 from fuzzykd.data import bundled_path
 from fuzzykd.serialize import load_model
@@ -136,3 +137,57 @@ def test_gridsearch_small(tmp_path):
                "--out", str(out)])
     assert rc == 0
     assert "aggregate" in out.read_text()
+
+
+def test_more_folds_than_rows_located(tmp_path, capsys):
+    path = tmp_path / "six.csv"
+    path.write_text("0.1,0.2,0\n0.2,0.1,0\n0.3,0.3,0\n"
+                    "0.8,0.9,1\n0.9,0.8,1\n0.7,0.7,1\n")
+    rc = main(["evaluate", "--data", str(path), "--method", "student-only",
+               "--folds", "10", "--no-time"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "fuzzykd: error: cannot split 6 samples into 10 folds" in err
+
+
+def test_missing_out_checked_before_fitting(iris_csv, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit_method called")
+
+    monkeypatch.delenv("FUZZYKD_OUT", raising=False)
+    monkeypatch.setattr(cli, "fit_method", no_fit)
+    with pytest.raises(SystemExit, match="requires --out"):
+        main(["train-student", "--data", iris_csv])
+
+
+def test_evaluate_global_normalize(iris_csv, capsys):
+    rc = main(["evaluate", "--data", iris_csv, "--method", "student-only",
+               "--rules", "2", "--folds", "2", "--epochs", "5",
+               "--global-normalize", "--no-time"])
+    assert rc == 0
+    assert "aggregate dataset=iris.csv" in capsys.readouterr().out
+
+
+ENV_FLAGS = ("label_col", "seed", "out", "rules", "width", "lr", "epochs",
+             "xi", "reg_l", "order", "temp", "zeta", "lambda", "phi", "folds")
+
+
+def test_env_overrides_exactly_the_listed_flags(monkeypatch):
+    for name in ENV_FLAGS + ("method", "no_time", "data", "grid"):
+        monkeypatch.setenv("FUZZYKD_" + name.upper(), "3")
+    parser = cli.build_parser()
+    args = vars(parser.parse_args(["evaluate", "--data", "d.csv"]))
+    args.update(vars(parser.parse_args(["train-teacher", "--data", "d.csv"])))
+    args["lambda"] = args.pop("lam")
+    assert {k: args[k] for k in ENV_FLAGS} == {
+        k: ("3" if k == "out" else 3) for k in ENV_FLAGS}
+    assert (args["method"], args["no_time"], args["data"]) == \
+        ("distill-dkd", False, "d.csv")
+
+
+def test_bad_env_value_is_a_usage_error(iris_csv, monkeypatch, capsys):
+    monkeypatch.setenv("FUZZYKD_SEED", "x")
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--data", iris_csv])
+    assert exc.value.code == 2
+    assert "argument --seed: invalid int value: 'x'" in capsys.readouterr().err

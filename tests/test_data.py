@@ -145,6 +145,15 @@ class TestStratifiedFolds:
         with pytest.raises(ValueError, match="folds"):
             stratified_folds([0, 1], 1)
 
+    def test_more_folds_than_samples_rejected(self):
+        with pytest.raises(ValueError, match="cannot split 6 samples into "
+                                             "10 folds"):
+            stratified_folds([0, 0, 0, 1, 1, 1], 10)
+
+    def test_one_sample_per_fold_accepted(self):
+        plan = stratified_folds([0, 0, 0, 1, 1, 1], 6, seed=0)
+        assert sorted(plan.assignments) == list(range(6))
+
 
 class TestBundledDatasets:
     @pytest.mark.parametrize("name,n,m,c", [("iris", 150, 4, 3),

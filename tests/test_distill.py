@@ -269,6 +269,15 @@ class TestVanillaKd:
         m2, _ = train_student(sm, X, Y, TrainConfig(0.01, 10, 0.0))
         np.testing.assert_array_equal(m1.coeffs, m2.coeffs)
 
+    def test_all_zero_weights_rejected(self):
+        # cfg's own KL weights are non-zero, but the coupled fit ignores them
+        rb, X, y, labels, t_out = three_class_setup()
+        cfg = DistillConfig(0.01, 10, 0.0, ce_weight=0.0)
+        with pytest.raises(ValueError, match="at least one loss weight"):
+            vanilla_kd_distill(t_out, init_student(rb, 3), X,
+                               onehot_encode(y, 3), cfg, kd_weight=0.0,
+                               class_labels=labels)
+
     def test_one_step_matches_finite_differences(self):
         rb, X, y, labels, t_out = three_class_setup(n=1)
         sm = init_student(rb, 3)

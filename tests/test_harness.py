@@ -2,9 +2,10 @@
 import numpy as np
 import pytest
 
+import fuzzykd.harness as harness
 from fuzzykd.data import Dataset
-from fuzzykd.harness import (GridSpec, accuracy, format_report, rule_readout,
-                             run_method, sweep, weighted_f)
+from fuzzykd.harness import (GridSpec, MethodReport, accuracy, format_report,
+                             rule_readout, run_method, sweep, weighted_f)
 from fuzzykd.rules import RuleBase, build_rule_base
 from fuzzykd.student import (StudentModel, init_student, onehot_encode,
                              predict_student, train_student, TrainConfig)
@@ -77,6 +78,12 @@ class TestRunMethod:
                          seed=0)
         assert rep.n_failed() == 0
 
+    def test_coupled_kd_with_no_loss_rejected(self):
+        with pytest.raises(ValueError, match="at least one loss weight"):
+            run_method("distill-kd", toy_dataset(),
+                       GridSpec.fixed(n_rules=3, non_target_weight=0,
+                                      ce_weight=0, folds=2), seed=0)
+
     def test_teacher_only_runs(self):
         ds = toy_dataset()
         rep = run_method("teacher-only", ds, GridSpec.fixed(folds=4), seed=0)
@@ -126,7 +133,57 @@ class TestRunMethod:
         assert all(r.params["K"] in (1, 3) for r in rep.records)
 
 
+    @pytest.mark.parametrize("alias,method", [
+        ("teacher-only", "tsk-order-3-llm"),
+        ("student-only", "tsk-order-1-gd")])
+    def test_alias_matches_order_method(self, alias, method):
+        ds = toy_dataset(seed=4)
+        grid = GridSpec(rule_counts=(1, 3), folds=3)
+        a = run_method(alias, ds, grid, seed=2)
+        b = run_method(method, ds, grid, seed=2)
+        for ra, rb_ in zip(a.records, b.records, strict=True):
+            assert (ra.params, ra.accuracy, ra.weighted_f, ra.error) == \
+                (rb_.params, rb_.accuracy, rb_.weighted_f, rb_.error)
+
+    def test_global_normalize_runs(self):
+        ds = toy_dataset()
+        rep = run_method("student-only", ds,
+                         GridSpec.fixed(n_rules=2, folds=2), seed=0,
+                         global_normalize=True)
+        assert rep.n_failed() == 0
+        assert rep.mean_accuracy() == 1.0
+
+    def test_more_folds_than_samples_stops_before_fitting(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit_method called")
+
+        monkeypatch.setattr(harness, "fit_method", no_fit)
+        with pytest.raises(ValueError, match="6 samples into 10 folds"):
+            run_method("student-only", toy_dataset(n_per_class=3),
+                       GridSpec.fixed(folds=10), seed=0)
+
+
 class TestSweep:
+    def test_grid_constants_kept(self, monkeypatch):
+        grids = []
+
+        def fake_run(method, ds, grid, seed, dataset_name="data"):
+            grids.append(grid)
+            return MethodReport(method, dataset_name, seed)
+
+        monkeypatch.setattr(harness, "run_method", fake_run)
+        grid = GridSpec(rule_counts=(3, 5), temperatures=(4,),
+                        target_weights=(2,), non_target_weights=(1, 7),
+                        ce_weights=(3,), reg=7.5, width=0.3, max_epochs=11,
+                        tol=1e-3, lr=0.2, folds=4)
+        sweep("lambda", toy_dataset(), grid, seed=0)
+        assert [g.non_target_weights for g in grids] == [(1,), (7,)]
+        for g in grids:
+            assert (g.rule_counts, g.temperatures, g.target_weights,
+                    g.ce_weights) == ((3,), (4,), (2,), (3,))
+            assert (g.reg, g.width, g.max_epochs, g.tol, g.lr, g.folds) == \
+                (7.5, 0.3, 11, 1e-3, 0.2, 4)
+
     def test_record_cardinality(self):
         ds = toy_dataset(n_per_class=10)
         grid = GridSpec(rule_counts=(2,), temperatures=(1, 2, 5),
