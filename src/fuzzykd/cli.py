@@ -24,6 +24,7 @@ from .teacher import TEACHER_ORDER, predict_teacher
 
 ENV_PREFIX = "FUZZYKD_"
 _FIXED = GridSpec.fixed()
+_ORDERS = range(4)
 
 
 def _flag(p, name: str, type, default, **kwargs) -> None:
@@ -55,8 +56,7 @@ def _add_train(p):
     _flag(p, "epochs", int, _FIXED.max_epochs,
           help="most trial steps per student fit, one loss/gradient "
                "evaluation each (plus one at the start); also caps the "
-               "epochs. Default %(default)s: 60 evaluations, the cost of 30 "
-               "fixed-step epochs")
+               "epochs (default %(default)s)")
     _flag(p, "xi", float, _FIXED.tol)
     _flag(p, "reg-L", float, _FIXED.reg, dest="reg_l")
 
@@ -79,13 +79,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="closed-form fit of the high-order model")
     _add_common(p)
     _add_train(p)
-    _flag(p, "order", int, TEACHER_ORDER, choices=range(4))
+    _flag(p, "order", int, TEACHER_ORDER, choices=_ORDERS)
 
     p = sub.add_parser("train-student",
                        help="gradient training of the low-order model")
     _add_common(p)
     _add_train(p)
-    _flag(p, "order", int, STUDENT_ORDER, choices=range(4))
+    _flag(p, "order", int, STUDENT_ORDER, choices=_ORDERS)
 
     p = sub.add_parser("distill", help="distill the teacher into the student")
     _add_common(p)
@@ -246,7 +246,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # argparse checks a flag's choices, not a FUZZYKD_ default's: re-parse
+    if getattr(args, "order", 0) not in _ORDERS:
+        parser.parse_args([args.command, "--order", str(args.order)])
     try:
         _COMMANDS[args.command](args)
     except SystemExit:

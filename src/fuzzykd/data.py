@@ -137,7 +137,6 @@ def normalize(train_X: np.ndarray, apply_X: np.ndarray | None = None):
 class FoldPlan:
     k: int
     assignments: np.ndarray
-    seed: int | None = None
 
     def split(self, fold: int) -> tuple[np.ndarray, np.ndarray]:
         """(train indices, test indices) for one fold."""
@@ -162,7 +161,7 @@ def stratified_folds(y: np.ndarray, k: int,
         rng.shuffle(idx)
         assignments[idx] = (np.arange(idx.size) + offset) % k
         offset += idx.size
-    return FoldPlan(k, assignments, seed)
+    return FoldPlan(k, assignments)
 
 
 def bundled_path(name: str):

@@ -3,14 +3,14 @@
 Teacher logits are negative distances between the scalar teacher output and
 each class encoding. Both sides are softened with the same temperature; the
 KL between them splits exactly into a target/non-target binary KL plus the
-teacher's non-target mass times the KL among non-target classes. The
-distillation loss reweights those two parts independently and adds the
-cross-entropy against the ground truth. The coupled KD baseline is the same
-loss with per-sample non-target weights, so one closure trains both.
+teacher's non-target mass times the KL among non-target classes. The loss
+reweights the two parts and adds the cross-entropy against the ground truth.
+Coupled KD is the same loss with per-sample non-target weights, so one
+closure trains both and DistillConfig alone checks the weights.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,10 +50,6 @@ class SoftLabelSet:
     binary: np.ndarray        # N x 2 rows [u_t, 1 - u_t]
     non_target: np.ndarray    # N x (C-1) distribution among non-target classes
 
-    @property
-    def n_classes(self) -> int:
-        return self.probs.shape[1]
-
 
 def teacher_logits(y_teacher: np.ndarray,
                    class_labels: np.ndarray) -> np.ndarray:
@@ -77,6 +73,8 @@ def soft_labels(logits: np.ndarray, temperature: float,
     if target.size != logits.shape[0]:
         raise ValueError("target must give one class index per row")
     n, c = logits.shape
+    if c < 2:
+        raise ValueError(f"soft labels need at least 2 classes, got {c}")
     u = softmax(logits, temperature)
     rows = np.arange(n)
     u_t = u[rows, target]
@@ -84,7 +82,7 @@ def soft_labels(logits: np.ndarray, temperature: float,
     mask = np.ones((n, c), dtype=bool)
     mask[rows, target] = False
     z_hat = logits[mask].reshape(n, c - 1)
-    non_target = softmax(z_hat, temperature) if c > 2 else np.ones((n, 1))
+    non_target = softmax(z_hat, temperature)
     return SoftLabelSet(u, target, binary, non_target)
 
 
@@ -110,13 +108,11 @@ def dkd_loss(teacher: SoftLabelSet,
              student: SoftLabelSet) -> tuple[float, float]:
     """Mean target-class KL and mean non-target-class KL.
 
-    The non-target part is identically 0 for two-class problems, where the
+    The non-target part is exactly 0 for two-class problems, where the
     non-target distribution is the single point mass.
     """
     _check_pair(teacher, student)
     tckl = float(_kl_rows(teacher.binary, student.binary).mean())
-    if teacher.n_classes == 2:
-        return tckl, 0.0
     nckl = float(_kl_rows(teacher.non_target, student.non_target).mean())
     return tckl, nckl
 
@@ -126,8 +122,7 @@ def _distill_loss_grad(Xh, Y, y_idx, teacher_sl, cfg, zeta, lam, phi):
     n, c = Y.shape
     rows = np.arange(n)
     tau = cfg.temperature
-    lam = np.asarray(lam, dtype=float)
-    lam_col = (lam.reshape(n, 1) if lam.ndim else np.full((n, 1), float(lam)))
+    lam_col = np.broadcast_to(np.reshape(lam, (-1, 1)), (n, 1))
     non_target = np.ones((n, c), dtype=bool)
     non_target[rows, y_idx] = False
     a = teacher_sl.binary[:, 0]
@@ -135,7 +130,7 @@ def _distill_loss_grad(Xh, Y, y_idx, teacher_sl, cfg, zeta, lam, phi):
     def loss_grad(Q):
         logits = Xh @ Q
         if not np.isfinite(logits).all():
-            raise ValueError("logits must be finite")
+            return np.inf, None, {}  # overflow: gradient_descent diverges
         u = softmax(logits, tau)
         u_t = u[rows, y_idx]
         tckl_rows = _kl_rows(teacher_sl.binary,
@@ -193,13 +188,9 @@ def vanilla_kd_distill(teacher_out: np.ndarray, sm: StudentModel,
     Baseline for ablation against distill. Per sample, KL(u_T || u_S) =
     TCKL + (1 - u_t) * NCKL (u_t: teacher target mass), so this runs
     distill's fit at target weight kd_weight and per-sample non-target
-    weight kd_weight * (1 - u_t), ignoring cfg's two KL weights; the trace
-    rows are distill's. kd_weight and cfg.ce_weight must not both be zero.
+    weight kd_weight * (1 - u_t) in place of cfg's two KL weights; the trace
+    rows are distill's. DistillConfig checks these weights, as for distill.
     """
-    if kd_weight < 0:
-        raise ValueError("kd_weight must be non-negative")
-    if kd_weight == 0 and cfg.ce_weight == 0:
-        raise ValueError("at least one loss weight must be non-zero")
     return _fit(teacher_out, sm, X, y_onehot, cfg, class_labels, kd_weight)
 
 
@@ -210,10 +201,11 @@ def _fit(teacher_out, sm, X, y_onehot, cfg, class_labels, kd_weight):
         class_labels = np.arange(Y.shape[1], dtype=float)
     teacher_sl = soft_labels(teacher_logits(teacher_out, class_labels),
                              cfg.temperature, y_idx)
-    zeta, lam = cfg.target_weight, cfg.non_target_weight
     if kd_weight is not None:
-        zeta, lam = kd_weight, kd_weight * teacher_sl.binary[:, 1]
-    loss_grad = _distill_loss_grad(Xh, Y, y_idx, teacher_sl, cfg, zeta, lam,
+        cfg = replace(cfg, target_weight=kd_weight,
+                      non_target_weight=kd_weight * teacher_sl.binary[:, 1])
+    loss_grad = _distill_loss_grad(Xh, Y, y_idx, teacher_sl, cfg,
+                                   cfg.target_weight, cfg.non_target_weight,
                                    cfg.ce_weight)
     Q, trace = gradient_descent(sm.coeffs, loss_grad, cfg)
     return StudentModel(sm.rule_base, Q, sm.n_classes, sm.order), trace

@@ -128,25 +128,24 @@ class MethodReport:
         return len(self.records) - len(self._ok())
 
 
-def accuracy(pred: np.ndarray, truth: np.ndarray) -> float:
-    """Fraction of correctly predicted samples."""
-    pred = np.asarray(pred).ravel()
-    truth = np.asarray(truth).ravel()
+def _labels(pred, truth) -> tuple[np.ndarray, np.ndarray]:
+    pred, truth = np.asarray(pred).ravel(), np.asarray(truth).ravel()
     if pred.size != truth.size:
         raise ValueError("pred and truth must have equal length")
     if pred.size == 0:
         raise ValueError("need at least one sample")
+    return pred, truth
+
+
+def accuracy(pred: np.ndarray, truth: np.ndarray) -> float:
+    """Fraction of correctly predicted samples."""
+    pred, truth = _labels(pred, truth)
     return float((pred == truth).mean())
 
 
 def weighted_f(pred: np.ndarray, truth: np.ndarray, n_classes: int) -> float:
     """Support-weighted mean of per-class F1 scores."""
-    pred = np.asarray(pred).ravel()
-    truth = np.asarray(truth).ravel()
-    if pred.size != truth.size:
-        raise ValueError("pred and truth must have equal length")
-    if pred.size == 0:
-        raise ValueError("need at least one sample")
+    pred, truth = _labels(pred, truth)
     total = 0.0
     for c in range(n_classes):
         support = int((truth == c).sum())

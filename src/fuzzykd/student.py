@@ -174,8 +174,8 @@ def gradient_descent(Q0, loss_grad, cfg: TrainConfig):
     so its totals never increase. Stops when an epoch after the first
     lowers the total by cfg.tol or less, or after cfg.max_epochs trial
     steps (see TrainConfig); a line search cut short by that cap keeps the
-    last accepted point. A non-finite trial point or loss raises
-    TrainingDiverged(epoch).
+    last accepted point. A non-finite trial point or total (as overflowing
+    logits give) raises TrainingDiverged(epoch); other errors propagate.
     """
     Q = np.array(Q0, dtype=float)
     total, grad, _ = _evaluate(loss_grad, Q, 1)
@@ -212,11 +212,7 @@ def gradient_descent(Q0, loss_grad, cfg: TrainConfig):
 
 
 def _evaluate(loss_grad, Q, epoch):
-    try:
-        total, grad, parts = loss_grad(Q)
-    except ValueError as exc:
-        # overflowing logits fail the distillation loss's finiteness check
-        raise TrainingDiverged(epoch) from exc
+    total, grad, parts = loss_grad(Q)
     if not np.isfinite(total):
         raise TrainingDiverged(epoch)
     return total, grad, parts

@@ -185,9 +185,25 @@ def test_env_overrides_exactly_the_listed_flags(monkeypatch):
         ("distill-dkd", False, "d.csv")
 
 
-def test_bad_env_value_is_a_usage_error(iris_csv, monkeypatch, capsys):
-    monkeypatch.setenv("FUZZYKD_SEED", "x")
+@pytest.mark.parametrize("var,value,command,message", [
+    ("FUZZYKD_SEED", "x", "evaluate",
+     "argument --seed: invalid int value: 'x'"),
+    ("FUZZYKD_ORDER", "7", "train-teacher",
+     "argument --order: invalid choice: 7 (choose from 0, 1, 2, 3)"),
+], ids=["seed", "order"])
+def test_bad_env_value_is_a_usage_error(iris_csv, monkeypatch, capsys, var,
+                                        value, command, message):
+    monkeypatch.setenv(var, value)
     with pytest.raises(SystemExit) as exc:
-        main(["evaluate", "--data", iris_csv])
+        main([command, "--data", iris_csv])
     assert exc.value.code == 2
-    assert "argument --seed: invalid int value: 'x'" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+def test_epochs_help_prints_the_env_default(monkeypatch, capsys):
+    monkeypatch.setenv("FUZZYKD_EPOCHS", "7")
+    with pytest.raises(SystemExit):
+        main(["train-student", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "caps the epochs (default 7)" in help_text
+    assert "60 evaluations" not in help_text

@@ -8,9 +8,10 @@ from fuzzykd.distill import (DistillConfig, dkd_loss, distill, kd_loss,
                              soft_labels, teacher_logits, trace_lines,
                              vanilla_kd_distill)
 from fuzzykd.rules import build_rule_base
-from fuzzykd.student import (TrainConfig, cross_entropy, design_matrix,
-                             init_student, onehot_encode, predict_student,
-                             softmax, train_student)
+from fuzzykd.student import (StudentModel, TrainConfig, TrainingDiverged,
+                             cross_entropy, design_matrix, init_student,
+                             onehot_encode, predict_student, softmax,
+                             train_student)
 from fuzzykd.teacher import fit_teacher, predict_teacher
 
 from test_student import fd_gradient, toy_separable
@@ -100,6 +101,10 @@ class TestSoftLabels:
     def test_non_finite_logits_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             soft_labels(np.array([[np.inf, 0.0]]), 1.0, [0])
+
+    def test_one_column_rejected(self):
+        with pytest.raises(ValueError, match="at least 2 classes, got 1"):
+            soft_labels(np.array([[0.5], [1.0]]), 1.0, [0, 0])
 
 
 class TestKdLoss:
@@ -238,6 +243,26 @@ class TestDistill:
             fd = fd_gradient(lambda q: lg(q)[0], Q)
             denom = np.maximum(np.abs(fd), 1.0)
             assert (np.abs(analytic - fd) / denom).max() < 1e-4
+
+    @pytest.mark.parametrize("fit", [distill, vanilla_kd_distill])
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
+    def test_overflowing_logits_diverge_at_epoch_one(self, fit):
+        rb, X, y, labels, t_out = three_class_setup()
+        sm = StudentModel(rb, np.full(init_student(rb, 3).coeffs.shape,
+                                      1e308), 3)
+        with pytest.raises(TrainingDiverged) as err:
+            fit(t_out, sm, X, onehot_encode(y, 3), DistillConfig(),
+                class_labels=labels)
+        assert err.value.epoch == 1
+
+    @pytest.mark.parametrize("fit", [distill, vanilla_kd_distill])
+    def test_two_class_non_target_term_exactly_zero(self, fit):
+        rb, X, y = toy_separable()
+        t_out = np.array([0.1, 0.3, 0.6, 0.9])
+        cfg = DistillConfig(0.01, 10, 0.0)
+        _, trace = fit(t_out, init_student(rb, 2), X, onehot_encode(y, 2),
+                       cfg, class_labels=np.array([0.0, 1.0]))
+        assert trace and all(row["nckl"] == 0.0 for row in trace)
 
     @pytest.mark.parametrize("fit", [distill, vanilla_kd_distill])
     def test_invalid_targets_rejected_before_training(self, fit):

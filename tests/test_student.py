@@ -213,6 +213,15 @@ class TestTrainStudent:
         assert len(calls) == TrainConfig().max_epochs + 1 == 60
         assert len(trace) <= 59
 
+    def test_loss_error_propagates_unchanged(self):
+        # only a non-finite total or trial point means divergence; any other
+        # error of the loss is a fault and keeps its own message
+        def loss_grad(Q):
+            raise ValueError("bug in the loss")
+
+        with pytest.raises(ValueError, match="bug in the loss"):
+            gradient_descent(np.zeros((2, 2)), loss_grad, TrainConfig())
+
     def test_lbfgs_direction_matches_explicit_bfgs_matrix(self):
         # BFGS inverse-Hessian updates H <- V^T H V + rho s s^T, with
         # V = I - rho y s^T, applied oldest pair first from gamma * I
