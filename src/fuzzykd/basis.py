@@ -37,10 +37,12 @@ def expand_matrix(X: np.ndarray, order: int) -> np.ndarray:
     _check_order(order)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, m = X.shape
-    B = np.ones((n, 1))
+    ones = np.ones((n, 1))
+    B = ones
     for _ in range(order):
-        B = np.hstack([np.ones((n, 1))] +
-                      [X[:, i:i + 1] * B for i in range(m)])
+        B = np.concatenate(
+            [ones, (X[:, :, None] * B[:, None, :]).reshape(n, m * B.shape[1])],
+            axis=1)
     return B
 
 

@@ -26,6 +26,11 @@ class Dataset:
         self.y = np.asarray(self.y, dtype=int).ravel()
         if self.y.size != self.X.shape[0]:
             raise ValueError("X and y disagree on the sample count")
+        bad = np.argwhere(~np.isfinite(self.X))
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(f"non-finite value {self.X[i, j]} in X at "
+                             f"row {i + 1}, column {j + 1}")
         if self.y.min() < 0 or self.y.max() >= self.n_classes:
             raise ValueError("class indices must lie in 0..n_classes-1")
 

@@ -5,9 +5,16 @@ The teacher is a scalar-output regressor fit against encoded class labels
 
     q = ((1/L) I + Xg^T Xg)^{-1} Xg^T y
 
-with Xg the order-3 firing-weighted stacked design matrix. The identity is
-D x D (primal form); when N < D the equivalent N x N dual form is solved
-instead.
+with Xg = [f_1 * B, ..., f_K * B] the N x K*D firing-weighted stacked design
+matrix (`basis.stack_design_matrix`), f_k the normalized firing strengths of
+rule k and B the N x D order-n basis (`basis.expand_matrix`).
+
+The recursive basis gives b(x) . b(x') = P(s) = 1 + s + ... + s^n with
+s = x . x', so Xg Xg^T = (F F^T) * P(X X^T) elementwise, F being the N x K
+firing matrix. When N < K*D the teacher solves the N x N dual system built
+from this kernel and never forms Xg: the fit holds N x N and N x D arrays.
+When N >= K*D it solves the K*D x K*D primal system on Xg. Prediction
+always applies the D x K coefficient matrix to B, holding N x D memory.
 """
 from __future__ import annotations
 
@@ -16,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .basis import basis_dim, stack_design_matrix
+from .basis import basis_dim, expand_matrix, stack_design_matrix
 from .rules import RuleBase, firing_strengths
 
 TEACHER_ORDER = 3
@@ -49,14 +56,10 @@ class TeacherModel:
 def ridge_solve(A: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
     """Solve min ridge*||q||^2 + ||A q - y||^2 via normal equations.
 
-    Uses a Cholesky factorization of the SPD system, the dual (N x N) form
-    when N < D, and a pivoted fallback if the factorization fails.
+    Solves the D x D primal system (ridge I + A^T A) q = A^T y, which is SPD
+    for any ridge > 0, by Cholesky with a pivoted fallback. `fit_teacher`
+    calls it only when N >= D; `_kernel_solve` holds the dual form.
     """
-    n, d = A.shape
-    if n < d:
-        G = A @ A.T
-        G[np.diag_indices_from(G)] += ridge
-        return A.T @ _spd_solve(G, y)
     G = A.T @ A
     G[np.diag_indices_from(G)] += ridge
     return _spd_solve(G, A.T @ y)
@@ -70,13 +73,34 @@ def _spd_solve(G: np.ndarray, b: np.ndarray) -> np.ndarray:
         return scipy.linalg.solve(G, b)
 
 
+def _kernel_solve(F: np.ndarray, X: np.ndarray, y: np.ndarray, ridge: float,
+                  order: int) -> np.ndarray:
+    """alpha of the N x N dual system (Xg Xg^T + ridge I) alpha = y.
+
+    Builds Xg Xg^T = (F F^T) * P(X X^T) by Horner's rule, in place because
+    the N x N arrays dominate the fit's memory.
+    """
+    S = X @ X.T
+    G = np.ones_like(S)
+    for _ in range(order):
+        G *= S
+        G += 1.0
+    G *= F @ F.T
+    G[np.diag_indices_from(G)] += ridge
+    return _spd_solve(G, y)
+
+
 def fit_teacher(rb: RuleBase, X: np.ndarray, y_enc: np.ndarray, reg: float,
                 class_labels: np.ndarray | None = None,
                 order: int = TEACHER_ORDER) -> TeacherModel:
     """Fit the consequent coefficients in closed form.
 
     `reg` is the parameter L of the ridge system; the ridge coefficient
-    added to the Gram matrix diagonal is 1/L.
+    added to the Gram matrix diagonal is 1/L. With N rows and K*D
+    coefficients, N < K*D solves the N x N dual system from its kernel
+    (`_kernel_solve`) and recovers rule k's coefficients as
+    B^T (alpha * F[:, k]), so the N x K*D design matrix is never built.
+    N >= K*D solves the primal system on the design matrix (`ridge_solve`).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y_enc = np.asarray(y_enc, dtype=float).ravel()
@@ -88,13 +112,22 @@ def fit_teacher(rb: RuleBase, X: np.ndarray, y_enc: np.ndarray, reg: float,
         raise ValueError("regularization parameter must be positive")
     if class_labels is None:
         class_labels = np.unique(y_enc)
-    Xg = stack_design_matrix(firing_strengths(rb, X), X, order)
-    q = ridge_solve(Xg, y_enc, 1.0 / reg)
+    F = firing_strengths(rb, X)
+    if X.shape[0] >= rb.n_rules * basis_dim(order, X.shape[1]):
+        q = ridge_solve(stack_design_matrix(F, X, order), y_enc, 1.0 / reg)
+    else:
+        alpha = _kernel_solve(F, X, y_enc, 1.0 / reg, order)
+        q = (expand_matrix(X, order).T @ (alpha[:, None] * F)).T.ravel()
     return TeacherModel(rb, q, float(reg), class_labels, order)
 
 
 def predict_teacher(tm: TeacherModel, X: np.ndarray) -> np.ndarray:
-    """Scalar teacher outputs, one per row of X."""
+    """Scalar teacher outputs, one per row of X.
+
+    Sums f_k(x) * b(x) . q_k over rules k from the N x D basis and the
+    D x K coefficient matrix, never building the N x K*D design matrix.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    Xg = stack_design_matrix(firing_strengths(tm.rule_base, X), X, tm.order)
-    return Xg @ tm.coeffs
+    F = firing_strengths(tm.rule_base, X)
+    Q = tm.coeffs.reshape(tm.rule_base.n_rules, -1).T
+    return ((expand_matrix(X, tm.order) @ Q) * F).sum(axis=1)

@@ -84,6 +84,13 @@ class TestDataset:
         with pytest.raises(ValueError, match="sample count"):
             Dataset(np.zeros((2, 1)), np.array([0]), 2)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cell_located(self, value):
+        X = np.zeros((3, 4))
+        X[1, 2] = value
+        with pytest.raises(ValueError, match="non-finite.*row 2, column 3"):
+            Dataset(X, np.array([0, 1, 0]), 2)
+
 
 class TestNormalize:
     def test_min_max_scaling(self):

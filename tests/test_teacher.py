@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from fuzzykd.basis import stack_design_matrix
+import fuzzykd.teacher
+from fuzzykd.basis import basis_dim, stack_design_matrix
 from fuzzykd.rules import RuleBase, build_rule_base, firing_strengths
 from fuzzykd.teacher import (TeacherModel, fit_teacher, predict_teacher,
                              ridge_solve)
@@ -104,8 +105,53 @@ class TestFitTeacher:
         with pytest.raises(ValueError):
             fit_teacher(rb, np.array([[0.5]]), np.array([1.0]), reg=0.0)
 
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_dual_shapes_match_design_matrix_oracle(self, order):
+        # N < K*D: the fit goes through the kernel, never the design matrix
+        rng = np.random.default_rng(10 + order)
+        shapes = [(1, 1, 1), (1, 3, 1), (2, 1, 1), (2, 1, 3)]
+        shapes += [(int(rng.integers(1, 5)), int(rng.integers(1, 6)), None)
+                   for _ in range(12)]
+        for k, m, n in shapes:
+            d = k * basis_dim(order, m)
+            if d < 2:
+                continue  # no N >= 1 lies below K*D
+            n = int(rng.integers(1, d)) if n is None else min(n, d - 1)
+            rb = build_rule_base(k, m, seed=int(rng.integers(1000)))
+            X = rng.uniform(0, 1, (n, m))
+            y = rng.normal(size=n)
+            tm = fit_teacher(rb, X, y, reg=100.0, order=order)
+            Xg = stack_design_matrix(firing_strengths(rb, X), X, order)
+            want = brute_force_ridge(Xg, y, 0.01)
+            np.testing.assert_allclose(tm.coeffs, want, atol=1e-8)
+
+    def test_dual_fit_and_prediction_skip_design_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("design matrix built")
+
+        monkeypatch.setattr(fuzzykd.teacher, "stack_design_matrix", refuse)
+        rng = np.random.default_rng(11)
+        rb = build_rule_base(3, 4, seed=11)
+        X = rng.uniform(0, 1, (30, 4))  # 30 < 3 * D(3, 4) = 255
+        tm = fit_teacher(rb, X, rng.normal(size=30), reg=100.0)
+        assert predict_teacher(tm, X).shape == (30,)
+
 
 class TestPredictTeacher:
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_matches_design_matrix_on_fresh_rows(self, order):
+        rng = np.random.default_rng(20 + order)
+        for k, m in [(1, 1), (2, 3), (4, 5)]:
+            rb = build_rule_base(k, m, seed=order)
+            X = rng.uniform(0, 1, (25, m))
+            tm = fit_teacher(rb, X, rng.normal(size=25), reg=100.0,
+                             order=order)
+            fresh = rng.uniform(0, 1, (9, m))
+            want = stack_design_matrix(firing_strengths(rb, fresh), fresh,
+                                       order) @ tm.coeffs
+            np.testing.assert_allclose(predict_teacher(tm, fresh), want,
+                                       atol=1e-10)
+
     def test_zero_coeffs_predict_zero(self):
         rb = build_rule_base(2, 2, seed=0)
         X = np.random.default_rng(0).uniform(0, 1, (6, 2))
