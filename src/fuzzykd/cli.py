@@ -11,20 +11,22 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
+from .basis import MAX_ORDER
 from .data import load_csv, normalize
 from .distill import trace_lines
-from .harness import (GridSpec, fit_method, format_report, run_method,
-                      rule_readout, sweep)
+from .harness import (SWEEP_PARAMETERS, GridSpec, candidates, fit_method,
+                      format_report, run_method, rule_readout, sweep)
 from .serialize import load_model, save_model
 from .student import STUDENT_ORDER
 from .teacher import TEACHER_ORDER, predict_teacher
 
 ENV_PREFIX = "FUZZYKD_"
 _FIXED = GridSpec.fixed()
-_ORDERS = range(4)
+_ORDERS = range(MAX_ORDER + 1)
 
 
 def _flag(p, name: str, type, default, **kwargs) -> None:
@@ -122,9 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_train(p)
     _add_distill(p)
-    p.add_argument("--param", required=True,
-                   help="tau, zeta, lambda, phi, lambda/zeta or "
-                        "(lambda+zeta)/phi")
+    p.add_argument("--param", required=True, choices=SWEEP_PARAMETERS,
+                   help="varied over the default grid's six candidates; "
+                        "the other settings stay at their flags")
     _flag(p, "folds", int, _FIXED.folds)
 
     p = sub.add_parser("explain", help="linguistic rule readout of a model")
@@ -160,37 +162,36 @@ def _grid(args) -> GridSpec:
                              if hasattr(args, flag)})
 
 
-def _fit_and_save(args, method: str, params: dict, teacher_seed: int):
+def _fit_and_save(args, method: str, teacher_seed: int):
     """fit_method on all of --data, normalized; saves the model to --out."""
     if not args.out:
         raise SystemExit(f"{args.command} requires --out for the model file")
     ds = _load(args)
     X, _, _ = normalize(ds.X)
-    model, trace = fit_method(method, params, _grid(args), X, ds.y,
-                              ds.n_classes, teacher_seed, args.seed)
+    grid = _grid(args)
+    model, trace = fit_method(method, candidates(method, grid)[0], grid, X,
+                              ds.y, ds.n_classes, teacher_seed, args.seed)
     save_model(model, args.out)
     return model, trace, X, ds
 
 
 def _cmd_train_teacher(args) -> None:
     tm, _, X, ds = _fit_and_save(args, f"tsk-order-{args.order}-llm",
-                                 {"K": args.rules}, args.seed)
+                                 args.seed)
     resid = float(np.mean((predict_teacher(tm, X) - ds.y) ** 2))
     print(f"saved teacher to {args.out} (train MSE {resid:.6f})")
 
 
 def _cmd_train_student(args) -> None:
     _, trace, _, _ = _fit_and_save(args, f"tsk-order-{args.order}-gd",
-                                   {"K": args.rules}, args.seed)
+                                   args.seed)
     print(f"saved student to {args.out} ({_fit_summary(trace)})")
 
 
 def _cmd_distill(args) -> None:
     # the CLI's own rule-base seeds, not the harness's per-fold _rb_seed
     method = "distill-kd" if args.vanilla else "distill-dkd"
-    params = {"K": args.rules, "tau": args.temp, "zeta": args.zeta,
-              "lam": args.lam, "phi": args.phi}
-    _, trace, _, _ = _fit_and_save(args, method, params, args.seed + 7)
+    _, trace, _, _ = _fit_and_save(args, method, args.seed + 7)
     if args.trace_out:
         _emit("\n".join(trace_lines(trace)), args.trace_out)
     print(f"saved distilled student to {args.out} ({_fit_summary(trace)})")
@@ -219,8 +220,9 @@ def _report(args, grid: GridSpec) -> None:
 
 
 def _cmd_sweep(args) -> None:
-    ds = _load(args)
-    records = sweep(args.param, ds, _grid(args), args.seed,
+    name = SWEEP_PARAMETERS[args.param]
+    grid = replace(_grid(args), **{name: getattr(GridSpec(), name)})
+    records = sweep(args.param, _load(args), grid, args.seed,
                     dataset_name=os.path.basename(args.data))
     lines = [f"sweep parameter={r['parameter']} value={r['value']:g} "
              f"acc_mean={r['mean_accuracy']:.9f} "

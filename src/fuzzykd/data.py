@@ -48,9 +48,8 @@ def _numeric_column(path, values: list[str], col: int) -> list[float] | None:
     return parsed
 
 
-def load_csv(path, delimiter: str = ",", header: bool = False,
-             label_col: int = -1) -> Dataset:
-    """Load a delimited text dataset; the label column defaults to the last.
+def load_csv(path, header: bool = False, label_col: int = -1) -> Dataset:
+    """Load a comma-separated dataset; the label column defaults to the last.
 
     Numeric feature columns are parsed as floats; columns containing any
     non-numeric cell are encoded as integers in first-appearance order.
@@ -59,7 +58,7 @@ def load_csv(path, delimiter: str = ",", header: bool = False,
     that parse to nan or +-inf are rejected.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh, delimiter=delimiter)
+        rows = [row for row in csv.reader(fh)
                 if row and any(cell.strip() for cell in row)]
     if not rows:
         raise CsvParseError(f"{path}: file contains no data rows")

@@ -55,8 +55,7 @@ class GridSpec:
     width: float = 0.5
 
     def __post_init__(self):
-        for name in ("rule_counts", "temperatures", "target_weights",
-                     "non_target_weights", "ce_weights"):
+        for name, _ in _KEYS.values():
             if len(getattr(self, name)) == 0:
                 raise ValueError(f"{name} must be non-empty")
 
@@ -174,7 +173,7 @@ def _parse_method(method: str) -> tuple[str, int]:
     return _METHODS[method]
 
 
-def _candidates(method: str, grid: GridSpec) -> list[dict]:
+def candidates(method: str, grid: GridSpec) -> list[dict]:
     keys = _SEARCHED[_parse_method(method)[0]]
     values = [getattr(grid, _KEYS[key][0]) for key in keys]
     return [dict(zip(keys, combo)) for combo in itertools.product(*values)]
@@ -215,11 +214,12 @@ def fit_method(method: str, params: dict, grid: GridSpec, X, y,
 
 
 def predict_class(model, X: np.ndarray) -> np.ndarray:
-    """Predicted class indices of a fitted student or teacher."""
+    """Predicted classes: a student's argmax, a teacher's nearest label."""
     if isinstance(model, StudentModel):
         return predict_student(model, X)
-    return teacher_logits(predict_teacher(model, X),
-                          model.class_labels).argmax(axis=1)
+    nearest = teacher_logits(predict_teacher(model, X),
+                             model.class_labels).argmax(axis=1)
+    return model.class_labels[nearest].astype(int)
 
 
 def _fit_predict(method: str, params: dict, grid: GridSpec,
@@ -278,7 +278,7 @@ def run_method(method: str, ds: Dataset, grid: GridSpec, seed: int,
         else:
             Xtr, Xte, _ = normalize(X[tr], X[te])
         ytr, yte = ds.y[tr], ds.y[te]
-        params = _select_params(method, _candidates(method, grid), grid,
+        params = _select_params(method, candidates(method, grid), grid,
                                 Xtr, ytr, ds.n_classes, seed, fold)
         record = FoldRecord(fold, params, n_rules=params["K"])
         t0 = time.perf_counter()
@@ -295,24 +295,26 @@ def run_method(method: str, ds: Dataset, grid: GridSpec, seed: int,
     return report
 
 
-SWEEP_PARAMETERS = ("tau", "zeta", "lambda", "phi", "lambda/zeta",
-                    "(lambda+zeta)/phi")
+# sweep parameter -> GridSpec field of the weight its points set
+SWEEP_PARAMETERS = {"tau": "temperatures", "zeta": "target_weights",
+                    "lambda": "non_target_weights",
+                    "lambda/zeta": "non_target_weights",
+                    "phi": "ce_weights", "(lambda+zeta)/phi": "ce_weights"}
 
 
 def sweep(parameter: str, ds: Dataset, grid: GridSpec, seed: int,
           dataset_name: str = "data") -> list[dict]:
-    """Vary one distillation parameter (or ratio) over the candidate set.
+    """One distill-dkd record (value, mean accuracy, std) per sweep value.
 
-    The base configuration is the first entry of each GridSpec candidate
-    set; emits one (value, mean accuracy, std) record per candidate.
+    The values are the candidates in the GridSpec field SWEEP_PARAMETERS
+    names; lambda/zeta sets lambda = value * zeta, (lambda+zeta)/phi sets
+    phi = (lambda + zeta) / value. Other settings take their first candidate.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ValueError(f"unknown sweep parameter {parameter!r}")
     base = {key: getattr(grid, name)[0] for key, (name, _) in _KEYS.items()}
-    # lambda and both ratios run over the non-target weight candidates
-    values = getattr(grid, _KEYS.get(parameter, _KEYS["lam"])[0])
     records = []
-    for value in values:
+    for value in getattr(grid, SWEEP_PARAMETERS[parameter]):
         params = dict(base)
         if parameter == "lambda/zeta":
             params["lam"] = value * params["zeta"]

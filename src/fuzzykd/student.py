@@ -79,17 +79,11 @@ class StudentModel:
         object.__setattr__(self, "coeffs", coeffs)
 
 
-def init_student(rb: RuleBase, n_classes: int, order: int = STUDENT_ORDER,
-                 init_scale: float = 0.0,
-                 seed: int | None = None) -> StudentModel:
-    """Zero-initialized student; init_scale > 0 draws uniform(-s, s) instead."""
+def init_student(rb: RuleBase, n_classes: int,
+                 order: int = STUDENT_ORDER) -> StudentModel:
+    """Zero-coefficient student; build a StudentModel to start elsewhere."""
     d = rb.n_rules * basis_dim(order, rb.n_features)
-    if init_scale > 0:
-        rng = np.random.default_rng(seed)
-        coeffs = rng.uniform(-init_scale, init_scale, size=(d, n_classes))
-    else:
-        coeffs = np.zeros((d, n_classes))
-    return StudentModel(rb, coeffs, n_classes, order)
+    return StudentModel(rb, np.zeros((d, n_classes)), n_classes, order)
 
 
 def design_matrix(sm: StudentModel, X: np.ndarray) -> np.ndarray:

@@ -80,8 +80,9 @@ def test_sweep_emits_one_line_per_value(tmp_path, iris_csv):
                "--out", str(out)])
     assert rc == 0
     lines = out.read_text().strip().splitlines()
-    assert len(lines) == 1  # single --temp candidate
-    assert lines[0].startswith("sweep parameter=tau")
+    assert [ln.split()[2] for ln in lines] == [
+        f"value={v}" for v in (1, 2, 5, 10, 20, 100)]
+    assert all(ln.startswith("sweep parameter=tau ") for ln in lines)
 
 
 def test_explain_round_trip(tmp_path, iris_csv, capsys):

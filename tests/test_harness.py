@@ -3,12 +3,14 @@ import numpy as np
 import pytest
 
 import fuzzykd.harness as harness
-from fuzzykd.data import Dataset
+from fuzzykd.data import Dataset, load_bundled, normalize
 from fuzzykd.harness import (GridSpec, MethodReport, accuracy, format_report,
-                             rule_readout, run_method, sweep, weighted_f)
+                             predict_class, rule_readout, run_method, sweep,
+                             weighted_f)
 from fuzzykd.rules import RuleBase, build_rule_base
-from fuzzykd.student import (StudentModel, init_student, onehot_encode,
-                             predict_student, train_student, TrainConfig)
+from fuzzykd.student import (StudentModel, TrainingDiverged, init_student,
+                             onehot_encode, predict_student, train_student,
+                             TrainConfig)
 from fuzzykd.teacher import fit_teacher
 
 
@@ -132,6 +134,27 @@ class TestRunMethod:
         rep = run_method("student-only", ds, grid, seed=0)
         assert all(r.params["K"] in (1, 3) for r in rep.records)
 
+    def test_diverging_candidate_scores_zero_in_inner_search(self,
+                                                            monkeypatch):
+        fit_predict, diverged = harness._fit_predict, []
+
+        def spy(method, params, *args):
+            try:
+                return fit_predict(method, params, *args)
+            except TrainingDiverged:
+                diverged.append(params["phi"])
+                raise
+
+        monkeypatch.setattr(harness, "_fit_predict", spy)
+        grid = GridSpec.coarse(rule_counts=(3,), temperatures=(2,),
+                               non_target_weights=(1,), ce_weights=(1, 1e308),
+                               folds=2)
+        with np.errstate(over="ignore"):
+            rep = run_method("distill-dkd", load_bundled("iris"), grid, 0)
+        assert diverged == [1e308] * 6  # every inner fit, in both folds
+        assert [r.params["phi"] for r in rep.records] == [1, 1]
+        assert rep.n_failed() == 0
+
 
     @pytest.mark.parametrize("alias,method", [
         ("teacher-only", "tsk-order-3-llm"),
@@ -210,6 +233,22 @@ class TestSweep:
         records = sweep("(lambda+zeta)/phi", ds, grid, seed=0)
         assert len(records) == 1
 
+    def test_ratio_runs_over_ce_weights(self, monkeypatch):
+        grids = []
+
+        def fake_run(method, ds, grid, seed, dataset_name="data"):
+            grids.append(grid)
+            return MethodReport(method, dataset_name, seed)
+
+        monkeypatch.setattr(harness, "run_method", fake_run)
+        grid = GridSpec(rule_counts=(2,), temperatures=(2,),
+                        target_weights=(1,), non_target_weights=(3, 9),
+                        ce_weights=(1, 2, 4), folds=2)
+        records = sweep("(lambda+zeta)/phi", toy_dataset(), grid, seed=0)
+        assert [r["value"] for r in records] == [1, 2, 4]
+        assert [g.ce_weights for g in grids] == [(4.0,), (2.0,), (1.0,)]
+        assert all(g.non_target_weights == (3,) for g in grids)
+
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ValueError, match="sweep parameter"):
             sweep("gamma", toy_dataset(), GridSpec.fixed(), 0)
@@ -229,7 +268,8 @@ class TestRuleReadout:
     def test_prediction_matches_student_argmax(self):
         rng = np.random.default_rng(0)
         rb = build_rule_base(3, 2, seed=0)
-        sm = init_student(rb, 3, init_scale=0.5, seed=1)
+        coeffs = np.random.default_rng(1).uniform(-0.5, 0.5, (3 * 3, 3))
+        sm = StudentModel(rb, coeffs, 3)
         for _ in range(5):
             x = rng.uniform(0, 1, 2)
             text = rule_readout(sm, x)
@@ -249,6 +289,30 @@ class TestRuleReadout:
         sm = init_student(build_rule_base(1, 3, seed=0), 2)
         with pytest.raises(ValueError, match="feature count"):
             rule_readout(sm, np.array([0.5]))
+
+
+class TestTeacherClassLabels:
+    """A teacher fit on labels other than 0..C-1 predicts those labels."""
+
+    def fit_without_class_one(self):
+        ds = load_bundled("iris")
+        keep = ds.y != 1
+        X, _, _ = normalize(ds.X[keep])
+        tm = fit_teacher(build_rule_base(4, X.shape[1], seed=0), X,
+                         ds.y[keep].astype(float), 100.0)
+        return tm, X, ds.y[keep]
+
+    def test_predict_class_returns_labels(self):
+        tm, X, y = self.fit_without_class_one()
+        np.testing.assert_array_equal(tm.class_labels, [0.0, 2.0])
+        pred = predict_class(tm, X)
+        assert set(pred.tolist()) == {0, 2}
+        assert accuracy(pred, y) == 1.0
+
+    def test_readout_names_the_label(self):
+        tm, X, y = self.fit_without_class_one()
+        text = rule_readout(tm, X[np.flatnonzero(y == 2)[0]])
+        assert text.strip().endswith("Predicted class: 2")
 
 
 class TestFormatReport:

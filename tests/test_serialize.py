@@ -6,7 +6,7 @@ import pytest
 
 from fuzzykd.rules import build_rule_base
 from fuzzykd.serialize import load_model, save_model
-from fuzzykd.student import init_student, predict_student
+from fuzzykd.student import StudentModel, init_student, predict_student
 from fuzzykd.teacher import TeacherModel, fit_teacher, predict_teacher
 
 
@@ -29,7 +29,8 @@ def test_teacher_round_trip(tmp_path):
 def test_student_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     rb = build_rule_base(2, 3, seed=1)
-    sm = init_student(rb, 3, init_scale=0.5, seed=2)
+    coeffs = np.random.default_rng(2).uniform(-0.5, 0.5, (2 * 4, 3))
+    sm = StudentModel(rb, coeffs, 3)
     X = rng.uniform(0, 1, (10, 3))
     path = tmp_path / "student.json"
     save_model(sm, path)

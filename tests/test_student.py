@@ -109,14 +109,6 @@ class TestInitStudent:
         assert sm.coeffs.shape == (2 * 4, 4)
         assert (sm.coeffs == 0).all()
 
-    def test_seeded_uniform(self):
-        rb = build_rule_base(2, 3, seed=0)
-        a = init_student(rb, 2, init_scale=0.01, seed=5)
-        b = init_student(rb, 2, init_scale=0.01, seed=5)
-        np.testing.assert_array_equal(a.coeffs, b.coeffs)
-        assert (np.abs(a.coeffs) <= 0.01).all()
-        assert a.coeffs.any()
-
 
 class TestTrainStudent:
     def test_separable_toy_set_reaches_full_accuracy(self):

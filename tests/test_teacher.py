@@ -1,6 +1,7 @@
 """Closed-form ridge fit of the high-order teacher."""
 import numpy as np
 import pytest
+import scipy.linalg
 
 import fuzzykd.teacher
 from fuzzykd.basis import basis_dim, stack_design_matrix
@@ -37,13 +38,13 @@ class TestRidgeSolve:
             want = brute_force_ridge(A, y, 0.01)
             np.testing.assert_allclose(got, want, atol=1e-8)
 
-    def test_primal_and_dual_paths_agree(self):
+    def test_wide_system_matches_oracle(self):
         rng = np.random.default_rng(2)
-        A = rng.normal(size=(5, 12))  # n < d triggers the dual path
+        A = rng.normal(size=(5, 12))  # n < d: a singular A^T A, still primal
         y = rng.normal(size=5)
-        dual = ridge_solve(A, y, 0.01)
+        wide = ridge_solve(A, y, 0.01)
         primal = brute_force_ridge(A, y, 0.01)
-        np.testing.assert_allclose(dual, primal, atol=1e-7)
+        np.testing.assert_allclose(wide, primal, atol=1e-7)
 
 
 class TestFitTeacher:
@@ -135,6 +136,28 @@ class TestFitTeacher:
         X = rng.uniform(0, 1, (30, 4))  # 30 < 3 * D(3, 4) = 255
         tm = fit_teacher(rb, X, rng.normal(size=30), reg=100.0)
         assert predict_teacher(tm, X).shape == (30,)
+
+    @pytest.mark.parametrize("n", [30, 600])  # dual, then primal shape
+    def test_lu_fallback_matches_cholesky(self, monkeypatch, n):
+        rng = np.random.default_rng(12)
+        rb = build_rule_base(2, 3, seed=12)  # K*D = 2 * D(3, 3) = 40
+        X = rng.uniform(0, 1, (n, 3))
+        y = rng.normal(size=n)
+        want = fit_teacher(rb, X, y, reg=100.0).coeffs
+        solve, calls = scipy.linalg.solve, []
+
+        def not_spd(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("not positive definite")
+
+        def counted_solve(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", not_spd)
+        monkeypatch.setattr(scipy.linalg, "solve", counted_solve)
+        got = fit_teacher(rb, X, y, reg=100.0).coeffs
+        assert calls == [1]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
 
 class TestPredictTeacher:
