@@ -4,7 +4,7 @@ from .basis import basis_dim, basis_labels, expand_basis, stack_design_matrix
 from .data import (Dataset, FoldPlan, load_bundled, load_csv, normalize,
                    stratified_folds)
 from .distill import (DistillConfig, SoftLabelSet, dkd_loss, distill,
-                      kd_loss, soft_labels, teacher_logits,
+                      distill_batch, kd_loss, soft_labels, teacher_logits,
                       vanilla_kd_distill)
 from .harness import (GridSpec, MethodReport, accuracy, format_report,
                       rule_readout, run_method, sweep, weighted_f)

@@ -14,8 +14,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .student import (EPS, StudentModel, TrainConfig, _cross_entropy,
-                      _training_data, gradient_descent, softmax)
+from .student import (EPS, StudentModel, TrainConfig, TrainingDiverged,
+                      _softmax, _sole, _training_data, gradient_descent_batch,
+                      softmax)
 
 
 @dataclass(frozen=True)
@@ -93,9 +94,14 @@ def _check_pair(teacher: SoftLabelSet, student: SoftLabelSet) -> None:
         raise ValueError("teacher and student target indices disagree")
 
 
-def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return (p * (np.log(np.maximum(p, EPS)) -
-                 np.log(np.maximum(q, EPS)))).sum(axis=1)
+def _log(p: np.ndarray) -> np.ndarray:
+    return np.log(np.maximum(p, EPS))
+
+
+def _kl_rows(p: np.ndarray, q: np.ndarray,
+             log_p: np.ndarray | None = None) -> np.ndarray:
+    """KL(p || q) along the last axis; log_p is _log(p) if already known."""
+    return (p * ((_log(p) if log_p is None else log_p) - _log(q))).sum(axis=-1)
 
 
 def kd_loss(teacher: SoftLabelSet, student: SoftLabelSet) -> float:
@@ -117,47 +123,75 @@ def dkd_loss(teacher: SoftLabelSet,
     return tckl, nckl
 
 
-def _distill_loss_grad(Xh, Y, y_idx, teacher_sl, cfg, zeta, lam, phi):
-    """zeta*TCKL + lam*NCKL + phi*H over samples; per-fit work done once."""
+def _distill_loss_grad(Xh, Y, y_idx, teachers, cfgs):
+    """zeta*TCKL + lam*NCKL + phi*H over samples, per candidate.
+
+    Candidate b has teacher soft labels teachers[b] and temperature and
+    weights cfgs[b]; its non_target_weight may be per sample. The returned
+    loss_grad(Q, idx) serves gradient_descent_batch: it evaluates the
+    b x D x C points Q of candidates idx along a leading candidate axis,
+    with one gemm per candidate and reductions only along contiguous axes,
+    so each candidate gets the values a batch of one gives it. Per-fit work
+    (flat target/non-target indices, stacked teacher views and weights) is
+    done once.
+    """
     n, c = Y.shape
-    rows = np.arange(n)
-    tau = cfg.temperature
-    lam_col = np.broadcast_to(np.reshape(lam, (-1, 1)), (n, 1))
-    non_target = np.ones((n, c), dtype=bool)
-    non_target[rows, y_idx] = False
-    a = teacher_sl.binary[:, 0]
+    target = np.arange(n) * c + y_idx  # flat (row, target class) cells
+    others = np.delete(np.arange(n * c), target)  # the rest, row-major
 
-    def loss_grad(Q):
-        logits = Xh @ Q
-        if not np.isfinite(logits).all():
-            return np.inf, None, {}  # overflow: gradient_descent diverges
-        u = softmax(logits, tau)
-        u_t = u[rows, y_idx]
-        tckl_rows = _kl_rows(teacher_sl.binary,
-                             np.column_stack([u_t, 1.0 - u_t]))
-        p1 = softmax(logits)
-        h = _cross_entropy(p1, Y)
+    def column(values):  # B x 1 x 1, to broadcast against b x n x c
+        return np.array(values, dtype=float).reshape(len(cfgs), 1, 1)
 
-        pt = np.clip(u_t, EPS, 1.0 - EPS)
-        coeff = (-a / pt + (1.0 - a) / (1.0 - pt)) * pt / tau
-        g_tckl = coeff[:, None] * (Y - u)
+    binary = np.stack([t.binary for t in teachers])
+    rest = np.stack([t.non_target for t in teachers])
+    per_fit = (column([cfg.temperature for cfg in cfgs]),
+               column([cfg.target_weight for cfg in cfgs]),
+               column([cfg.ce_weight for cfg in cfgs]),
+               np.stack([np.broadcast_to(np.asarray(cfg.non_target_weight,
+                                                    dtype=float), (n,))
+                         for cfg in cfgs])[:, :, None],
+               binary, _log(binary), binary[:, :, 0], 1.0 - binary[:, :, 0],
+               rest, _log(rest))
 
-        g_nckl = np.zeros((n, c))
+    def loss_grad(Q, idx):
+        b = len(Q)
+        logits = np.matmul(Xh, Q)
+        overflow = None
+        if not np.isfinite(logits).all():  # those fits diverge: total inf
+            overflow = ~np.isfinite(logits).reshape(b, -1).all(axis=1)
+            logits[overflow] = 0.0
+        tau, zeta, phi, lam, t_bin, log_t_bin, a, not_a, t_rest, log_t_rest = (
+            per_fit if b == len(cfgs) else [arr[idx] for arr in per_fit])
+        u = _softmax(logits, tau)
+        u_t = u.reshape(b, -1)[:, target]
+        u_bin = np.empty((b, n, 2))
+        u_bin[:, :, 0] = u_t
+        np.subtract(1.0, u_t, out=u_bin[:, :, 1])
+        tckl = _kl_rows(t_bin, u_bin, log_t_bin).sum(axis=1)
+        p1 = _softmax(logits, 1.0)
+        h = -(Y * _log(p1)).reshape(b, -1).sum(axis=1)
+
+        pt = np.minimum(np.maximum(u_t, EPS), 1.0 - EPS)
+        coeff = (-a / pt + not_a / (1.0 - pt)) * pt / tau[:, :, 0]
+        g_tckl = coeff[:, :, None] * (Y - u)
+
+        g_nckl = np.zeros((b, n * c))
         if c > 2:
-            s_rest = softmax(logits[non_target].reshape(n, c - 1), tau)
-            nckl_rows = _kl_rows(teacher_sl.non_target, s_rest)
-            g_nckl[non_target] = (s_rest - teacher_sl.non_target).ravel()
-            g_nckl /= tau
+            s_rest = _softmax(logits.reshape(b, -1)[:, others]
+                              .reshape(b, n, c - 1), tau)
+            nckl_rows = _kl_rows(t_rest, s_rest, log_t_rest)
+            g_nckl[:, others] = ((s_rest - t_rest) / tau).reshape(b, -1)
         else:
-            nckl_rows = np.zeros(n)
+            nckl_rows = np.zeros((b, n))
 
-        g_h = p1 - Y
-        g = zeta * g_tckl + lam_col * g_nckl + phi * g_h
-        grad = Xh.T @ g
-        total = (zeta * float(tckl_rows.sum()) +
-                 float((lam_col[:, 0] * nckl_rows).sum()) + phi * h)
-        return total, grad, {"tckl": float(tckl_rows.mean()),
-                             "nckl": float(nckl_rows.mean()), "h": h / n}
+        g = (zeta * g_tckl + lam * g_nckl.reshape(b, n, c) +
+             phi * (p1 - Y))
+        total = (zeta[:, 0, 0] * tckl +
+                 (lam[:, :, 0] * nckl_rows).sum(axis=1) + phi[:, 0, 0] * h)
+        if overflow is not None:
+            total[overflow] = np.inf
+        return total, np.matmul(Xh.T, g), {
+            "tckl": tckl / n, "nckl": nckl_rows.sum(axis=1) / n, "h": h / n}
 
     return loss_grad
 
@@ -173,9 +207,10 @@ def distill(teacher_out: np.ndarray, sm: StudentModel, X: np.ndarray,
     current logits every epoch. The optimized total is summed over samples;
     the trace components (tckl, nckl, h) are per-sample means for
     scale-free monitoring. Returns the trained model and a per-epoch trace
-    of (epoch, tckl, nckl, h, total).
+    of (epoch, tckl, nckl, h, total). The one-config case of distill_batch.
     """
-    return _fit(teacher_out, sm, X, y_onehot, cfg, class_labels, None)
+    return _sole(distill_batch(teacher_out, sm, X, y_onehot, [cfg],
+                               class_labels))
 
 
 def vanilla_kd_distill(teacher_out: np.ndarray, sm: StudentModel,
@@ -191,24 +226,43 @@ def vanilla_kd_distill(teacher_out: np.ndarray, sm: StudentModel,
     weight kd_weight * (1 - u_t) in place of cfg's two KL weights; the trace
     rows are distill's. DistillConfig checks these weights, as for distill.
     """
-    return _fit(teacher_out, sm, X, y_onehot, cfg, class_labels, kd_weight)
+    return _sole(distill_batch(teacher_out, sm, X, y_onehot, [cfg],
+                               class_labels, [kd_weight]))
 
 
-def _fit(teacher_out, sm, X, y_onehot, cfg, class_labels, kd_weight):
-    """distill's fit; kd_weight w (not None) sets the coupled KL's weights."""
+def distill_batch(teacher_out: np.ndarray, sm: StudentModel, X: np.ndarray,
+                  y_onehot: np.ndarray, cfgs: list[DistillConfig],
+                  class_labels: np.ndarray | None = None,
+                  kd_weights: list[float] | None = None) -> list:
+    """distill from sm once per config, all fits in lock step.
+
+    The fits share the design matrix of X and the teacher soft labels of
+    each temperature, and one loss/gradient call per round evaluates them
+    all (gradient_descent_batch); the configs must agree on lr, max_epochs
+    and tol. With kd_weights, config i's fit is vanilla_kd_distill's at
+    kd_weights[i]. Returns, per config, (model, trace) or the
+    TrainingDiverged that ended its fit; each equals its one-config run.
+    """
+    if len({(cfg.lr, cfg.max_epochs, cfg.tol) for cfg in cfgs}) != 1:
+        raise ValueError("need at least one config, all with the same lr, "
+                         "max_epochs and tol")
     Xh, Y, y_idx = _prepare(sm, X, y_onehot)
     if class_labels is None:
         class_labels = np.arange(Y.shape[1], dtype=float)
-    teacher_sl = soft_labels(teacher_logits(teacher_out, class_labels),
-                             cfg.temperature, y_idx)
-    if kd_weight is not None:
-        cfg = replace(cfg, target_weight=kd_weight,
-                      non_target_weight=kd_weight * teacher_sl.binary[:, 1])
-    loss_grad = _distill_loss_grad(Xh, Y, y_idx, teacher_sl, cfg,
-                                   cfg.target_weight, cfg.non_target_weight,
-                                   cfg.ce_weight)
-    Q, trace = gradient_descent(sm.coeffs, loss_grad, cfg)
-    return StudentModel(sm.rule_base, Q, sm.n_classes, sm.order), trace
+    logits = teacher_logits(teacher_out, class_labels)
+    at_tau = {tau: soft_labels(logits, tau, y_idx)
+              for tau in dict.fromkeys(cfg.temperature for cfg in cfgs)}
+    teachers = [at_tau[cfg.temperature] for cfg in cfgs]
+    if kd_weights is not None:
+        cfgs = [replace(cfg, target_weight=w,
+                        non_target_weight=w * t.binary[:, 1])
+                for cfg, w, t in zip(cfgs, kd_weights, teachers, strict=True)]
+    Q0 = np.broadcast_to(sm.coeffs, (len(cfgs),) + sm.coeffs.shape)
+    outcomes = gradient_descent_batch(
+        Q0, _distill_loss_grad(Xh, Y, y_idx, teachers, cfgs), cfgs[0])
+    return [out if isinstance(out, TrainingDiverged) else
+            (StudentModel(sm.rule_base, out[0], sm.n_classes, sm.order),
+             out[1]) for out in outcomes]
 
 
 def _prepare(sm: StudentModel, X, y_onehot):

@@ -4,17 +4,16 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .basis import MAX_ORDER, basis_labels, expand_basis
 from .data import Dataset, normalize, stratified_folds
-from .distill import (DistillConfig, distill, teacher_logits,
-                      vanilla_kd_distill)
+from .distill import DistillConfig, distill_batch, teacher_logits
 from .rules import PARTITION, PARTITION_LABELS, build_rule_base
 from .student import (STUDENT_ORDER, StudentModel, TrainConfig,
-                      TrainingDiverged, init_student, onehot_encode,
+                      TrainingDiverged, _sole, init_student, onehot_encode,
                       predict_student, train_student)
 from .teacher import (TEACHER_ORDER, TeacherModel, fit_teacher,
                       predict_teacher)
@@ -142,14 +141,12 @@ def accuracy(pred: np.ndarray, truth: np.ndarray) -> float:
     return float((pred == truth).mean())
 
 
-def weighted_f(pred: np.ndarray, truth: np.ndarray, n_classes: int) -> float:
-    """Support-weighted mean of per-class F1 scores."""
+def weighted_f(pred: np.ndarray, truth: np.ndarray) -> float:
+    """Support-weighted mean of per-class F1 over the labels in truth."""
     pred, truth = _labels(pred, truth)
     total = 0.0
-    for c in range(n_classes):
+    for c in np.unique(truth):
         support = int((truth == c).sum())
-        if support == 0:
-            continue
         tp = int(((pred == c) & (truth == c)).sum())
         fp = int(((pred == c) & (truth != c)).sum())
         fn = support - tp
@@ -183,34 +180,54 @@ def fit_method(method: str, params: dict, grid: GridSpec, X, y,
                n_classes: int, teacher_seed: int, student_seed: int):
     """Fit one method's model on (X, y) with one candidate's params.
 
+    The one-candidate case of fit_candidates. Returns (model, loss trace),
+    the trace empty for a teacher; raises TrainingDiverged.
+    """
+    return _sole(fit_candidates(method, [params], grid, X, y, n_classes,
+                                teacher_seed, student_seed))
+
+
+def fit_candidates(method: str, group: list[dict], grid: GridSpec, X, y,
+                   n_classes: int, teacher_seed: int,
+                   student_seed: int) -> list:
+    """Fit one method's model on (X, y) for each candidate of one K.
+
     grid supplies the fixed constants; the rule bases are drawn with
-    teacher_seed and student_seed. Returns (model, loss trace), the trace
-    empty for a teacher.
+    teacher_seed and student_seed. The candidates share the rule bases, the
+    teacher fit and its outputs, and the student's design matrix, and the
+    distilled students train together (distill_batch). Returns, per
+    candidate, (model, loss trace), the trace empty for a teacher, or the
+    TrainingDiverged that ended its fit.
     """
     fit, order = _parse_method(method)
+    if len({params["K"] for params in group}) != 1:
+        raise ValueError("the candidates must share one rule count K")
     class_labels = np.arange(n_classes, dtype=float)
 
     def rule_base(seed):
-        return build_rule_base(params["K"], X.shape[1], grid.width, seed)
+        return build_rule_base(group[0]["K"], X.shape[1], grid.width, seed)
 
-    if fit == "llm":
-        return fit_teacher(rule_base(teacher_seed), X, y.astype(float),
-                           grid.reg, class_labels, order), []
+    if fit == "llm":  # K is a teacher's only key: the fits are all the same
+        return [(fit_teacher(rule_base(teacher_seed), X, y.astype(float),
+                             grid.reg, class_labels, order), [])] * len(group)
     sm = init_student(rule_base(student_seed), n_classes, order)
     Y = onehot_encode(y, n_classes)
     if fit == "gd":
-        return train_student(sm, X, Y,
-                             TrainConfig(grid.lr, grid.max_epochs, grid.tol))
+        try:
+            fitted = train_student(sm, X, Y, TrainConfig(grid.lr,
+                                                         grid.max_epochs,
+                                                         grid.tol))
+        except TrainingDiverged as exc:
+            fitted = exc
+        return [fitted] * len(group)
     tm = fit_teacher(rule_base(teacher_seed), X, y.astype(float), grid.reg,
                      class_labels)
-    t_out = predict_teacher(tm, X)
-    cfg = DistillConfig(grid.lr, grid.max_epochs, grid.tol,
-                        **{_KEYS[key][1]: v for key, v in params.items()
-                           if key != "K"})
-    if fit == "dkd":
-        return distill(t_out, sm, X, Y, cfg, class_labels)
-    return vanilla_kd_distill(t_out, sm, X, Y, cfg, kd_weight=params["lam"],
-                              class_labels=class_labels)
+    cfgs = [DistillConfig(grid.lr, grid.max_epochs, grid.tol,
+                          **{_KEYS[key][1]: v for key, v in params.items()
+                             if key != "K"}) for params in group]
+    kd_weights = [params["lam"] for params in group] if fit == "kd" else None
+    return distill_batch(predict_teacher(tm, X), sm, X, Y, cfgs,
+                         class_labels, kd_weights)
 
 
 def predict_class(model, X: np.ndarray) -> np.ndarray:
@@ -231,29 +248,43 @@ def _fit_predict(method: str, params: dict, grid: GridSpec,
 
 
 def _select_params(method, candidates, grid, Xtr, ytr, n_classes, seed, fold):
-    """Inner 3-fold CV on the training split, max mean accuracy.
+    """The candidate of highest inner-CV score (see _inner_scores).
 
     Candidates are enumerated smallest-K-then-smallest-temperature first,
-    so ties resolve toward the simpler model.
+    and the first of equal scores wins, so ties resolve toward the simpler
+    model.
     """
     if len(candidates) == 1:
         return candidates[0]
+    scores = _inner_scores(method, candidates, grid, Xtr, ytr, n_classes,
+                           seed, fold)
+    return candidates[int(np.argmax(scores))]
+
+
+def _inner_scores(method, candidates, grid, Xtr, ytr, n_classes, seed, fold):
+    """Mean inner 3-fold CV accuracy of each candidate on the training split.
+
+    Each inner fold fits the candidates of one K together (fit_candidates):
+    one teacher fit and one lock-step student training per (K, inner fold).
+    A fit that diverged scores 0 on its fold.
+    """
     inner = stratified_folds(ytr, 3, seed=seed * 7919 + fold)
-    best, best_acc = None, -1.0
-    for params in candidates:
-        accs = []
-        for i in range(inner.k):
-            tr, te = inner.split(i)
-            try:
-                pred = _fit_predict(method, params, grid, Xtr[tr], ytr[tr],
-                                    Xtr[te], n_classes, seed, fold)
-                accs.append(accuracy(pred, ytr[te]))
-            except TrainingDiverged:
-                accs.append(0.0)
-        mean_acc = float(np.mean(accs))
-        if mean_acc > best_acc:
-            best, best_acc = params, mean_acc
-    return best
+    by_k: dict = {}
+    for i, params in enumerate(candidates):
+        by_k.setdefault(params["K"], []).append(i)
+    accs = np.zeros((len(candidates), inner.k))
+    for f in range(inner.k):
+        tr, te = inner.split(f)
+        for members in by_k.values():
+            outcomes = fit_candidates(
+                method, [candidates[i] for i in members], grid, Xtr[tr],
+                ytr[tr], n_classes, _rb_seed(seed, fold, student_side=False),
+                _rb_seed(seed, fold, student_side=True))
+            for i, outcome in zip(members, outcomes):
+                if not isinstance(outcome, TrainingDiverged):
+                    accs[i, f] = accuracy(predict_class(outcome[0], Xtr[te]),
+                                          ytr[te])
+    return [float(np.mean(row)) for row in accs]
 
 
 def run_method(method: str, ds: Dataset, grid: GridSpec, seed: int,
@@ -267,17 +298,8 @@ def run_method(method: str, ds: Dataset, grid: GridSpec, seed: int,
     """
     _parse_method(method)
     report = MethodReport(method, dataset_name, seed)
-    plan = stratified_folds(ds.y, grid.folds, seed)
-    X = ds.X
-    if global_normalize:
-        X, _, _ = normalize(X)
-    for fold in range(grid.folds):
-        tr, te = plan.split(fold)
-        if global_normalize:
-            Xtr, Xte = X[tr], X[te]
-        else:
-            Xtr, Xte, _ = normalize(X[tr], X[te])
-        ytr, yte = ds.y[tr], ds.y[te]
+    for fold, Xtr, ytr, Xte, yte in _outer_folds(ds, grid, seed,
+                                                 global_normalize):
         params = _select_params(method, candidates(method, grid), grid,
                                 Xtr, ytr, ds.n_classes, seed, fold)
         record = FoldRecord(fold, params, n_rules=params["K"])
@@ -287,12 +309,27 @@ def run_method(method: str, ds: Dataset, grid: GridSpec, seed: int,
                                 ds.n_classes, seed, fold)
             record.seconds = time.perf_counter() - t0
             record.accuracy = accuracy(pred, yte)
-            record.weighted_f = weighted_f(pred, yte, ds.n_classes)
+            record.weighted_f = weighted_f(pred, yte)
         except TrainingDiverged as exc:
             record.seconds = time.perf_counter() - t0
             record.error = str(exc)
         report.records.append(record)
     return report
+
+
+def _outer_folds(ds: Dataset, grid: GridSpec, seed: int,
+                 global_normalize: bool = False):
+    """(fold, Xtr, ytr, Xte, yte) per outer fold, min-max normalized on the
+    fold's training rows, or once on all rows with global_normalize."""
+    plan = stratified_folds(ds.y, grid.folds, seed)
+    X = normalize(ds.X)[0] if global_normalize else ds.X
+    for fold in range(grid.folds):
+        tr, te = plan.split(fold)
+        if global_normalize:
+            Xtr, Xte = X[tr], X[te]
+        else:
+            Xtr, Xte, _ = normalize(X[tr], X[te])
+        yield fold, Xtr, ds.y[tr], Xte, ds.y[te]
 
 
 # sweep parameter -> GridSpec field of the weight its points set
@@ -309,12 +346,16 @@ def sweep(parameter: str, ds: Dataset, grid: GridSpec, seed: int,
     The values are the candidates in the GridSpec field SWEEP_PARAMETERS
     names; lambda/zeta sets lambda = value * zeta, (lambda+zeta)/phi sets
     phi = (lambda + zeta) / value. Other settings take their first candidate.
+    Each point is scored as run_method scores a one-candidate grid, all
+    points of an outer fold fitting together (fit_candidates); diverged
+    folds are left out of a point's mean and std.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ValueError(f"unknown sweep parameter {parameter!r}")
     base = {key: getattr(grid, name)[0] for key, (name, _) in _KEYS.items()}
-    records = []
-    for value in getattr(grid, SWEEP_PARAMETERS[parameter]):
+    values = getattr(grid, SWEEP_PARAMETERS[parameter])
+    points = []
+    for value in values:
         params = dict(base)
         if parameter == "lambda/zeta":
             params["lam"] = value * params["zeta"]
@@ -322,13 +363,26 @@ def sweep(parameter: str, ds: Dataset, grid: GridSpec, seed: int,
             params["phi"] = (params["lam"] + params["zeta"]) / value
         else:
             params["lam" if parameter == "lambda" else parameter] = value
-        point = replace(grid, **{_KEYS[key][0]: (v,)
-                                 for key, v in params.items()})
-        rep = run_method("distill-dkd", ds, point, seed, dataset_name)
-        records.append({"parameter": parameter, "value": value,
-                        "mean_accuracy": rep.mean_accuracy(),
-                        "std_accuracy": rep.std_accuracy()})
-    return records
+        points.append(params)
+    reports = [MethodReport("distill-dkd", dataset_name, seed)
+               for _ in points]
+    for fold, Xtr, ytr, Xte, yte in _outer_folds(ds, grid, seed):
+        outcomes = fit_candidates(
+            "distill-dkd", points, grid, Xtr, ytr, ds.n_classes,
+            _rb_seed(seed, fold, student_side=False),
+            _rb_seed(seed, fold, student_side=True))
+        for rep, params, outcome in zip(reports, points, outcomes):
+            record = FoldRecord(fold, params, n_rules=params["K"])
+            if isinstance(outcome, TrainingDiverged):
+                record.error = str(outcome)
+            else:
+                record.accuracy = accuracy(predict_class(outcome[0], Xte),
+                                           yte)
+            rep.records.append(record)
+    return [{"parameter": parameter, "value": value,
+             "mean_accuracy": rep.mean_accuracy(),
+             "std_accuracy": rep.std_accuracy()}
+            for value, rep in zip(values, reports)]
 
 
 def _linguistic(center: float) -> str:

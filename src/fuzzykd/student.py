@@ -100,12 +100,17 @@ def softmax(z: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     """Row-wise temperature softmax with max-shift stabilization."""
     if not temperature > 0:
         raise ValueError("temperature must be positive")
-    z = np.atleast_2d(np.asarray(z, dtype=float)) / temperature
+    return _softmax(np.atleast_2d(np.asarray(z, dtype=float)), temperature)
+
+
+def _softmax(z: np.ndarray, temperature) -> np.ndarray:
+    """softmax over the last axis, unchecked; temperature may broadcast."""
+    z = z / temperature
     # max over a column-major copy: numpy reduces across a few class
     # columns about ten times faster in that layout, copy included
-    z = z - np.asfortranarray(z).max(axis=1, keepdims=True)
+    z = z - np.asfortranarray(z).max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def cross_entropy(probs: np.ndarray, onehot: np.ndarray) -> float:
@@ -170,9 +175,87 @@ def gradient_descent(Q0, loss_grad, cfg: TrainConfig):
     steps (see TrainConfig); a line search cut short by that cap keeps the
     last accepted point. A non-finite trial point or total (as overflowing
     logits give) raises TrainingDiverged(epoch); other errors propagate.
+    Returns (Q, trace). This is the one-candidate case of
+    gradient_descent_batch.
+    """
+    fit = _lbfgs(Q0, cfg)
+    point = next(fit)
+    while True:
+        try:
+            point = fit.send(loss_grad(point))
+        except StopIteration as done:
+            return done.value
+
+
+def gradient_descent_batch(Q0, loss_grad, cfg: TrainConfig) -> list:
+    """gradient_descent for a stack of candidates, run in lock step.
+
+    Q0 is B x D x C, one start per candidate. loss_grad(Q, idx) evaluates
+    the b x D x C points Q of the still-running candidates idx (indices
+    into Q0) and returns (totals, grads, parts) with a leading b axis,
+    parts mapping each component name to b values. Each round evaluates
+    one trial point of every running candidate in that one call; each
+    candidate keeps its own curvature pairs, line search, stop and
+    divergence, so its fit is the one gradient_descent makes alone.
+    Returns, per candidate, (Q, trace) or the TrainingDiverged that ended
+    its fit. A single candidate runs through gradient_descent unstacked.
+    """
+    if len(Q0) == 1:
+        try:
+            return [gradient_descent(Q0[0], _one_candidate(loss_grad), cfg)]
+        except TrainingDiverged as exc:
+            return [exc.with_traceback(None)]
+    fits = [_lbfgs(q, cfg) for q in Q0]
+    points = [next(fit) for fit in fits]
+    running = list(range(len(fits)))
+    outcomes: list = [None] * len(fits)
+    while running:
+        totals, grads, parts = loss_grad(np.stack(points), np.array(running))
+        totals = totals.tolist()
+        parts = {key: values.tolist() for key, values in parts.items()}
+        still, points = [], []
+        for j, i in enumerate(running):
+            try:
+                points.append(fits[i].send(
+                    (totals[j], grads[j],
+                     {key: values[j] for key, values in parts.items()})))
+                still.append(i)
+            except StopIteration as done:
+                outcomes[i] = done.value
+            except TrainingDiverged as exc:  # no traceback: no frame cycle
+                outcomes[i] = exc.with_traceback(None)
+        running = still
+    return outcomes
+
+
+def _one_candidate(loss_grad):
+    """gradient_descent's loss_grad(Q) from a batch one, for candidate 0."""
+    idx = np.zeros(1, dtype=int)
+
+    def one(Q):
+        totals, grads, parts = loss_grad(Q[None], idx)
+        return (float(totals[0]), grads[0],
+                {key: float(values[0]) for key, values in parts.items()})
+
+    return one
+
+
+def _sole(outcomes: list):
+    """The fit of a one-candidate batch; raises its TrainingDiverged."""
+    (outcome,) = outcomes
+    if isinstance(outcome, TrainingDiverged):
+        raise outcome
+    return outcome
+
+
+def _lbfgs(Q0, cfg: TrainConfig):
+    """One candidate's gradient_descent loop as a generator.
+
+    Yields each point to evaluate, Q0 first, and is sent loss_grad's
+    (total, grad, parts) at that point; returns (Q, trace).
     """
     Q = np.array(Q0, dtype=float)
-    total, grad, _ = _evaluate(loss_grad, Q, 1)
+    total, grad, _ = _checked((yield Q), 1)
     pairs: deque = deque(maxlen=LBFGS_MEMORY)
     trace: list[dict] = []
     trials = 0
@@ -186,7 +269,7 @@ def gradient_descent(Q0, loss_grad, cfg: TrainConfig):
             trial = Q + step * direction.reshape(Q.shape)
             if not np.isfinite(trial).all():
                 raise TrainingDiverged(epoch)
-            t_total, t_grad, parts = _evaluate(loss_grad, trial, epoch)
+            t_total, t_grad, parts = _checked((yield trial), epoch)
             trials += 1
             if t_total <= total + ARMIJO_C1 * step * slope:
                 break
@@ -205,8 +288,8 @@ def gradient_descent(Q0, loss_grad, cfg: TrainConfig):
     return Q, trace
 
 
-def _evaluate(loss_grad, Q, epoch):
-    total, grad, parts = loss_grad(Q)
+def _checked(result, epoch):
+    total, grad, parts = result
     if not np.isfinite(total):
         raise TrainingDiverged(epoch)
     return total, grad, parts

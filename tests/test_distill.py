@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzykd.distill import (DistillConfig, dkd_loss, distill, kd_loss,
-                             soft_labels, teacher_logits, trace_lines,
-                             vanilla_kd_distill)
+from fuzzykd.distill import (DistillConfig, dkd_loss, distill,
+                             distill_batch, kd_loss, soft_labels,
+                             teacher_logits, trace_lines, vanilla_kd_distill)
 from fuzzykd.rules import build_rule_base
 from fuzzykd.student import (StudentModel, TrainConfig, TrainingDiverged,
                              cross_entropy, design_matrix, init_student,
@@ -230,6 +230,7 @@ class TestDistill:
 
     def test_full_loss_gradient_matches_finite_differences(self):
         from fuzzykd.distill import _distill_loss_grad, _prepare
+        from fuzzykd.student import _one_candidate
         rng = np.random.default_rng(10)
         for seed in range(6):
             rb, X, y, labels, t_out = three_class_setup(seed=seed, n=12)
@@ -237,7 +238,7 @@ class TestDistill:
             Xh, Y, y_idx = _prepare(sm, X, onehot_encode(y, 3))
             cfg = DistillConfig(0.01, 30, 1e-5, temperature=2.0)
             tsl = soft_labels(teacher_logits(t_out, labels), 2.0, y_idx)
-            lg = _distill_loss_grad(Xh, Y, y_idx, tsl, cfg, 1.0, 2.0, 1.0)
+            lg = _one_candidate(_distill_loss_grad(Xh, Y, y_idx, [tsl], [cfg]))
             Q = rng.normal(scale=0.5, size=sm.coeffs.shape)
             _, analytic, _ = lg(Q)
             fd = fd_gradient(lambda q: lg(q)[0], Q)
@@ -350,6 +351,66 @@ class TestVanillaKd:
         with pytest.raises(ValueError):
             vanilla_kd_distill(t_out, sm, X, onehot_encode(y, 3),
                                DistillConfig(), kd_weight=-1.0)
+
+
+def eight_configs():
+    return [DistillConfig(temperature=tau, non_target_weight=lam,
+                          ce_weight=phi)
+            for tau in (1.0, 2.0) for lam in (1.0, 5.0) for phi in (1.0, 2.0)]
+
+
+class TestDistillBatch:
+    @pytest.mark.parametrize("c", [2, 3, 4])
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_each_fit_equals_its_one_config_fit(self, c, coupled):
+        rng = np.random.default_rng(c)
+        X = rng.uniform(0, 1, (40, 3))
+        y = rng.integers(0, c, 40)
+        labels = np.arange(c, dtype=float)
+        tm = fit_teacher(build_rule_base(3, 3, seed=1), X, y.astype(float),
+                         100.0, labels)
+        t_out, Y = predict_teacher(tm, X), onehot_encode(y, c)
+        sm = init_student(build_rule_base(3, 3, seed=2), c)
+        cfgs = eight_configs()
+        kd = [cfg.non_target_weight for cfg in cfgs] if coupled else None
+        batch = distill_batch(t_out, sm, X, Y, cfgs, labels, kd)
+        assert len(batch) == 8
+        for i, (cfg, (model, trace)) in enumerate(zip(cfgs, batch)):
+            if coupled:
+                alone = vanilla_kd_distill(t_out, sm, X, Y, cfg,
+                                           kd_weight=kd[i],
+                                           class_labels=labels)
+            else:
+                alone = distill(t_out, sm, X, Y, cfg, labels)
+            assert np.array_equal(model.coeffs, alone[0].coeffs)
+            assert trace == alone[1]
+        # tol stops the fits after different numbers of epochs, so the
+        # later rounds evaluate only some of the candidates
+        assert len({len(trace) for _, trace in batch}) > 1
+
+    def test_diverging_fit_leaves_the_others_unchanged(self):
+        rb, X, y, labels, t_out = three_class_setup()
+        sm, Y = init_student(rb, 3), onehot_encode(y, 3)
+        cfgs = eight_configs()
+        # a finite first total whose gradient overflows: the first trial
+        # point is not finite
+        cfgs[3] = DistillConfig(temperature=1e-6, target_weight=1e304)
+        with np.errstate(all="ignore"):
+            batch = distill_batch(t_out, sm, X, Y, cfgs, labels)
+            with pytest.raises(TrainingDiverged):
+                distill(t_out, sm, X, Y, cfgs[3], labels)
+        assert isinstance(batch[3], TrainingDiverged)
+        assert batch[3].epoch == 1
+        for i in (0, 1, 2, 4, 5, 6, 7):
+            alone, _ = distill(t_out, sm, X, Y, cfgs[i], labels)
+            assert np.array_equal(batch[i][0].coeffs, alone.coeffs)
+
+    def test_configs_must_share_the_budget(self):
+        rb, X, y, labels, t_out = three_class_setup()
+        cfgs = [DistillConfig(), DistillConfig(max_epochs=5)]
+        with pytest.raises(ValueError, match="max_epochs"):
+            distill_batch(t_out, init_student(rb, 3), X, onehot_encode(y, 3),
+                          cfgs, labels)
 
 
 class TestDistillConfig:

@@ -1,0 +1,78 @@
+"""Golden reports: the grid search's `--no-time` output is pinned.
+
+Each report is run_method on a bundled dataset with a two-K coarse grid
+(16 distill-dkd or 16 distill-kd candidates, 3 outer folds, so every
+outer fold runs the inner search), formatted without wall times. The
+expected text was recorded at commit cc7a0c1, where each candidate was
+fit on its own, so it does not come from the lock-step engine it checks.
+"""
+import pytest
+
+from fuzzykd.data import load_bundled
+from fuzzykd.harness import GridSpec, format_report, run_method
+
+GRID = GridSpec.coarse(rule_counts=(4, 8), temperatures=(1, 2),
+                       non_target_weights=(1, 2), ce_weights=(1, 2), folds=3)
+SEED = 2
+
+GOLDEN = {
+    ("distill-dkd", "iris"): (
+        "fold dataset=iris method=distill-dkd seed=2 fold=0 "
+        "params=K:4,lam:1,phi:2,tau:2,zeta:1 acc=1.000000000 "
+        "wf=1.000000000 rules=4\n"
+        "fold dataset=iris method=distill-dkd seed=2 fold=1 "
+        "params=K:4,lam:1,phi:1,tau:1,zeta:1 acc=0.940000000 "
+        "wf=0.939889401 rules=4\n"
+        "fold dataset=iris method=distill-dkd seed=2 fold=2 "
+        "params=K:4,lam:1,phi:1,tau:2,zeta:1 acc=1.000000000 "
+        "wf=1.000000000 rules=4\n"
+        "aggregate dataset=iris method=distill-dkd seed=2 "
+        "acc_mean=0.980000000 acc_std=0.034641016 wf_mean=0.979963134 "
+        "wf_std=0.034704871 rules_mean=4.0000 failed=0\n"),
+    ("distill-dkd", "wine"): (
+        "fold dataset=wine method=distill-dkd seed=2 fold=0 "
+        "params=K:4,lam:1,phi:1,tau:1,zeta:1 acc=1.000000000 "
+        "wf=1.000000000 rules=4\n"
+        "fold dataset=wine method=distill-dkd seed=2 fold=1 "
+        "params=K:4,lam:1,phi:1,tau:1,zeta:1 acc=1.000000000 "
+        "wf=1.000000000 rules=4\n"
+        "fold dataset=wine method=distill-dkd seed=2 fold=2 "
+        "params=K:4,lam:2,phi:1,tau:1,zeta:1 acc=0.983050847 "
+        "wf=0.983127343 rules=4\n"
+        "aggregate dataset=wine method=distill-dkd seed=2 "
+        "acc_mean=0.994350282 acc_std=0.009785598 wf_mean=0.994375781 "
+        "wf_std=0.009741433 rules_mean=4.0000 failed=0\n"),
+    ("distill-kd", "iris"): (
+        "fold dataset=iris method=distill-kd seed=2 fold=0 "
+        "params=K:4,lam:1,phi:1,tau:2 acc=1.000000000 wf=1.000000000 "
+        "rules=4\n"
+        "fold dataset=iris method=distill-kd seed=2 fold=1 "
+        "params=K:4,lam:1,phi:1,tau:1 acc=0.940000000 wf=0.939889401 "
+        "rules=4\n"
+        "fold dataset=iris method=distill-kd seed=2 fold=2 "
+        "params=K:4,lam:1,phi:2,tau:1 acc=1.000000000 wf=1.000000000 "
+        "rules=4\n"
+        "aggregate dataset=iris method=distill-kd seed=2 "
+        "acc_mean=0.980000000 acc_std=0.034641016 wf_mean=0.979963134 "
+        "wf_std=0.034704871 rules_mean=4.0000 failed=0\n"),
+    ("distill-kd", "wine"): (
+        "fold dataset=wine method=distill-kd seed=2 fold=0 "
+        "params=K:4,lam:1,phi:2,tau:2 acc=1.000000000 wf=1.000000000 "
+        "rules=4\n"
+        "fold dataset=wine method=distill-kd seed=2 fold=1 "
+        "params=K:4,lam:1,phi:1,tau:1 acc=0.983050847 wf=0.982957784 "
+        "rules=4\n"
+        "fold dataset=wine method=distill-kd seed=2 fold=2 "
+        "params=K:4,lam:1,phi:2,tau:2 acc=0.983050847 wf=0.983127343 "
+        "rules=4\n"
+        "aggregate dataset=wine method=distill-kd seed=2 "
+        "acc_mean=0.988700565 acc_std=0.009785598 wf_mean=0.988695042 "
+        "wf_std=0.009790748 rules_mean=4.0000 failed=0\n"),
+}
+
+
+@pytest.mark.parametrize("method, dataset", sorted(GOLDEN))
+def test_report_matches_golden(method, dataset):
+    report = run_method(method, load_bundled(dataset), GRID, SEED, dataset)
+    assert format_report([report], include_time=False) == \
+        GOLDEN[method, dataset]

@@ -4,7 +4,7 @@ import pytest
 
 import fuzzykd.harness as harness
 from fuzzykd.data import Dataset, load_bundled, normalize
-from fuzzykd.harness import (GridSpec, MethodReport, accuracy, format_report,
+from fuzzykd.harness import (GridSpec, accuracy, format_report,
                              predict_class, rule_readout, run_method, sweep,
                              weighted_f)
 from fuzzykd.rules import RuleBase, build_rule_base
@@ -45,15 +45,21 @@ class TestAccuracy:
 
 class TestWeightedF:
     def test_perfect(self):
-        assert weighted_f([0, 1, 2], [0, 1, 2], 3) == pytest.approx(1.0)
+        assert weighted_f([0, 1, 2], [0, 1, 2]) == pytest.approx(1.0)
 
     def test_hand_value(self):
-        got = weighted_f([0, 1, 1], [0, 0, 1], 2)
+        got = weighted_f([0, 1, 1], [0, 0, 1])
         assert got == pytest.approx(2.0 / 3.0, abs=1e-4)
 
     def test_absent_class_contributes_nothing(self):
-        with_pad = weighted_f([0, 1], [0, 1], 5)
+        with_pad = weighted_f([0, 1], [0, 1])
         assert with_pad == pytest.approx(1.0)
+
+    def test_scores_the_labels_present_in_truth(self):
+        # labels need not be the codes 0..C-1: a perfect prediction of
+        # labels 0 and 2 scores 1, as accuracy does
+        assert weighted_f([0, 2, 2], [0, 2, 2]) == pytest.approx(1.0)
+        assert accuracy([0, 2, 2], [0, 2, 2]) == 1.0
 
 
 class TestRunMethod:
@@ -136,16 +142,16 @@ class TestRunMethod:
 
     def test_diverging_candidate_scores_zero_in_inner_search(self,
                                                             monkeypatch):
-        fit_predict, diverged = harness._fit_predict, []
+        fit_candidates, diverged = harness.fit_candidates, []
 
-        def spy(method, params, *args):
-            try:
-                return fit_predict(method, params, *args)
-            except TrainingDiverged:
-                diverged.append(params["phi"])
-                raise
+        def spy(method, group, *args):
+            outcomes = fit_candidates(method, group, *args)
+            diverged.extend(params["phi"]
+                            for params, out in zip(group, outcomes)
+                            if isinstance(out, TrainingDiverged))
+            return outcomes
 
-        monkeypatch.setattr(harness, "_fit_predict", spy)
+        monkeypatch.setattr(harness, "fit_candidates", spy)
         grid = GridSpec.coarse(rule_counts=(3,), temperatures=(2,),
                                non_target_weights=(1,), ce_weights=(1, 1e308),
                                folds=2)
@@ -186,24 +192,65 @@ class TestRunMethod:
                        GridSpec.fixed(folds=10), seed=0)
 
 
+class TestInnerSearch:
+    def wine_split(self):
+        ds = load_bundled("wine")
+        X, _, _ = normalize(ds.X)
+        return X[::2], ds.y[::2], ds.n_classes
+
+    def test_teacher_fit_once_per_rule_count_and_inner_fold(self,
+                                                           monkeypatch):
+        fit_teacher, calls = harness.fit_teacher, []
+
+        def counting(rb, *args, **kwargs):
+            calls.append(rb.n_rules)
+            return fit_teacher(rb, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "fit_teacher", counting)
+        grid = GridSpec.coarse(rule_counts=(2, 3), temperatures=(1, 2),
+                               non_target_weights=(1, 2), ce_weights=(1, 2),
+                               max_epochs=5)
+        cands = harness.candidates("distill-dkd", grid)
+        assert len(cands) == 16
+        X, y, c = self.wine_split()
+        harness._select_params("distill-dkd", cands, grid, X, y, c, 0, 0)
+        assert sorted(calls) == [2, 2, 2, 3, 3, 3]
+
+    def test_diverged_candidate_scores_zero(self):
+        grid = GridSpec.coarse(rule_counts=(2,), max_epochs=5)
+        good = {"K": 2, "tau": 2, "zeta": 1, "lam": 2, "phi": 1}
+        # finite first total, overflowing first gradient: a non-finite
+        # first trial point
+        bad = dict(good, tau=1e-6, zeta=1e304)
+        X, y, c = self.wine_split()
+        with np.errstate(all="ignore"):
+            scores = harness._inner_scores("distill-dkd", [bad, good], grid,
+                                           X, y, c, 0, 0)
+            picked = harness._select_params("distill-dkd", [bad, good],
+                                            grid, X, y, c, 0, 0)
+        assert scores[0] == 0.0 and scores[1] > 0.5
+        assert picked is good
+
+
 class TestSweep:
     def test_grid_constants_kept(self, monkeypatch):
-        grids = []
+        fits, fit_candidates = [], harness.fit_candidates
 
-        def fake_run(method, ds, grid, seed, dataset_name="data"):
-            grids.append(grid)
-            return MethodReport(method, dataset_name, seed)
+        def spy(method, group, grid, *args):
+            fits.append((group, grid))
+            return fit_candidates(method, group, grid, *args)
 
-        monkeypatch.setattr(harness, "run_method", fake_run)
+        monkeypatch.setattr(harness, "fit_candidates", spy)
         grid = GridSpec(rule_counts=(3, 5), temperatures=(4,),
                         target_weights=(2,), non_target_weights=(1, 7),
                         ce_weights=(3,), reg=7.5, width=0.3, max_epochs=11,
                         tol=1e-3, lr=0.2, folds=4)
         sweep("lambda", toy_dataset(), grid, seed=0)
-        assert [g.non_target_weights for g in grids] == [(1,), (7,)]
-        for g in grids:
-            assert (g.rule_counts, g.temperatures, g.target_weights,
-                    g.ce_weights) == ((3,), (4,), (2,), (3,))
+        assert len(fits) == 4  # one fit of all points per outer fold
+        for group, g in fits:
+            assert [p["lam"] for p in group] == [1, 7]
+            for p in group:
+                assert (p["K"], p["tau"], p["zeta"], p["phi"]) == (3, 4, 2, 3)
             assert (g.reg, g.width, g.max_epochs, g.tol, g.lr, g.folds) == \
                 (7.5, 0.3, 11, 1e-3, 0.2, 4)
 
@@ -234,20 +281,43 @@ class TestSweep:
         assert len(records) == 1
 
     def test_ratio_runs_over_ce_weights(self, monkeypatch):
-        grids = []
+        groups, fit_candidates = [], harness.fit_candidates
 
-        def fake_run(method, ds, grid, seed, dataset_name="data"):
-            grids.append(grid)
-            return MethodReport(method, dataset_name, seed)
+        def spy(method, group, *args):
+            groups.append(group)
+            return fit_candidates(method, group, *args)
 
-        monkeypatch.setattr(harness, "run_method", fake_run)
+        monkeypatch.setattr(harness, "fit_candidates", spy)
         grid = GridSpec(rule_counts=(2,), temperatures=(2,),
                         target_weights=(1,), non_target_weights=(3, 9),
                         ce_weights=(1, 2, 4), folds=2)
         records = sweep("(lambda+zeta)/phi", toy_dataset(), grid, seed=0)
         assert [r["value"] for r in records] == [1, 2, 4]
-        assert [g.ce_weights for g in grids] == [(4.0,), (2.0,), (1.0,)]
-        assert all(g.non_target_weights == (3,) for g in grids)
+        for group in groups:
+            assert [p["phi"] for p in group] == [4.0, 2.0, 1.0]
+            assert all(p["lam"] == 3 for p in group)
+
+    def test_teacher_fit_once_per_outer_fold(self, monkeypatch):
+        fit_teacher, calls = harness.fit_teacher, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return fit_teacher(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "fit_teacher", counting)
+        grid = GridSpec(rule_counts=(2,), max_epochs=5, folds=2)
+        records = sweep("tau", load_bundled("iris"), grid, seed=0)
+        assert len(records) == 6
+        assert len(calls) == 2
+
+    def test_diverged_folds_left_out_of_the_mean(self):
+        grid = GridSpec(rule_counts=(2,), temperatures=(2,),
+                        target_weights=(1,), non_target_weights=(2,),
+                        ce_weights=(1, 1e308), folds=2)
+        with np.errstate(over="ignore"):
+            records = sweep("phi", toy_dataset(), grid, seed=0)
+        assert records[0]["mean_accuracy"] == 1.0
+        assert np.isnan(records[1]["mean_accuracy"])
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ValueError, match="sweep parameter"):
