@@ -395,6 +395,8 @@ def rule_readout(model, sample: np.ndarray) -> str:
     rb = model.rule_base
     if x.size != rb.n_features:
         raise ValueError("sample length must match the model's feature count")
+    # predicting first rejects a non-finite sample before any rule output
+    pred = int(predict_class(model, x[None, :])[0])
     labels = basis_labels(model.order, rb.n_features)
     d = len(labels)
     bx = expand_basis(x, model.order)
@@ -417,7 +419,6 @@ def rule_readout(model, sample: np.ndarray) -> str:
             lines.append(f"  output = {float(bx @ block):.4f}")
         else:
             raise TypeError(f"cannot explain {type(model).__name__}")
-    pred = int(predict_class(model, x[None, :])[0])
     lines.append(f"Predicted class: {pred}")
     return "\n".join(lines)
 

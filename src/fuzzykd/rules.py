@@ -66,11 +66,18 @@ def log_memberships(rb: RuleBase, X: np.ndarray) -> np.ndarray:
     """Unnormalized log rule memberships, N x K.
 
     log mu^k(x) = sum_i -(x_i - v_i^k)^2 / (2 * delta_i^k).
+
+    Every model fit, prediction and rule readout passes through here, so
+    this is where a nan or inf cell is rejected, by row and column.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != rb.n_features:
         raise ValueError(f"X has {X.shape[1]} features, rule base expects "
                          f"{rb.n_features}")
+    if not np.isfinite(X).all():
+        i, j = np.argwhere(~np.isfinite(X))[0]
+        raise ValueError(f"non-finite value {X[i, j]} in X at row {i + 1}, "
+                         f"column {j + 1}")
     diff = X[:, None, :] - rb.centers[None, :, :]
     return -(diff * diff / (2.0 * rb.widths[None, :, :])).sum(axis=2)
 

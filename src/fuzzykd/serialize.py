@@ -39,20 +39,31 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
+    """Read a model file; any malformed content is a ValueError naming it."""
     with open(path, encoding="utf-8") as fh:
-        record = json.load(fh)
-    if record.get("magic") != MAGIC:
+        try:
+            record = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not a JSON file ({exc})") from None
+    if not isinstance(record, dict) or record.get("magic") != MAGIC:
         raise ValueError(f"{path}: not a fuzzykd model file")
     if record.get("version") != VERSION:
         raise ValueError(f"{path}: unsupported model version "
                          f"{record.get('version')}")
-    rb = RuleBase(np.array(record["rule_base"]["centers"]),
-                  np.array(record["rule_base"]["widths"]))
-    if record["kind"] == "teacher":
-        return TeacherModel(rb, np.array(record["coeffs"]), record["reg"],
-                            np.array(record["class_labels"]),
-                            record["order"])
-    if record["kind"] == "student":
-        return StudentModel(rb, np.array(record["coeffs"]),
-                            record["n_classes"], record["order"])
-    raise ValueError(f"{path}: unknown model kind {record['kind']!r}")
+    try:
+        kind = record["kind"]
+        rb = RuleBase(np.array(record["rule_base"]["centers"]),
+                      np.array(record["rule_base"]["widths"]))
+        if kind == "teacher":
+            return TeacherModel(rb, np.array(record["coeffs"]),
+                                record["reg"],
+                                np.array(record["class_labels"]),
+                                record["order"])
+        if kind == "student":
+            return StudentModel(rb, np.array(record["coeffs"]),
+                                record["n_classes"], record["order"])
+    except KeyError as exc:
+        raise ValueError(f"{path}: model record has no key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed model record ({exc})") from None
+    raise ValueError(f"{path}: unknown model kind {kind!r}")

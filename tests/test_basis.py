@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzykd.basis import (basis_dim, basis_labels, expand_basis,
-                           expand_matrix, stack_design_matrix)
+from fuzzykd.basis import (basis_adjoint, basis_apply, basis_dim,
+                           basis_labels, expand_basis, expand_matrix,
+                           stack_design_matrix)
 from fuzzykd.rules import build_rule_base, firing_strengths
 from fuzzykd.teacher import fit_teacher, predict_teacher
 
@@ -55,6 +56,32 @@ class TestExpandBasis:
             B = expand_matrix(X, order)
             for i in range(6):
                 np.testing.assert_allclose(B[i], expand_basis(X[i], order))
+
+
+class TestHornerProducts:
+    """basis_apply and basis_adjoint against products with the full basis."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 3), st.integers(1, 5), st.integers(1, 4),
+           st.integers(0, 40), st.integers(0, 10_000))
+    def test_match_full_basis_products(self, order, m, k, n, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-2, 2, (n, m))
+        B = expand_matrix(X, order)
+        Q = rng.normal(size=(basis_dim(order, m), k))
+        W = rng.normal(size=(n, k))
+        got = basis_apply(X, Q, order)
+        assert got.shape == (n, k)
+        np.testing.assert_allclose(got, B @ Q, rtol=1e-10, atol=1e-10)
+        got = basis_adjoint(X, W, order)
+        assert got.shape == Q.shape
+        np.testing.assert_allclose(got, B.T @ W, rtol=1e-10, atol=1e-10)
+
+    def test_order_out_of_range(self):
+        with pytest.raises(ValueError, match="order"):
+            basis_apply(np.ones((2, 1)), np.ones((5, 1)), 4)
+        with pytest.raises(ValueError, match="order"):
+            basis_adjoint(np.ones((2, 1)), np.ones((2, 1)), -1)
 
 
 class TestBasisLabels:

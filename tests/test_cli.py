@@ -97,6 +97,20 @@ def test_explain_round_trip(tmp_path, iris_csv, capsys):
     assert "Rule 1:" in out and "Predicted class:" in out
 
 
+def test_explain_rejects_non_finite_sample(tmp_path, iris_csv, capsys):
+    model = tmp_path / "teacher.json"
+    main(["train-teacher", "--data", iris_csv, "--rules", "2",
+          "--seed", "1", "--out", str(model)])
+    capsys.readouterr()
+    rc = main(["explain", "--model", str(model),
+               "--sample", "nan,0.2,0.3,0.4"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("fuzzykd: error: non-finite value nan in X at "
+                            "row 1, column 1\n")
+
+
 def test_env_var_override(tmp_path, iris_csv, monkeypatch, capsys):
     monkeypatch.setenv("FUZZYKD_EPOCHS", "2")
     out = tmp_path / "student.json"

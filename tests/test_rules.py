@@ -84,6 +84,17 @@ class TestFiringStrengths:
         with pytest.raises(ValueError, match="features"):
             firing_strengths(rb, np.zeros((4, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cell_located(self, bad):
+        # the first bad cell in row-major order is named, 1-based
+        rb = build_rule_base(2, 3, seed=0)
+        X = np.full((4, 3), 0.5)
+        X[2, 1] = bad
+        X[3, 0] = np.nan
+        with pytest.raises(ValueError, match=f"non-finite value {bad} in X "
+                                             "at row 3, column 2"):
+            log_memberships(rb, X)
+
     def test_matches_naive_product_path(self):
         # direct exp-then-normalize, safe for small m
         rng = np.random.default_rng(3)

@@ -1,5 +1,6 @@
 """Versioned model serialization round-trips."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -56,4 +57,30 @@ def test_unknown_version_rejected(tmp_path):
     record["version"] = 99
     path.write_text(json.dumps(record))
     with pytest.raises(ValueError, match="version"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[]", "not a fuzzykd model file"),
+    ('{"magic": ', "not a JSON file"),
+], ids=["top-level list", "truncated"])
+def test_unreadable_file_named(tmp_path, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        load_model(path)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda r: r.pop("kind"), "model record has no key 'kind'"),
+    (lambda r: r.update(rule_base=[]), "malformed model record"),
+    (lambda r: r.update(coeffs="abc"), "malformed model record"),
+], ids=["no kind", "rule base list", "text coeffs"])
+def test_malformed_record_named(tmp_path, edit, message):
+    path = tmp_path / "model.json"
+    save_model(init_student(build_rule_base(1, 1, seed=0), 2), path)
+    record = json.loads(path.read_text())
+    edit(record)
+    path.write_text(json.dumps(record))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
         load_model(path)

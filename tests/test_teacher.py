@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import fuzzykd.basis
 import fuzzykd.teacher
 from fuzzykd.basis import basis_dim, stack_design_matrix
 from fuzzykd.rules import RuleBase, build_rule_base, firing_strengths
@@ -127,15 +128,28 @@ class TestFitTeacher:
             np.testing.assert_allclose(tm.coeffs, want, atol=1e-8)
 
     def test_dual_fit_and_prediction_skip_design_matrix(self, monkeypatch):
+        # neither the design matrix nor the full order-3 basis is built;
+        # lower-order bases (the Horner step's) pass
+        expand, orders = fuzzykd.basis.expand_matrix, []
+
         def refuse(*args, **kwargs):
             raise AssertionError("design matrix built")
 
+        def below_order_3(X, order):
+            if order >= 3:
+                raise AssertionError(f"order-{order} basis built")
+            orders.append(order)
+            return expand(X, order)
+
         monkeypatch.setattr(fuzzykd.teacher, "stack_design_matrix", refuse)
+        monkeypatch.setattr(fuzzykd.basis, "expand_matrix", below_order_3)
         rng = np.random.default_rng(11)
         rb = build_rule_base(3, 4, seed=11)
         X = rng.uniform(0, 1, (30, 4))  # 30 < 3 * D(3, 4) = 255
         tm = fit_teacher(rb, X, rng.normal(size=30), reg=100.0)
+        assert tm.order == 3 and orders == [2]
         assert predict_teacher(tm, X).shape == (30,)
+        assert orders == [2, 2]
 
     @pytest.mark.parametrize("n", [30, 600])  # dual, then primal shape
     def test_lu_fallback_matches_cholesky(self, monkeypatch, n):
