@@ -51,13 +51,15 @@ def _numeric_column(path, values: list[str], col: int) -> list[float] | None:
 def load_csv(path, header: bool = False, label_col: int = -1) -> Dataset:
     """Load a comma-separated dataset; the label column defaults to the last.
 
-    Numeric feature columns are parsed as floats; columns containing any
+    label_col counts from 0, or from the end when negative, and must name
+    one of the file's columns. A UTF-8 byte-order mark is skipped. Numeric
+    feature columns are parsed as floats; columns containing any
     non-numeric cell are encoded as integers in first-appearance order.
     Numeric labels are mapped to 0..C-1 by sorted value, non-numeric labels
     in first-appearance order. Missing cells, ragged rows and numeric cells
     that parse to nan or +-inf are rejected.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = [row for row in csv.reader(fh)
                 if row and any(cell.strip() for cell in row)]
     if not rows:
@@ -69,6 +71,9 @@ def load_csv(path, header: bool = False, label_col: int = -1) -> Dataset:
         if not rows:
             raise CsvParseError(f"{path}: no data rows after the header")
     width = len(rows[0])
+    if not -width <= label_col < width:
+        raise CsvParseError(f"{path}: label column {label_col} is out of "
+                            f"range for {width} columns")
     for i, row in enumerate(rows):
         if len(row) != width:
             raise CsvParseError(f"{path}: row {i + 1} has {len(row)} cells, "

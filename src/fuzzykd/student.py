@@ -3,8 +3,10 @@
 The student maps the order-1 firing-weighted stacked design row x_h to C
 logits z = Q^T x_h and is trained full-batch on the softmax cross-entropy
 summed over samples, by limited-memory BFGS steps with Armijo
-backtracking. The per-epoch trace additionally records the per-sample mean
-of each loss component for scale-free monitoring.
+backtracking. gradient_descent_batch is the one training loop: it fits a
+stack of candidates in lock step, and a single fit (train_student, distill)
+is a batch of one. The per-epoch trace additionally records the per-sample
+mean of each loss component for scale-free monitoring.
 """
 from __future__ import annotations
 
@@ -122,11 +124,6 @@ def cross_entropy(probs: np.ndarray, onehot: np.ndarray) -> float:
     if not np.allclose(probs.sum(axis=1), 1.0, atol=1e-6):
         raise ValueError("probability rows must sum to 1")
     _check_onehot(onehot)
-    return _cross_entropy(probs, onehot)
-
-
-def _cross_entropy(probs: np.ndarray, onehot: np.ndarray) -> float:
-    """cross_entropy without the input checks, for the training loss."""
     return float(-(onehot * np.log(np.maximum(probs, EPS))).sum())
 
 
@@ -161,50 +158,34 @@ def onehot_encode(y: np.ndarray, n_classes: int) -> np.ndarray:
     return out
 
 
-def gradient_descent(Q0, loss_grad, cfg: TrainConfig):
-    """Shared full-batch loop: line-searched L-BFGS steps, one per epoch.
-
-    loss_grad(Q) returns (total, grad, components-dict). Each epoch steps
-    along the limited-memory BFGS direction (LBFGS_MEMORY curvature pairs;
-    plain -grad on the first epoch) and backtracks by BACKTRACK until the
-    total falls by at least ARMIJO_C1 * step * slope. The first trial step
-    of the fit is Q0 - cfg.lr * grad; later ones start at the full
-    quasi-Newton step. The trace holds one dict per epoch (accepted step),
-    so its totals never increase. Stops when an epoch after the first
-    lowers the total by cfg.tol or less, or after cfg.max_epochs trial
-    steps (see TrainConfig); a line search cut short by that cap keeps the
-    last accepted point. A non-finite trial point or total (as overflowing
-    logits give) raises TrainingDiverged(epoch); other errors propagate.
-    Returns (Q, trace). This is the one-candidate case of
-    gradient_descent_batch.
-    """
-    fit = _lbfgs(Q0, cfg)
-    point = next(fit)
-    while True:
-        try:
-            point = fit.send(loss_grad(point))
-        except StopIteration as done:
-            return done.value
-
-
 def gradient_descent_batch(Q0, loss_grad, cfg: TrainConfig) -> list:
-    """gradient_descent for a stack of candidates, run in lock step.
+    """The student's training loop: L-BFGS fits of B candidates in lock step.
 
-    Q0 is B x D x C, one start per candidate. loss_grad(Q, idx) evaluates
-    the b x D x C points Q of the still-running candidates idx (indices
-    into Q0) and returns (totals, grads, parts) with a leading b axis,
-    parts mapping each component name to b values. Each round evaluates
-    one trial point of every running candidate in that one call; each
-    candidate keeps its own curvature pairs, line search, stop and
-    divergence, so its fit is the one gradient_descent makes alone.
+    Q0 is B x D x C, one start per candidate; a single fit is a batch of
+    one. loss_grad(Q, idx) evaluates the b x D x C points Q of the
+    still-running candidates idx (indices into Q0) and returns (totals,
+    grads, parts) with a leading b axis, parts mapping each component name
+    to b values. Each round evaluates one trial point of every running
+    candidate in that one call; each candidate keeps its own curvature
+    pairs, line search, stop and divergence, so its fit does not depend on
+    the others.
+
+    Each epoch steps along the limited-memory BFGS direction (LBFGS_MEMORY
+    curvature pairs; plain -grad on the first epoch) and backtracks by
+    BACKTRACK until the total falls by at least ARMIJO_C1 * step * slope.
+    The first trial step of a fit is Q0 - cfg.lr * grad; later ones start
+    at the full quasi-Newton step. The trace holds one dict per epoch
+    (accepted step), so its totals never increase. A fit stops when an
+    epoch after the first lowers the total by cfg.tol or less, or after
+    cfg.max_epochs trial steps (see TrainConfig); a line search cut short
+    by that cap keeps the last accepted point. A non-finite trial point or
+    total (as overflowing logits give) ends the fit with
+    TrainingDiverged(epoch); other errors propagate.
+
     Returns, per candidate, (Q, trace) or the TrainingDiverged that ended
-    its fit. A single candidate runs through gradient_descent unstacked.
+    its fit, stored without its traceback so that no frame cycle keeps the
+    batch alive.
     """
-    if len(Q0) == 1:
-        try:
-            return [gradient_descent(Q0[0], _one_candidate(loss_grad), cfg)]
-        except TrainingDiverged as exc:
-            return [exc.with_traceback(None)]
     fits = [_lbfgs(q, cfg) for q in Q0]
     points = [next(fit) for fit in fits]
     running = list(range(len(fits)))
@@ -228,18 +209,6 @@ def gradient_descent_batch(Q0, loss_grad, cfg: TrainConfig) -> list:
     return outcomes
 
 
-def _one_candidate(loss_grad):
-    """gradient_descent's loss_grad(Q) from a batch one, for candidate 0."""
-    idx = np.zeros(1, dtype=int)
-
-    def one(Q):
-        totals, grads, parts = loss_grad(Q[None], idx)
-        return (float(totals[0]), grads[0],
-                {key: float(values[0]) for key, values in parts.items()})
-
-    return one
-
-
 def _sole(outcomes: list):
     """The fit of a one-candidate batch; raises its TrainingDiverged."""
     (outcome,) = outcomes
@@ -249,13 +218,15 @@ def _sole(outcomes: list):
 
 
 def _lbfgs(Q0, cfg: TrainConfig):
-    """One candidate's gradient_descent loop as a generator.
+    """One candidate's gradient_descent_batch loop as a generator.
 
     Yields each point to evaluate, Q0 first, and is sent loss_grad's
     (total, grad, parts) at that point; returns (Q, trace).
     """
     Q = np.array(Q0, dtype=float)
-    total, grad, _ = _checked((yield Q), 1)
+    total, grad, _ = yield Q
+    if not np.isfinite(total):
+        raise TrainingDiverged(1)
     pairs: deque = deque(maxlen=LBFGS_MEMORY)
     trace: list[dict] = []
     trials = 0
@@ -269,7 +240,9 @@ def _lbfgs(Q0, cfg: TrainConfig):
             trial = Q + step * direction.reshape(Q.shape)
             if not np.isfinite(trial).all():
                 raise TrainingDiverged(epoch)
-            t_total, t_grad, parts = _checked((yield trial), epoch)
+            t_total, t_grad, parts = yield trial
+            if not np.isfinite(t_total):
+                raise TrainingDiverged(epoch)
             trials += 1
             if t_total <= total + ARMIJO_C1 * step * slope:
                 break
@@ -286,13 +259,6 @@ def _lbfgs(Q0, cfg: TrainConfig):
         if epoch >= 2 and improvement <= cfg.tol:
             break
     return Q, trace
-
-
-def _checked(result, epoch):
-    total, grad, parts = result
-    if not np.isfinite(total):
-        raise TrainingDiverged(epoch)
-    return total, grad, parts
 
 
 def _lbfgs_direction(g, pairs):
@@ -316,7 +282,7 @@ def _lbfgs_direction(g, pairs):
 
 def train_student(sm: StudentModel, X: np.ndarray, y_onehot: np.ndarray,
                   cfg: TrainConfig) -> tuple[StudentModel, list[dict]]:
-    """Train on the total softmax cross-entropy (see gradient_descent).
+    """Train on the total softmax cross-entropy (see gradient_descent_batch).
 
     Returns the trained model and the per-epoch loss trace; each entry has
     the epoch index, the optimized total and the per-sample mean
@@ -325,13 +291,13 @@ def train_student(sm: StudentModel, X: np.ndarray, y_onehot: np.ndarray,
     Xh, Y = _training_data(sm, X, y_onehot)
     n = Xh.shape[0]
 
-    def loss_grad(Q):
-        p = softmax(Xh @ Q)
-        h = _cross_entropy(p, Y)
-        grad = Xh.T @ (p - Y)
-        return h, grad, {"h": h / n}
+    def loss_grad(Q, idx):
+        b = len(Q)
+        p = softmax(np.matmul(Xh, Q))
+        h = -(Y * np.log(np.maximum(p, EPS))).reshape(b, -1).sum(axis=1)
+        return h, np.matmul(Xh.T, p - Y), {"h": h / n}
 
-    Q, trace = gradient_descent(sm.coeffs, loss_grad, cfg)
+    Q, trace = _sole(gradient_descent_batch(sm.coeffs[None], loss_grad, cfg))
     return StudentModel(sm.rule_base, Q, sm.n_classes, sm.order), trace
 
 

@@ -15,8 +15,8 @@ from fuzzykd.distill import (DistillConfig, _distill_loss_grad, _prepare,
 from fuzzykd.harness import GridSpec, format_report, run_method
 from fuzzykd.rules import build_rule_base, firing_strengths
 from fuzzykd.basis import stack_design_matrix
-from fuzzykd.student import (_one_candidate, cross_entropy, design_matrix,
-                             init_student, onehot_encode, softmax)
+from fuzzykd.student import (cross_entropy, design_matrix, init_student,
+                             onehot_encode, softmax)
 from fuzzykd.teacher import fit_teacher, predict_teacher
 
 
@@ -92,9 +92,10 @@ def test_gradient_oracle(capsys):
         cfg = DistillConfig(temperature=2.0)
         tsl = soft_labels(teacher_logits(t_out, np.arange(c, dtype=float)),
                           2.0, y)
-        lg = _one_candidate(_distill_loss_grad(Xh, Y, y, [tsl], [cfg]))
-        _, analytic_full, _ = lg(Q)
-        fd_full = fd_gradient(lambda q: lg(q)[0], Q)
+        lg = _distill_loss_grad(Xh, Y, y, [tsl], [cfg])
+        idx = np.zeros(1, dtype=int)  # candidate 0 of a batch of one
+        analytic_full = lg(Q[None], idx)[1][0]
+        fd_full = fd_gradient(lambda q: lg(q[None], idx)[0][0], Q)
         denom = np.maximum(np.abs(fd_full), 1.0)
         worst = max(worst,
                     float((np.abs(analytic_full - fd_full) / denom).max()))

@@ -136,6 +136,15 @@ def test_missing_file_exits_nonzero(capsys):
     assert "fuzzykd: error:" in capsys.readouterr().err
 
 
+def test_label_column_out_of_range_exits_nonzero(iris_csv, capsys):
+    rc = main(["evaluate", "--data", str(iris_csv), "--label-col", "5",
+               "--no-time"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "fuzzykd: error:" in err
+    assert "label column 5 is out of range for 5 columns" in err
+
+
 def test_gridsearch_small(tmp_path):
     # tiny synthetic file keeps the coarse grid tractable
     rng = np.random.default_rng(0)

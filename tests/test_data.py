@@ -1,4 +1,6 @@
 """CSV loading, normalization and stratified fold planning."""
+import re
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,33 @@ class TestLoadCsv:
         ds = load_csv(write(tmp_path, "0,1,2\n1,3,4\n"), label_col=0)
         np.testing.assert_array_equal(ds.X, [[1, 2], [3, 4]])
         np.testing.assert_array_equal(ds.y, [0, 1])
+
+    @pytest.mark.parametrize("col", [2, -3])
+    def test_label_column_at_either_end_accepted(self, tmp_path, col):
+        ds = load_csv(write(tmp_path, "0,1,2\n1,3,4\n"), label_col=col)
+        np.testing.assert_array_equal(ds.X, [[0, 1], [1, 3]] if col == 2
+                                      else [[1, 2], [3, 4]])
+        np.testing.assert_array_equal(ds.y, [0, 1])
+
+    @pytest.mark.parametrize("col", [3, 7, -4])
+    def test_label_column_out_of_range_rejected(self, tmp_path, col):
+        path = write(tmp_path, "0,1,2\n1,3,4\n")
+        with pytest.raises(CsvParseError, match=re.escape(
+                f"{path}: label column {col} is out of range for 3 columns")):
+            load_csv(path, label_col=col)
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfsepal,width,cls\n"
+                         b"5.1,3.5,A\n4.9,3.0,A\n5.1,3.8,B\n6.0,2.2,B\n")
+        assert path.read_bytes()[:3] == b"\xef\xbb\xbf"
+        ds = load_csv(path, header=True)
+        assert ds.feature_names == ["sepal", "width"]
+        np.testing.assert_array_equal(ds.X[:, 0], [5.1, 4.9, 5.1, 6.0])
+        path.write_bytes(b"\xef\xbb\xbf5.1,3.5,A\n4.9,3.0,A\n"
+                         b"5.1,3.8,B\n6.0,2.2,B\n")
+        np.testing.assert_array_equal(load_csv(path).X[:, 0],
+                                      [5.1, 4.9, 5.1, 6.0])
 
     def test_ragged_row_names_the_row(self, tmp_path):
         with pytest.raises(CsvParseError, match="row 2"):

@@ -230,7 +230,6 @@ class TestDistill:
 
     def test_full_loss_gradient_matches_finite_differences(self):
         from fuzzykd.distill import _distill_loss_grad, _prepare
-        from fuzzykd.student import _one_candidate
         rng = np.random.default_rng(10)
         for seed in range(6):
             rb, X, y, labels, t_out = three_class_setup(seed=seed, n=12)
@@ -238,10 +237,11 @@ class TestDistill:
             Xh, Y, y_idx = _prepare(sm, X, onehot_encode(y, 3))
             cfg = DistillConfig(0.01, 30, 1e-5, temperature=2.0)
             tsl = soft_labels(teacher_logits(t_out, labels), 2.0, y_idx)
-            lg = _one_candidate(_distill_loss_grad(Xh, Y, y_idx, [tsl], [cfg]))
+            lg = _distill_loss_grad(Xh, Y, y_idx, [tsl], [cfg])
+            idx = np.zeros(1, dtype=int)  # candidate 0 of a batch of one
             Q = rng.normal(scale=0.5, size=sm.coeffs.shape)
-            _, analytic, _ = lg(Q)
-            fd = fd_gradient(lambda q: lg(q)[0], Q)
+            analytic = lg(Q[None], idx)[1][0]
+            fd = fd_gradient(lambda q: lg(q[None], idx)[0][0], Q)
             denom = np.maximum(np.abs(fd), 1.0)
             assert (np.abs(analytic - fd) / denom).max() < 1e-4
 

@@ -1,10 +1,13 @@
 """Golden reports: the grid search's `--no-time` output is pinned.
 
 Each report is run_method on a bundled dataset with a two-K coarse grid
-(16 distill-dkd or 16 distill-kd candidates, 3 outer folds, so every
-outer fold runs the inner search), formatted without wall times. The
-expected text was recorded at commit cc7a0c1, where each candidate was
-fit on its own, so it does not come from the lock-step engine it checks.
+(16 distill-dkd or 16 distill-kd candidates, or the 2 student-only ones,
+3 outer folds, so every outer fold runs the inner search), formatted
+without wall times. The distill text was recorded at commit cc7a0c1,
+where each candidate was fit on its own, so it does not come from the
+lock-step engine it checks. The student-only text was recorded at commit
+eba8639, where a one-candidate fit ran through its own scalar L-BFGS
+loop, before every student fit went through the batch driver.
 """
 import pytest
 
@@ -68,6 +71,26 @@ GOLDEN = {
         "aggregate dataset=wine method=distill-kd seed=2 "
         "acc_mean=0.988700565 acc_std=0.009785598 wf_mean=0.988695042 "
         "wf_std=0.009790748 rules_mean=4.0000 failed=0\n"),
+    ("student-only", "iris"): (
+        "fold dataset=iris method=student-only seed=2 fold=0 params=K:4 "
+        "acc=0.960000000 wf=0.959777778 rules=4\n"
+        "fold dataset=iris method=student-only seed=2 fold=1 params=K:4 "
+        "acc=0.940000000 wf=0.939889401 rules=4\n"
+        "fold dataset=iris method=student-only seed=2 fold=2 params=K:4 "
+        "acc=1.000000000 wf=1.000000000 rules=4\n"
+        "aggregate dataset=iris method=student-only seed=2 "
+        "acc_mean=0.966666667 acc_std=0.030550505 wf_mean=0.966555726 "
+        "wf_std=0.030623136 rules_mean=4.0000 failed=0\n"),
+    ("student-only", "wine"): (
+        "fold dataset=wine method=student-only seed=2 fold=0 params=K:8 "
+        "acc=0.950000000 wf=0.949671337 rules=8\n"
+        "fold dataset=wine method=student-only seed=2 fold=1 params=K:8 "
+        "acc=0.983050847 wf=0.982957784 rules=8\n"
+        "fold dataset=wine method=student-only seed=2 fold=2 params=K:4 "
+        "acc=0.966101695 wf=0.966129458 rules=4\n"
+        "aggregate dataset=wine method=student-only seed=2 "
+        "acc_mean=0.966384181 acc_std=0.016527234 wf_mean=0.966252860 "
+        "wf_std=0.016643567 rules_mean=6.6667 failed=0\n"),
 }
 
 

@@ -8,9 +8,9 @@ from fuzzykd.data import normalize
 from fuzzykd.rules import RuleBase, build_rule_base
 from fuzzykd.student import (StudentModel, TrainConfig, TrainingDiverged,
                              _lbfgs_direction, cross_entropy, design_matrix,
-                             gradient_descent, init_student, onehot_encode,
-                             predict_student, softmax, student_logits,
-                             train_student)
+                             gradient_descent_batch, init_student,
+                             onehot_encode, predict_student, softmax,
+                             student_logits, train_student)
 
 
 def toy_separable():
@@ -195,24 +195,26 @@ class TestTrainStudent:
         Xh, Y = design_matrix(sm, X), onehot_encode(y, 3)
         calls = []
 
-        def loss_grad(Q):
+        def loss_grad(Q, idx):  # one candidate, on a leading axis
             calls.append(1)
-            p = softmax(Xh @ Q)
-            return cross_entropy(p, Y), Xh.T @ (p - Y), {}
+            p = softmax(Xh @ Q[0])
+            return (np.array([cross_entropy(p, Y)]), (Xh.T @ (p - Y))[None],
+                    {})
 
-        _, trace = gradient_descent(sm.coeffs, loss_grad,
-                                    TrainConfig(tol=0.0))
+        ((_, trace),) = gradient_descent_batch(sm.coeffs[None], loss_grad,
+                                               TrainConfig(tol=0.0))
         assert len(calls) == TrainConfig().max_epochs + 1 == 60
         assert len(trace) <= 59
 
     def test_loss_error_propagates_unchanged(self):
         # only a non-finite total or trial point means divergence; any other
         # error of the loss is a fault and keeps its own message
-        def loss_grad(Q):
+        def loss_grad(Q, idx):
             raise ValueError("bug in the loss")
 
         with pytest.raises(ValueError, match="bug in the loss"):
-            gradient_descent(np.zeros((2, 2)), loss_grad, TrainConfig())
+            gradient_descent_batch(np.zeros((1, 2, 2)), loss_grad,
+                                   TrainConfig())
 
     def test_lbfgs_direction_matches_explicit_bfgs_matrix(self):
         # BFGS inverse-Hessian updates H <- V^T H V + rho s s^T, with
@@ -254,6 +256,40 @@ class TestTrainStudent:
         fd = fd_gradient(loss, Q0)
         denom = np.maximum(np.abs(fd), 1.0)
         assert (np.abs(analytic - fd) / denom).max() < 1e-4
+
+
+class TestGradientDescentBatch:
+    @staticmethod
+    def half_square(nan_at):
+        """0.5 * ||Q||^2 per candidate, except a nan total (at a finite
+        point) at candidate i's nan_at[i]-th evaluation."""
+        evaluations = np.zeros(3, dtype=int)
+
+        def loss_grad(Q, idx):
+            evaluations[idx] += 1
+            totals = 0.5 * (Q ** 2).reshape(len(Q), -1).sum(axis=1)
+            totals[evaluations[idx] == [nan_at.get(i, 0)
+                                        for i in idx.tolist()]] = np.nan
+            return totals, Q.copy(), {}
+
+        return loss_grad
+
+    def test_non_finite_totals_end_only_their_own_fit(self):
+        Q0 = np.stack([np.full((2, 2), v) for v in (1.0, 2.0, -3.0)])
+        cfg = TrainConfig(tol=0.0)
+        # candidate 1 at its start; candidate 2 at the first trial point
+        # of its second epoch (evaluation 1 is Q0, 2 the first epoch's)
+        outcomes = gradient_descent_batch(
+            Q0, self.half_square({1: 1, 2: 3}), cfg)
+        for i, epoch in ((1, 1), (2, 2)):
+            assert isinstance(outcomes[i], TrainingDiverged)
+            assert outcomes[i].epoch == epoch
+            assert outcomes[i].__traceback__ is None
+        ((Q, trace),) = gradient_descent_batch(Q0[:1], self.half_square({}),
+                                               cfg)
+        np.testing.assert_array_equal(outcomes[0][0], Q)
+        assert outcomes[0][1] == trace
+        assert trace[-1]["total"] == 0.0
 
 
 class TestStudentModelValidation:
