@@ -18,10 +18,10 @@ import numpy as np
 from .basis import MAX_ORDER
 from .data import load_csv, normalize
 from .distill import trace_lines
-from .harness import (SWEEP_PARAMETERS, GridSpec, candidates, fit_method,
+from .harness import (SWEEP_PARAMETERS, GridSpec, candidates, fit_candidates,
                       format_report, run_method, rule_readout, sweep)
 from .serialize import load_model, save_model
-from .student import STUDENT_ORDER
+from .student import STUDENT_ORDER, _sole
 from .teacher import TEACHER_ORDER, predict_teacher
 
 ENV_PREFIX = "FUZZYKD_"
@@ -163,14 +163,16 @@ def _grid(args) -> GridSpec:
 
 
 def _fit_and_save(args, method: str, teacher_seed: int):
-    """fit_method on all of --data, normalized; saves the model to --out."""
+    """Fits the method's one candidate (fit_candidates) on all of --data,
+    normalized, and saves the model to --out; raises TrainingDiverged."""
     if not args.out:
         raise SystemExit(f"{args.command} requires --out for the model file")
     ds = _load(args)
     X, _, _ = normalize(ds.X)
     grid = _grid(args)
-    model, trace = fit_method(method, candidates(method, grid)[0], grid, X,
-                              ds.y, ds.n_classes, teacher_seed, args.seed)
+    model, trace = _sole(fit_candidates(method, candidates(method, grid)[:1],
+                                        grid, X, ds.y, ds.n_classes,
+                                        teacher_seed, args.seed))
     save_model(model, args.out)
     return model, trace, X, ds
 
@@ -232,8 +234,18 @@ def _cmd_sweep(args) -> None:
 
 def _cmd_explain(args) -> None:
     model = load_model(args.model)
-    sample = np.array([float(v) for v in args.sample.split(",")])
-    _emit(rule_readout(model, sample), args.out)
+    sample = []
+    for i, value in enumerate(args.sample.split(","), 1):
+        try:
+            sample.append(float(value))
+        except ValueError:
+            raise ValueError(f"--sample value {i} is not a number: "
+                             f"{value!r}") from None
+    n_features = model.rule_base.n_features
+    if len(sample) != n_features:
+        raise ValueError(f"--sample has {len(sample)} values, but the model "
+                         f"has {n_features} features")
+    _emit(rule_readout(model, np.array(sample)), args.out)
 
 
 _COMMANDS = {

@@ -56,12 +56,18 @@ def load_csv(path, header: bool = False, label_col: int = -1) -> Dataset:
     feature columns are parsed as floats; columns containing any
     non-numeric cell are encoded as integers in first-appearance order.
     Numeric labels are mapped to 0..C-1 by sorted value, non-numeric labels
-    in first-appearance order. Missing cells, ragged rows and numeric cells
-    that parse to nan or +-inf are rejected.
+    in first-appearance order. Missing cells, ragged rows, numeric cells
+    that parse to nan or +-inf and text the csv module cannot parse (such
+    as a field over its size limit) are rejected.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = [row for row in csv.reader(fh)
-                if row and any(cell.strip() for cell in row)]
+        reader = csv.reader(fh)
+        try:
+            rows = [row for row in reader
+                    if row and any(cell.strip() for cell in row)]
+        except csv.Error as exc:
+            raise CsvParseError(f"{path}: line {reader.line_num}: "
+                                f"{exc}") from None
     if not rows:
         raise CsvParseError(f"{path}: file contains no data rows")
     names = None

@@ -13,7 +13,7 @@ from .data import Dataset, normalize, stratified_folds
 from .distill import DistillConfig, distill_batch, teacher_logits
 from .rules import PARTITION, PARTITION_LABELS, build_rule_base
 from .student import (STUDENT_ORDER, StudentModel, TrainConfig,
-                      TrainingDiverged, _sole, init_student, onehot_encode,
+                      TrainingDiverged, init_student, onehot_encode,
                       predict_student, train_student)
 from .teacher import (TEACHER_ORDER, TeacherModel, fit_teacher,
                       predict_teacher)
@@ -176,32 +176,29 @@ def candidates(method: str, grid: GridSpec) -> list[dict]:
     return [dict(zip(keys, combo)) for combo in itertools.product(*values)]
 
 
-def fit_method(method: str, params: dict, grid: GridSpec, X, y,
-               n_classes: int, teacher_seed: int, student_seed: int):
-    """Fit one method's model on (X, y) with one candidate's params.
-
-    The one-candidate case of fit_candidates. Returns (model, loss trace),
-    the trace empty for a teacher; raises TrainingDiverged.
-    """
-    return _sole(fit_candidates(method, [params], grid, X, y, n_classes,
-                                teacher_seed, student_seed))
-
-
 def fit_candidates(method: str, group: list[dict], grid: GridSpec, X, y,
                    n_classes: int, teacher_seed: int,
                    student_seed: int) -> list:
     """Fit one method's model on (X, y) for each candidate of one K.
 
-    grid supplies the fixed constants; the rule bases are drawn with
+    grid supplies the fixed constants. A student's training settings are
+    checked for every candidate before the first fit, so a bad setting
+    costs no rule base or teacher fit. The rule bases are drawn with
     teacher_seed and student_seed. The candidates share the rule bases, the
     teacher fit and its outputs, and the student's design matrix, and the
     distilled students train together (distill_batch). Returns, per
     candidate, (model, loss trace), the trace empty for a teacher, or the
-    TrainingDiverged that ended its fit.
+    TrainingDiverged that ended its fit. The harness fits through
+    _fit_predict; the CLI calls this directly for its one candidate.
     """
     fit, order = _parse_method(method)
     if len({params["K"] for params in group}) != 1:
         raise ValueError("the candidates must share one rule count K")
+    config = TrainConfig if fit == "gd" else DistillConfig
+    cfgs = [] if fit == "llm" else [
+        config(grid.lr, grid.max_epochs, grid.tol,
+               **{_KEYS[key][1]: v for key, v in params.items() if key != "K"})
+        for params in group]
     class_labels = np.arange(n_classes, dtype=float)
 
     def rule_base(seed):
@@ -214,17 +211,12 @@ def fit_candidates(method: str, group: list[dict], grid: GridSpec, X, y,
     Y = onehot_encode(y, n_classes)
     if fit == "gd":
         try:
-            fitted = train_student(sm, X, Y, TrainConfig(grid.lr,
-                                                         grid.max_epochs,
-                                                         grid.tol))
+            fitted = train_student(sm, X, Y, cfgs[0])
         except TrainingDiverged as exc:
             fitted = exc
         return [fitted] * len(group)
     tm = fit_teacher(rule_base(teacher_seed), X, y.astype(float), grid.reg,
                      class_labels)
-    cfgs = [DistillConfig(grid.lr, grid.max_epochs, grid.tol,
-                          **{_KEYS[key][1]: v for key, v in params.items()
-                             if key != "K"}) for params in group]
     kd_weights = [params["lam"] for params in group] if fit == "kd" else None
     return distill_batch(predict_teacher(tm, X), sm, X, Y, cfgs,
                          class_labels, kd_weights)
@@ -239,12 +231,27 @@ def predict_class(model, X: np.ndarray) -> np.ndarray:
     return model.class_labels[nearest].astype(int)
 
 
-def _fit_predict(method: str, params: dict, grid: GridSpec,
-                 Xtr, ytr, Xte, n_classes: int, seed: int, fold: int):
-    model, _ = fit_method(method, params, grid, Xtr, ytr, n_classes,
-                          _rb_seed(seed, fold, student_side=False),
-                          _rb_seed(seed, fold, student_side=True))
-    return predict_class(model, Xte)
+def _fit_predict(method: str, group: list[dict], grid: GridSpec,
+                 Xtr, ytr, Xte, n_classes: int, seed: int, fold: int) -> list:
+    """Fit one K's candidates on (Xtr, ytr) with the fold's rule-base seeds
+    (fit_candidates); per candidate, the predicted classes of Xte or the
+    TrainingDiverged that ended its fit."""
+    outcomes = fit_candidates(method, group, grid, Xtr, ytr, n_classes,
+                              _rb_seed(seed, fold, student_side=False),
+                              _rb_seed(seed, fold, student_side=True))
+    return [outcome if isinstance(outcome, TrainingDiverged)
+            else predict_class(outcome[0], Xte) for outcome in outcomes]
+
+
+def _record(fold: int, params: dict, pred, yte) -> FoldRecord:
+    """A fold's scores of pred, or its error if pred is a TrainingDiverged."""
+    record = FoldRecord(fold, params, n_rules=params["K"])
+    if isinstance(pred, TrainingDiverged):
+        record.error = str(pred)
+    else:
+        record.accuracy = accuracy(pred, yte)
+        record.weighted_f = weighted_f(pred, yte)
+    return record
 
 
 def _select_params(method, candidates, grid, Xtr, ytr, n_classes, seed, fold):
@@ -264,9 +271,9 @@ def _select_params(method, candidates, grid, Xtr, ytr, n_classes, seed, fold):
 def _inner_scores(method, candidates, grid, Xtr, ytr, n_classes, seed, fold):
     """Mean inner 3-fold CV accuracy of each candidate on the training split.
 
-    Each inner fold fits the candidates of one K together (fit_candidates):
+    Each inner fold fits the candidates of one K together (_fit_predict):
     one teacher fit and one lock-step student training per (K, inner fold).
-    A fit that diverged scores 0 on its fold.
+    A fit that diverged scores 0 on its fold. Only accuracy is computed.
     """
     inner = stratified_folds(ytr, 3, seed=seed * 7919 + fold)
     by_k: dict = {}
@@ -276,14 +283,12 @@ def _inner_scores(method, candidates, grid, Xtr, ytr, n_classes, seed, fold):
     for f in range(inner.k):
         tr, te = inner.split(f)
         for members in by_k.values():
-            outcomes = fit_candidates(
-                method, [candidates[i] for i in members], grid, Xtr[tr],
-                ytr[tr], n_classes, _rb_seed(seed, fold, student_side=False),
-                _rb_seed(seed, fold, student_side=True))
-            for i, outcome in zip(members, outcomes):
-                if not isinstance(outcome, TrainingDiverged):
-                    accs[i, f] = accuracy(predict_class(outcome[0], Xtr[te]),
-                                          ytr[te])
+            preds = _fit_predict(method, [candidates[i] for i in members],
+                                 grid, Xtr[tr], ytr[tr], Xtr[te], n_classes,
+                                 seed, fold)
+            for i, pred in zip(members, preds):
+                if not isinstance(pred, TrainingDiverged):
+                    accs[i, f] = accuracy(pred, ytr[te])
     return [float(np.mean(row)) for row in accs]
 
 
@@ -292,9 +297,11 @@ def run_method(method: str, ds: Dataset, grid: GridSpec, seed: int,
                global_normalize: bool = False) -> MethodReport:
     """Outer CV evaluation of one method; one record per fold.
 
-    A diverged fold is recorded with its error message and excluded from the
-    aggregates, never silently dropped. Wall time covers the final fit and
-    prediction, not data handling or the inner search.
+    A fold selects its candidate (_select_params), then fits and predicts
+    it in one _fit_predict call. A diverged fold is recorded with its error
+    message and excluded from the aggregates, never silently dropped. Wall
+    time covers the final fit and prediction, not data handling, scoring
+    or the inner search.
     """
     _parse_method(method)
     report = MethodReport(method, dataset_name, seed)
@@ -302,17 +309,12 @@ def run_method(method: str, ds: Dataset, grid: GridSpec, seed: int,
                                                  global_normalize):
         params = _select_params(method, candidates(method, grid), grid,
                                 Xtr, ytr, ds.n_classes, seed, fold)
-        record = FoldRecord(fold, params, n_rules=params["K"])
         t0 = time.perf_counter()
-        try:
-            pred = _fit_predict(method, params, grid, Xtr, ytr, Xte,
-                                ds.n_classes, seed, fold)
-            record.seconds = time.perf_counter() - t0
-            record.accuracy = accuracy(pred, yte)
-            record.weighted_f = weighted_f(pred, yte)
-        except TrainingDiverged as exc:
-            record.seconds = time.perf_counter() - t0
-            record.error = str(exc)
+        (pred,) = _fit_predict(method, [params], grid, Xtr, ytr, Xte,
+                               ds.n_classes, seed, fold)
+        seconds = time.perf_counter() - t0
+        record = _record(fold, params, pred, yte)
+        record.seconds = seconds
         report.records.append(record)
     return report
 
@@ -347,8 +349,8 @@ def sweep(parameter: str, ds: Dataset, grid: GridSpec, seed: int,
     names; lambda/zeta sets lambda = value * zeta, (lambda+zeta)/phi sets
     phi = (lambda + zeta) / value. Other settings take their first candidate.
     Each point is scored as run_method scores a one-candidate grid, all
-    points of an outer fold fitting together (fit_candidates); diverged
-    folds are left out of a point's mean and std.
+    points of an outer fold fitting together in one _fit_predict call;
+    diverged folds are left out of a point's mean and std.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ValueError(f"unknown sweep parameter {parameter!r}")
@@ -367,18 +369,10 @@ def sweep(parameter: str, ds: Dataset, grid: GridSpec, seed: int,
     reports = [MethodReport("distill-dkd", dataset_name, seed)
                for _ in points]
     for fold, Xtr, ytr, Xte, yte in _outer_folds(ds, grid, seed):
-        outcomes = fit_candidates(
-            "distill-dkd", points, grid, Xtr, ytr, ds.n_classes,
-            _rb_seed(seed, fold, student_side=False),
-            _rb_seed(seed, fold, student_side=True))
-        for rep, params, outcome in zip(reports, points, outcomes):
-            record = FoldRecord(fold, params, n_rules=params["K"])
-            if isinstance(outcome, TrainingDiverged):
-                record.error = str(outcome)
-            else:
-                record.accuracy = accuracy(predict_class(outcome[0], Xte),
-                                           yte)
-            rep.records.append(record)
+        preds = _fit_predict("distill-dkd", points, grid, Xtr, ytr, Xte,
+                             ds.n_classes, seed, fold)
+        for rep, params, pred in zip(reports, points, preds):
+            rep.records.append(_record(fold, params, pred, yte))
     return [{"parameter": parameter, "value": value,
              "mean_accuracy": rep.mean_accuracy(),
              "std_accuracy": rep.std_accuracy()}

@@ -111,6 +111,25 @@ def test_explain_rejects_non_finite_sample(tmp_path, iris_csv, capsys):
                             "row 1, column 1\n")
 
 
+@pytest.mark.parametrize("sample, message", [
+    ("0.2,abc,0.1,0.3", "--sample value 2 is not a number: 'abc'"),
+    ("0.2,0.4,", "--sample value 3 is not a number: ''"),
+    ("0.2,0.4,0.1", "--sample has 3 values, but the model has 4 features"),
+    ("0.2,0.4,0.1,0.3,0.5",
+     "--sample has 5 values, but the model has 4 features")])
+def test_explain_bad_sample_located(tmp_path, iris_csv, capsys, sample,
+                                    message):
+    model = tmp_path / "teacher.json"
+    main(["train-teacher", "--data", iris_csv, "--rules", "2",
+          "--seed", "1", "--out", str(model)])
+    capsys.readouterr()
+    rc = main(["explain", "--model", str(model), "--sample", sample])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"fuzzykd: error: {message}\n"
+
+
 def test_env_var_override(tmp_path, iris_csv, monkeypatch, capsys):
     monkeypatch.setenv("FUZZYKD_EPOCHS", "2")
     out = tmp_path / "student.json"
@@ -145,6 +164,15 @@ def test_label_column_out_of_range_exits_nonzero(iris_csv, capsys):
     assert "label column 5 is out of range for 5 columns" in err
 
 
+def test_unparseable_csv_exits_2(tmp_path, capsys):
+    path = tmp_path / "big.csv"
+    path.write_text("1,2,0\n3,\"" + "x" * 131_073 + "\",1\n")
+    rc = main(["evaluate", "--data", str(path), "--no-time"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"fuzzykd: error: {path}: line 2: ")
+
+
 def test_gridsearch_small(tmp_path):
     # tiny synthetic file keeps the coarse grid tractable
     rng = np.random.default_rng(0)
@@ -176,10 +204,10 @@ def test_more_folds_than_rows_located(tmp_path, capsys):
 
 def test_missing_out_checked_before_fitting(iris_csv, monkeypatch):
     def no_fit(*args, **kwargs):
-        raise AssertionError("fit_method called")
+        raise AssertionError("fit_candidates called")
 
     monkeypatch.delenv("FUZZYKD_OUT", raising=False)
-    monkeypatch.setattr(cli, "fit_method", no_fit)
+    monkeypatch.setattr(cli, "fit_candidates", no_fit)
     with pytest.raises(SystemExit, match="requires --out"):
         main(["train-student", "--data", iris_csv])
 

@@ -89,6 +89,16 @@ class TestLoadCsv:
         np.testing.assert_array_equal(ds.X[:, 0], [0, 1, 0])
         assert ds.class_names == ["A", "nan"]
 
+    def test_unparseable_text_located(self, tmp_path):
+        # one quoted cell over the csv module's default 131072-character
+        # field limit, on the file's second line
+        big = '"' + "x" * 131_073 + '"'
+        path = write(tmp_path, f"1,2,0\n3,{big},1\n5,6,0\n")
+        with pytest.raises(CsvParseError,
+                           match=r"data\.csv: line 2: field larger than "
+                                 r"field limit"):
+            load_csv(path)
+
     def test_empty_file_rejected(self, tmp_path):
         with pytest.raises(CsvParseError, match="no data"):
             load_csv(write(tmp_path, "\n"))

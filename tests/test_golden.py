@@ -1,18 +1,23 @@
 """Golden reports: the grid search's `--no-time` output is pinned.
 
 Each report is run_method on a bundled dataset with a two-K coarse grid
-(16 distill-dkd or 16 distill-kd candidates, or the 2 student-only ones,
-3 outer folds, so every outer fold runs the inner search), formatted
-without wall times. The distill text was recorded at commit cc7a0c1,
-where each candidate was fit on its own, so it does not come from the
-lock-step engine it checks. The student-only text was recorded at commit
-eba8639, where a one-candidate fit ran through its own scalar L-BFGS
-loop, before every student fit went through the batch driver.
+(16 distill-dkd or 16 distill-kd candidates, or the 2 student-only or
+teacher-only ones, 3 outer folds, so every outer fold runs the inner
+search), formatted without wall times. The distill text was recorded at
+commit cc7a0c1, where each candidate was fit on its own, so it does not
+come from the lock-step engine it checks. The student-only text was
+recorded at commit eba8639, where a one-candidate fit ran through its own
+scalar L-BFGS loop, before every student fit went through the batch
+driver. The teacher-only text and the lambda sweep were recorded at
+commit 0cc58bf, where run_method, sweep and the inner search each wrote
+their own fit-and-predict step, before the three shared one.
 """
+from dataclasses import replace
+
 import pytest
 
 from fuzzykd.data import load_bundled
-from fuzzykd.harness import GridSpec, format_report, run_method
+from fuzzykd.harness import GridSpec, format_report, run_method, sweep
 
 GRID = GridSpec.coarse(rule_counts=(4, 8), temperatures=(1, 2),
                        non_target_weights=(1, 2), ce_weights=(1, 2), folds=3)
@@ -91,7 +96,30 @@ GOLDEN = {
         "aggregate dataset=wine method=student-only seed=2 "
         "acc_mean=0.966384181 acc_std=0.016527234 wf_mean=0.966252860 "
         "wf_std=0.016643567 rules_mean=6.6667 failed=0\n"),
+    ("teacher-only", "wine"): (
+        "fold dataset=wine method=teacher-only seed=2 fold=0 params=K:8 "
+        "acc=0.933333333 wf=0.933015873 rules=8\n"
+        "fold dataset=wine method=teacher-only seed=2 fold=1 params=K:8 "
+        "acc=0.983050847 wf=0.983119329 rules=8\n"
+        "fold dataset=wine method=teacher-only seed=2 fold=2 params=K:8 "
+        "acc=0.915254237 wf=0.914973777 rules=8\n"
+        "aggregate dataset=wine method=teacher-only seed=2 "
+        "acc_mean=0.943879473 acc_std=0.035107134 wf_mean=0.943702993 "
+        "wf_std=0.035307435 rules_mean=8.0000 failed=0\n"),
 }
+
+# sweep("lambda") on wine at K 4 over the default six lambda candidates,
+# 3 outer folds, seed 2, in the lines `fuzzykd sweep` prints
+SWEEP_LAMBDA_WINE = (
+    "sweep parameter=lambda value=1 acc_mean=0.988700565 acc_std=0.009785598\n"
+    "sweep parameter=lambda value=2 acc_mean=0.988700565 acc_std=0.009785598\n"
+    "sweep parameter=lambda value=5 acc_mean=0.988700565 acc_std=0.009785598\n"
+    "sweep parameter=lambda value=10 acc_mean=0.983239171 "
+    "acc_std=0.016667465\n"
+    "sweep parameter=lambda value=20 acc_mean=0.971939736 "
+    "acc_std=0.009626650\n"
+    "sweep parameter=lambda value=100 acc_mean=0.943785311 "
+    "acc_std=0.010039184\n")
 
 
 @pytest.mark.parametrize("method, dataset", sorted(GOLDEN))
@@ -99,3 +127,13 @@ def test_report_matches_golden(method, dataset):
     report = run_method(method, load_bundled(dataset), GRID, SEED, dataset)
     assert format_report([report], include_time=False) == \
         GOLDEN[method, dataset]
+
+
+def test_lambda_sweep_matches_golden():
+    grid = replace(GridSpec.fixed(n_rules=4, folds=3),
+                   non_target_weights=GridSpec().non_target_weights)
+    records = sweep("lambda", load_bundled("wine"), grid, seed=2)
+    assert "".join(f"sweep parameter={r['parameter']} value={r['value']:g} "
+                   f"acc_mean={r['mean_accuracy']:.9f} "
+                   f"acc_std={r['std_accuracy']:.9f}\n"
+                   for r in records) == SWEEP_LAMBDA_WINE

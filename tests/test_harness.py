@@ -184,12 +184,47 @@ class TestRunMethod:
 
     def test_more_folds_than_samples_stops_before_fitting(self, monkeypatch):
         def no_fit(*args, **kwargs):
-            raise AssertionError("fit_method called")
+            raise AssertionError("fit_candidates called")
 
-        monkeypatch.setattr(harness, "fit_method", no_fit)
+        monkeypatch.setattr(harness, "fit_candidates", no_fit)
         with pytest.raises(ValueError, match="6 samples into 10 folds"):
             run_method("student-only", toy_dataset(n_per_class=3),
                        GridSpec.fixed(folds=10), seed=0)
+
+    @pytest.mark.parametrize("grid, message", [
+        (GridSpec.fixed(lr=0.0), "learning rate must be positive"),
+        (GridSpec.fixed(max_epochs=0), "max_epochs must be at least 1"),
+        (GridSpec.fixed(temperature=-1), "temperature must be positive"),
+        (GridSpec.fixed(target_weight=0, non_target_weight=0, ce_weight=0),
+         "at least one loss weight must be non-zero"),
+        # the inner search's first fit holds the bad candidate's config
+        (GridSpec.coarse(rule_counts=(2, 3), temperatures=(1, -2),
+                         non_target_weights=(1,), ce_weights=(1,)),
+         "temperature must be positive")])
+    def test_bad_settings_fail_before_the_teacher_fit(self, grid, message,
+                                                      monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit_teacher called")
+
+        monkeypatch.setattr(harness, "fit_teacher", no_fit)
+        with pytest.raises(ValueError, match=message):
+            run_method("distill-dkd", load_bundled("wine"), grid, 0)
+
+    def test_bad_student_setting_fails_before_the_rule_base(self,
+                                                            monkeypatch):
+        def no_rule_base(*args, **kwargs):
+            raise AssertionError("build_rule_base called")
+
+        monkeypatch.setattr(harness, "build_rule_base", no_rule_base)
+        with pytest.raises(ValueError, match="learning rate must be positive"):
+            run_method("student-only", toy_dataset(), GridSpec.fixed(lr=0.0),
+                       0)
+
+    def test_infinite_learning_rate_still_accepted(self):
+        grid = GridSpec.fixed(n_rules=2, folds=2, lr=float("inf"))
+        with np.errstate(all="ignore"):
+            rep = run_method("distill-dkd", toy_dataset(), grid, seed=0)
+        assert rep.n_failed() == 2
 
 
 class TestInnerSearch:
