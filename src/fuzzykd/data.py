@@ -63,8 +63,8 @@ def load_csv(path, header: bool = False, label_col: int = -1) -> Dataset:
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
-            rows = [row for row in reader
-                    if row and any(cell.strip() for cell in row)]
+            rows = [row for row in ([cell.strip() for cell in row]
+                                    for row in reader) if any(row)]
         except csv.Error as exc:
             raise CsvParseError(f"{path}: line {reader.line_num}: "
                                 f"{exc}") from None
@@ -72,7 +72,7 @@ def load_csv(path, header: bool = False, label_col: int = -1) -> Dataset:
         raise CsvParseError(f"{path}: file contains no data rows")
     names = None
     if header:
-        names = [cell.strip() for cell in rows[0]]
+        names = rows[0]
         rows = rows[1:]
         if not rows:
             raise CsvParseError(f"{path}: no data rows after the header")
@@ -85,7 +85,7 @@ def load_csv(path, header: bool = False, label_col: int = -1) -> Dataset:
             raise CsvParseError(f"{path}: row {i + 1} has {len(row)} cells, "
                                 f"expected {width}")
         for j, cell in enumerate(row):
-            if cell.strip() == "":
+            if cell == "":
                 raise CsvParseError(f"{path}: missing value at row {i + 1}, "
                                     f"column {j + 1}")
     label_col = label_col % width
@@ -94,14 +94,14 @@ def load_csv(path, header: bool = False, label_col: int = -1) -> Dataset:
 
     X = np.empty((len(rows), len(feat_idx)))
     for out_j, j in enumerate(feat_idx):
-        values = [cell.strip() for cell in cols[j]]
+        values = cols[j]
         parsed = _numeric_column(path, values, j)
         if parsed is None:
             codes: dict[str, int] = {}
             parsed = [codes.setdefault(v, len(codes)) for v in values]
         X[:, out_j] = parsed
 
-    labels = [cell.strip() for cell in cols[label_col]]
+    labels = cols[label_col]
     numeric = _numeric_column(path, labels, label_col)
     if numeric is not None:
         uniq = sorted(set(numeric))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .student import (EPS, StudentModel, TrainConfig, TrainingDiverged,
+from .student import (EPS, StudentModel, TrainConfig, TrainingDiverged, _log,
                       _softmax, _sole, _training_data, gradient_descent_batch,
                       softmax)
 
@@ -24,7 +24,8 @@ class DistillConfig(TrainConfig):
     """Distillation weights on top of the base training loop parameters.
 
     non_target_weight may be a per-sample array (used e.g. to reweight by
-    the teacher's non-target mass); the three weights must not all be zero.
+    the teacher's non-target mass). The temperature and every weight must
+    be finite, and the three weights must not all be zero.
     """
     temperature: float = 2.0
     target_weight: float = 1.0
@@ -33,11 +34,15 @@ class DistillConfig(TrainConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if not self.temperature > 0:
-            raise ValueError("temperature must be positive")
+        if not 0 < self.temperature < np.inf:
+            raise ValueError(f"temperature must be positive and finite, got "
+                             f"{self.temperature}")
         lam = np.asarray(self.non_target_weight, dtype=float)
-        if (lam < 0).any() or self.target_weight < 0 or self.ce_weight < 0:
-            raise ValueError("distillation weights must be non-negative")
+        for name, w in (("target_weight", self.target_weight),
+                        ("non_target_weight", lam),
+                        ("ce_weight", self.ce_weight)):
+            if not np.all((0 <= w) & (w < np.inf)):
+                raise ValueError(f"{name} must be finite and non-negative")
         if self.target_weight == 0 and self.ce_weight == 0 and not lam.any():
             raise ValueError("at least one loss weight must be non-zero")
 
@@ -92,10 +97,6 @@ def _check_pair(teacher: SoftLabelSet, student: SoftLabelSet) -> None:
         raise ValueError("teacher and student soft labels disagree on shape")
     if not np.array_equal(teacher.target_index, student.target_index):
         raise ValueError("teacher and student target indices disagree")
-
-
-def _log(p: np.ndarray) -> np.ndarray:
-    return np.log(np.maximum(p, EPS))
 
 
 def _kl_rows(p: np.ndarray, q: np.ndarray,
@@ -175,14 +176,12 @@ def _distill_loss_grad(Xh, Y, y_idx, teachers, cfgs):
         coeff = (-a / pt + not_a / (1.0 - pt)) * pt / tau[:, :, 0]
         g_tckl = coeff[:, :, None] * (Y - u)
 
+        # C = 2: one non-target cell per row, softmax 1, NCKL and grad 0
+        s_rest = _softmax(logits.reshape(b, -1)[:, others]
+                          .reshape(b, n, c - 1), tau)
+        nckl_rows = _kl_rows(t_rest, s_rest, log_t_rest)
         g_nckl = np.zeros((b, n * c))
-        if c > 2:
-            s_rest = _softmax(logits.reshape(b, -1)[:, others]
-                              .reshape(b, n, c - 1), tau)
-            nckl_rows = _kl_rows(t_rest, s_rest, log_t_rest)
-            g_nckl[:, others] = ((s_rest - t_rest) / tau).reshape(b, -1)
-        else:
-            nckl_rows = np.zeros((b, n))
+        g_nckl[:, others] = ((s_rest - t_rest) / tau).reshape(b, -1)
 
         g = (zeta * g_tckl + lam * g_nckl.reshape(b, n, c) +
              phi * (p1 - Y))
@@ -246,7 +245,12 @@ def distill_batch(teacher_out: np.ndarray, sm: StudentModel, X: np.ndarray,
     if len({(cfg.lr, cfg.max_epochs, cfg.tol) for cfg in cfgs}) != 1:
         raise ValueError("need at least one config, all with the same lr, "
                          "max_epochs and tol")
-    Xh, Y, y_idx = _prepare(sm, X, y_onehot)
+    Xh, Y, y_idx = _training_data(sm, X, y_onehot)
+    for cfg in cfgs:
+        if np.shape(cfg.non_target_weight) not in ((), (len(Y),)):
+            raise ValueError(f"non_target_weight has "
+                             f"{np.size(cfg.non_target_weight)} values, "
+                             f"expected one per row ({len(Y)})")
     if class_labels is None:
         class_labels = np.arange(Y.shape[1], dtype=float)
     logits = teacher_logits(teacher_out, class_labels)
@@ -263,11 +267,6 @@ def distill_batch(teacher_out: np.ndarray, sm: StudentModel, X: np.ndarray,
     return [out if isinstance(out, TrainingDiverged) else
             (StudentModel(sm.rule_base, out[0], sm.n_classes, sm.order),
              out[1]) for out in outcomes]
-
-
-def _prepare(sm: StudentModel, X, y_onehot):
-    Xh, Y = _training_data(sm, X, y_onehot)
-    return Xh, Y, Y.argmax(axis=1)
 
 
 def trace_lines(trace: list[dict]) -> list[str]:

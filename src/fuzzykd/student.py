@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from scipy.linalg.blas import daxpy, ddot
@@ -24,6 +25,10 @@ STUDENT_ORDER = 1
 LBFGS_MEMORY = 10  # curvature pairs kept by the quasi-Newton update
 ARMIJO_C1 = 1e-4   # sufficient-decrease constant of the line search
 BACKTRACK = 0.5    # step shrink factor after a rejected trial
+
+
+def _log(p: np.ndarray) -> np.ndarray:
+    return np.log(np.maximum(p, EPS))
 
 
 class TrainingDiverged(RuntimeError):
@@ -46,7 +51,8 @@ class TrainConfig:
     epochs. The default 59 (60 evaluations) is set by cost, equal to 30
     epochs of fixed-step descent at one gradient and one loss each; it is
     not tuned for accuracy. tol stops the fit once an epoch after the first
-    lowers the total loss by tol or less.
+    lowers the total loss by tol or less. max_epochs must be an integer and
+    tol not nan; lr may be inf (the first trial step then diverges).
     """
 
     lr: float = 0.01
@@ -55,11 +61,15 @@ class TrainConfig:
 
     def __post_init__(self):
         if not self.lr > 0:
-            raise ValueError("learning rate must be positive")
+            raise ValueError(f"learning rate must be positive, got "
+                             f"lr={self.lr}")
+        if not isinstance(self.max_epochs, Integral):
+            raise ValueError(f"max_epochs must be an integer, got "
+                             f"{self.max_epochs!r}")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be at least 1")
-        if self.tol < 0:
-            raise ValueError("stopping threshold must be non-negative")
+        if not self.tol >= 0:
+            raise ValueError(f"tol must be non-negative, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -124,7 +134,7 @@ def cross_entropy(probs: np.ndarray, onehot: np.ndarray) -> float:
     if not np.allclose(probs.sum(axis=1), 1.0, atol=1e-6):
         raise ValueError("probability rows must sum to 1")
     _check_onehot(onehot)
-    return float(-(onehot * np.log(np.maximum(probs, EPS))).sum())
+    return float(-(onehot * _log(probs)).sum())
 
 
 def _check_onehot(onehot: np.ndarray) -> None:
@@ -133,9 +143,9 @@ def _check_onehot(onehot: np.ndarray) -> None:
         raise ValueError("onehot rows must be valid one-hot vectors")
 
 
-def _training_data(sm: StudentModel, X: np.ndarray,
-                   y_onehot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Design matrix of X and the checked N x C one-hot target matrix.
+def _training_data(sm: StudentModel, X: np.ndarray, y_onehot: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Design matrix of X, checked N x C one-hot targets, their indices.
 
     The training losses skip cross_entropy's per-call checks, so targets
     are validated here, once per fit.
@@ -148,7 +158,7 @@ def _training_data(sm: StudentModel, X: np.ndarray,
         raise ValueError(f"y_onehot has {Y.shape[1]} columns, expected "
                          f"{sm.n_classes}")
     _check_onehot(Y)
-    return Xh, Y
+    return Xh, Y, Y.argmax(axis=1)
 
 
 def onehot_encode(y: np.ndarray, n_classes: int) -> np.ndarray:
@@ -288,13 +298,13 @@ def train_student(sm: StudentModel, X: np.ndarray, y_onehot: np.ndarray,
     the epoch index, the optimized total and the per-sample mean
     cross-entropy "h".
     """
-    Xh, Y = _training_data(sm, X, y_onehot)
+    Xh, Y, _ = _training_data(sm, X, y_onehot)
     n = Xh.shape[0]
 
     def loss_grad(Q, idx):
         b = len(Q)
-        p = softmax(np.matmul(Xh, Q))
-        h = -(Y * np.log(np.maximum(p, EPS))).reshape(b, -1).sum(axis=1)
+        p = _softmax(np.matmul(Xh, Q), 1.0)
+        h = -(Y * _log(p)).reshape(b, -1).sum(axis=1)
         return h, np.matmul(Xh.T, p - Y), {"h": h / n}
 
     Q, trace = _sole(gradient_descent_batch(sm.coeffs[None], loss_grad, cfg))

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from fuzzykd.data import load_bundled
-from fuzzykd.distill import (DistillConfig, _distill_loss_grad, _prepare,
-                             dkd_loss, kd_loss, soft_labels, teacher_logits,
+from fuzzykd.distill import (DistillConfig, _distill_loss_grad, dkd_loss,
+                             kd_loss, soft_labels, teacher_logits,
                              vanilla_kd_distill, distill)
 from fuzzykd.harness import GridSpec, format_report, run_method
 from fuzzykd.rules import build_rule_base, firing_strengths

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import fuzzykd.cli as cli
+import fuzzykd.harness as harness
 from fuzzykd.cli import main
 from fuzzykd.data import bundled_path
 from fuzzykd.serialize import load_model
@@ -210,6 +211,23 @@ def test_missing_out_checked_before_fitting(iris_csv, monkeypatch):
     monkeypatch.setattr(cli, "fit_candidates", no_fit)
     with pytest.raises(SystemExit, match="requires --out"):
         main(["train-student", "--data", iris_csv])
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--zeta", "nan", "target_weight"), ("--temp", "inf", "temperature"),
+    ("--xi", "nan", "tol")])
+def test_non_finite_setting_exits_2_before_the_teacher_fit(
+        iris_csv, capsys, monkeypatch, flag, value, field):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit_teacher called")
+
+    monkeypatch.setattr(harness, "fit_teacher", no_fit)
+    rc = main(["evaluate", "--data", iris_csv, "--rules", "2", "--folds",
+               "2", "--epochs", "5", flag, value, "--no-time"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"fuzzykd: error: {field} must be")
 
 
 def test_evaluate_global_normalize(iris_csv, capsys):

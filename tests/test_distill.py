@@ -1,4 +1,6 @@
 """Soft labels, decoupled KL losses and the distillation training loop."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -173,12 +175,12 @@ class TestDkdLoss:
         assert abs(lhs - rhs) < 1e-10
 
 
-def three_class_setup(seed=9, n=24):
+def class_setup(seed=9, n=24, c=3):
     rng = np.random.default_rng(seed)
     rb = build_rule_base(3, 2, seed=seed)
     X = rng.uniform(0, 1, (n, 2))
-    y = rng.integers(0, 3, n)
-    labels = np.arange(3, dtype=float)
+    y = rng.integers(0, c, n)
+    labels = np.arange(c, dtype=float)
     tm = fit_teacher(build_rule_base(3, 2, seed=seed + 7), X,
                      y.astype(float), 100.0, labels)
     return rb, X, y, labels, predict_teacher(tm, X)
@@ -186,7 +188,7 @@ def three_class_setup(seed=9, n=24):
 
 class TestDistill:
     def test_pure_ce_matches_train_student(self):
-        rb, X, y, labels, t_out = three_class_setup()
+        rb, X, y, labels, t_out = class_setup()
         sm = init_student(rb, 3)
         Y = onehot_encode(y, 3)
         cfg = DistillConfig(0.01, 10, 0.0, temperature=2.0,
@@ -200,7 +202,7 @@ class TestDistill:
     def test_per_sample_weights_reproduce_coupled_loss(self):
         # lambda_n = 1 - u_t of the teacher turns the decoupled loss back
         # into the plain KL, so both loops must walk the same trajectory
-        rb, X, y, labels, t_out = three_class_setup()
+        rb, X, y, labels, t_out = class_setup()
         sm = init_student(rb, 3)
         Y = onehot_encode(y, 3)
         tau = 2.0
@@ -228,27 +230,41 @@ class TestDistill:
         sm, _ = distill(t_out, sm, X, Y, cfg, np.array([0.0, 1.0]))
         assert (predict_student(sm, X) == y).all()
 
-    def test_full_loss_gradient_matches_finite_differences(self):
-        from fuzzykd.distill import _distill_loss_grad, _prepare
+    @pytest.mark.parametrize("coupled", [False, True], ids=["dkd", "kd"])
+    @pytest.mark.parametrize("c", [2, 3, 5])
+    def test_full_loss_gradient_matches_finite_differences(self, c, coupled):
+        from fuzzykd.distill import _distill_loss_grad
+        from fuzzykd.student import _training_data
         rng = np.random.default_rng(10)
         for seed in range(6):
-            rb, X, y, labels, t_out = three_class_setup(seed=seed, n=12)
-            sm = init_student(rb, 3)
-            Xh, Y, y_idx = _prepare(sm, X, onehot_encode(y, 3))
-            cfg = DistillConfig(0.01, 30, 1e-5, temperature=2.0)
+            rb, X, y, labels, t_out = class_setup(seed=seed, n=12, c=c)
+            sm = init_student(rb, c)
+            Xh, Y, y_idx = _training_data(sm, X, onehot_encode(y, c))
             tsl = soft_labels(teacher_logits(t_out, labels), 2.0, y_idx)
+            # coupled KD at kd_weight 2: vanilla_kd_distill's weights
+            weights = (dict(target_weight=2.0,
+                            non_target_weight=2.0 * tsl.binary[:, 1])
+                       if coupled else {})
+            cfg = DistillConfig(0.01, 30, 1e-5, temperature=2.0, **weights)
             lg = _distill_loss_grad(Xh, Y, y_idx, [tsl], [cfg])
             idx = np.zeros(1, dtype=int)  # candidate 0 of a batch of one
             Q = rng.normal(scale=0.5, size=sm.coeffs.shape)
-            analytic = lg(Q[None], idx)[1][0]
+            _, grads, parts = lg(Q[None], idx)
+            analytic = grads[0]
             fd = fd_gradient(lambda q: lg(q[None], idx)[0][0], Q)
             denom = np.maximum(np.abs(fd), 1.0)
             assert (np.abs(analytic - fd) / denom).max() < 1e-4
+            if c == 2:  # one non-target class: NCKL adds exactly nothing
+                assert parts["nckl"][0] == 0.0
+                no_nckl = replace(cfg, non_target_weight=0.0)
+                lg0 = _distill_loss_grad(Xh, Y, y_idx, [tsl], [no_nckl])
+                np.testing.assert_array_equal(lg0(Q[None], idx)[1][0],
+                                              analytic)
 
     @pytest.mark.parametrize("fit", [distill, vanilla_kd_distill])
     @pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
     def test_overflowing_logits_diverge_at_epoch_one(self, fit):
-        rb, X, y, labels, t_out = three_class_setup()
+        rb, X, y, labels, t_out = class_setup()
         sm = StudentModel(rb, np.full(init_student(rb, 3).coeffs.shape,
                                       1e308), 3)
         with pytest.raises(TrainingDiverged) as err:
@@ -267,7 +283,7 @@ class TestDistill:
 
     @pytest.mark.parametrize("fit", [distill, vanilla_kd_distill])
     def test_invalid_targets_rejected_before_training(self, fit):
-        rb, X, y, labels, t_out = three_class_setup()
+        rb, X, y, labels, t_out = class_setup()
         Y = onehot_encode(y, 3)
         Y[0] = [0.5, 0.5, 0.0]
         with pytest.raises(ValueError, match="one-hot"):
@@ -275,7 +291,7 @@ class TestDistill:
                 class_labels=labels)
 
     def test_deterministic(self):
-        rb, X, y, labels, t_out = three_class_setup()
+        rb, X, y, labels, t_out = class_setup()
         sm = init_student(rb, 3)
         Y = onehot_encode(y, 3)
         cfg = DistillConfig(0.01, 10, 1e-5, temperature=2.0)
@@ -286,7 +302,7 @@ class TestDistill:
 
 class TestVanillaKd:
     def test_zero_weight_reduces_to_train_student(self):
-        rb, X, y, labels, t_out = three_class_setup()
+        rb, X, y, labels, t_out = class_setup()
         sm = init_student(rb, 3)
         Y = onehot_encode(y, 3)
         cfg = DistillConfig(0.01, 10, 0.0, temperature=2.0)
@@ -297,7 +313,7 @@ class TestVanillaKd:
 
     def test_all_zero_weights_rejected(self):
         # cfg's own KL weights are non-zero, but the coupled fit ignores them
-        rb, X, y, labels, t_out = three_class_setup()
+        rb, X, y, labels, t_out = class_setup()
         cfg = DistillConfig(0.01, 10, 0.0, ce_weight=0.0)
         with pytest.raises(ValueError, match="at least one loss weight"):
             vanilla_kd_distill(t_out, init_student(rb, 3), X,
@@ -305,7 +321,7 @@ class TestVanillaKd:
                                class_labels=labels)
 
     def test_one_step_matches_finite_differences(self):
-        rb, X, y, labels, t_out = three_class_setup(n=1)
+        rb, X, y, labels, t_out = class_setup(n=1)
         sm = init_student(rb, 3)
         Y = onehot_encode(y, 3)
         tau = 2.0
@@ -332,7 +348,7 @@ class TestVanillaKd:
     def test_final_total_matches_kl_oracle(self, tau, w, phi):
         # the fit runs through the decoupled closure; the oracle is the
         # coupled KL computed by kd_loss on the returned coefficients
-        rb, X, y, labels, t_out = three_class_setup()
+        rb, X, y, labels, t_out = class_setup()
         sm = init_student(rb, 3)
         Y = onehot_encode(y, 3)
         cfg = DistillConfig(0.01, 12, 0.0, temperature=tau, ce_weight=phi)
@@ -346,11 +362,18 @@ class TestVanillaKd:
         assert trace[-1]["total"] == pytest.approx(want, rel=1e-9)
 
     def test_negative_weight_rejected(self):
-        rb, X, y, labels, t_out = three_class_setup()
+        rb, X, y, labels, t_out = class_setup()
         sm = init_student(rb, 3)
         with pytest.raises(ValueError):
             vanilla_kd_distill(t_out, sm, X, onehot_encode(y, 3),
                                DistillConfig(), kd_weight=-1.0)
+
+    def test_infinite_weight_rejected(self):
+        rb, X, y, labels, t_out = class_setup()
+        with pytest.raises(ValueError, match="^target_weight must be"):
+            vanilla_kd_distill(t_out, init_student(rb, 3), X,
+                               onehot_encode(y, 3), DistillConfig(),
+                               kd_weight=np.inf, class_labels=labels)
 
 
 def eight_configs():
@@ -389,7 +412,7 @@ class TestDistillBatch:
         assert len({len(trace) for _, trace in batch}) > 1
 
     def test_diverging_fit_leaves_the_others_unchanged(self):
-        rb, X, y, labels, t_out = three_class_setup()
+        rb, X, y, labels, t_out = class_setup()
         sm, Y = init_student(rb, 3), onehot_encode(y, 3)
         cfgs = eight_configs()
         # a finite first total whose gradient overflows: the first trial
@@ -406,7 +429,7 @@ class TestDistillBatch:
             assert np.array_equal(batch[i][0].coeffs, alone.coeffs)
 
     def test_configs_must_share_the_budget(self):
-        rb, X, y, labels, t_out = three_class_setup()
+        rb, X, y, labels, t_out = class_setup()
         cfgs = [DistillConfig(), DistillConfig(max_epochs=5)]
         with pytest.raises(ValueError, match="max_epochs"):
             distill_batch(t_out, init_student(rb, 3), X, onehot_encode(y, 3),
@@ -427,10 +450,29 @@ class TestDistillConfig:
         with pytest.raises(ValueError):
             DistillConfig(temperature=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("temperature", np.inf), ("temperature", np.nan),
+        ("target_weight", np.inf), ("target_weight", np.nan),
+        ("non_target_weight", np.inf),
+        ("non_target_weight", np.array([1.0, np.nan, 2.0])),
+        ("non_target_weight", np.array([1.0, np.inf])),
+        ("ce_weight", np.inf), ("ce_weight", np.nan)])
+    def test_non_finite_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            DistillConfig(**{field: value})
+
+    def test_wrong_length_per_sample_weight_named(self):
+        rb, X, y, labels, t_out = class_setup()
+        cfg = DistillConfig(non_target_weight=np.ones(5))
+        with pytest.raises(ValueError, match=r"non_target_weight has 5 "
+                           r"values, expected one per row \(24\)"):
+            distill(t_out, init_student(rb, 3), X, onehot_encode(y, 3), cfg,
+                    labels)
+
 
 class TestTraceLines:
     def test_decoupled_trace_format(self):
-        rb, X, y, labels, t_out = three_class_setup()
+        rb, X, y, labels, t_out = class_setup()
         sm = init_student(rb, 3)
         cfg = DistillConfig(0.01, 3, 0.0, temperature=2.0)
         _, trace = distill(t_out, sm, X, onehot_encode(y, 3), cfg, labels)

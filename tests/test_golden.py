@@ -10,18 +10,33 @@ recorded at commit eba8639, where a one-candidate fit ran through its own
 scalar L-BFGS loop, before every student fit went through the batch
 driver. The teacher-only text and the lambda sweep were recorded at
 commit 0cc58bf, where run_method, sweep and the inner search each wrote
-their own fit-and-predict step, before the three shared one.
+their own fit-and-predict step, before the three shared one. The two-class
+reports (iris-2: iris classes 1 and 2, relabelled 0/1) were recorded at
+commit cadb0ed, where the decoupled loss still skipped its non-target term
+by a two-class branch, before that term ran the same path at every class
+count.
 """
 from dataclasses import replace
 
 import pytest
 
-from fuzzykd.data import load_bundled
+from fuzzykd.data import Dataset, load_bundled
 from fuzzykd.harness import GridSpec, format_report, run_method, sweep
 
 GRID = GridSpec.coarse(rule_counts=(4, 8), temperatures=(1, 2),
                        non_target_weights=(1, 2), ce_weights=(1, 2), folds=3)
 SEED = 2
+
+
+def _load(name):
+    """A bundled dataset; "iris-2" is iris without class 0, relabelled."""
+    if name != "iris-2":
+        return load_bundled(name)
+    iris = load_bundled("iris")
+    keep = iris.y > 0
+    return Dataset(iris.X[keep], iris.y[keep] - 1, 2, iris.feature_names,
+                   iris.class_names[1:])
+
 
 GOLDEN = {
     ("distill-dkd", "iris"): (
@@ -37,6 +52,19 @@ GOLDEN = {
         "aggregate dataset=iris method=distill-dkd seed=2 "
         "acc_mean=0.980000000 acc_std=0.034641016 wf_mean=0.979963134 "
         "wf_std=0.034704871 rules_mean=4.0000 failed=0\n"),
+    ("distill-dkd", "iris-2"): (
+        "fold dataset=iris-2 method=distill-dkd seed=2 fold=0 "
+        "params=K:4,lam:1,phi:1,tau:1,zeta:1 acc=0.970588235 "
+        "wf=0.970562771 rules=4\n"
+        "fold dataset=iris-2 method=distill-dkd seed=2 fold=1 "
+        "params=K:4,lam:1,phi:1,tau:1,zeta:1 acc=0.939393939 "
+        "wf=0.939057239 rules=4\n"
+        "fold dataset=iris-2 method=distill-dkd seed=2 fold=2 "
+        "params=K:8,lam:1,phi:1,tau:1,zeta:1 acc=0.939393939 "
+        "wf=0.939057239 rules=8\n"
+        "aggregate dataset=iris-2 method=distill-dkd seed=2 "
+        "acc_mean=0.949792038 acc_std=0.018010035 wf_mean=0.949559083 "
+        "wf_std=0.018189727 rules_mean=5.3333 failed=0\n"),
     ("distill-dkd", "wine"): (
         "fold dataset=wine method=distill-dkd seed=2 fold=0 "
         "params=K:4,lam:1,phi:1,tau:1,zeta:1 acc=1.000000000 "
@@ -63,6 +91,19 @@ GOLDEN = {
         "aggregate dataset=iris method=distill-kd seed=2 "
         "acc_mean=0.980000000 acc_std=0.034641016 wf_mean=0.979963134 "
         "wf_std=0.034704871 rules_mean=4.0000 failed=0\n"),
+    ("distill-kd", "iris-2"): (
+        "fold dataset=iris-2 method=distill-kd seed=2 fold=0 "
+        "params=K:4,lam:1,phi:1,tau:1 acc=0.970588235 wf=0.970562771 "
+        "rules=4\n"
+        "fold dataset=iris-2 method=distill-kd seed=2 fold=1 "
+        "params=K:8,lam:2,phi:1,tau:1 acc=0.939393939 wf=0.939057239 "
+        "rules=8\n"
+        "fold dataset=iris-2 method=distill-kd seed=2 fold=2 "
+        "params=K:4,lam:2,phi:1,tau:1 acc=0.909090909 wf=0.908074218 "
+        "rules=4\n"
+        "aggregate dataset=iris-2 method=distill-kd seed=2 "
+        "acc_mean=0.939691028 acc_std=0.030749739 wf_mean=0.939231409 "
+        "wf_std=0.031244640 rules_mean=5.3333 failed=0\n"),
     ("distill-kd", "wine"): (
         "fold dataset=wine method=distill-kd seed=2 fold=0 "
         "params=K:4,lam:1,phi:2,tau:2 acc=1.000000000 wf=1.000000000 "
@@ -124,7 +165,7 @@ SWEEP_LAMBDA_WINE = (
 
 @pytest.mark.parametrize("method, dataset", sorted(GOLDEN))
 def test_report_matches_golden(method, dataset):
-    report = run_method(method, load_bundled(dataset), GRID, SEED, dataset)
+    report = run_method(method, _load(dataset), GRID, SEED, dataset)
     assert format_report([report], include_time=False) == \
         GOLDEN[method, dataset]
 

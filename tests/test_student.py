@@ -97,9 +97,12 @@ class TestCrossEntropy:
 
 class TestTrainConfig:
     @pytest.mark.parametrize("kwargs", [dict(lr=0.0), dict(max_epochs=0),
-                                        dict(tol=-1.0)])
+                                        dict(tol=-1.0), dict(max_epochs=2.5),
+                                        dict(tol=float("nan")),
+                                        dict(lr=float("nan"))])
     def test_invalid_values_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        (field,) = kwargs
+        with pytest.raises(ValueError, match=field):
             TrainConfig(**kwargs)
 
 
