@@ -219,6 +219,8 @@ def _report(args, grid: GridSpec) -> None:
                      dataset_name=os.path.basename(args.data),
                      global_normalize=args.global_normalize)
     _emit(format_report([rep], include_time=not args.no_time), args.out)
+    if rep.n_failed() == len(rep.records):  # the report has no result
+        raise RuntimeError(f"all {len(rep.records)} outer folds failed")
 
 
 def _cmd_sweep(args) -> None:

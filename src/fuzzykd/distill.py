@@ -14,9 +14,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .student import (EPS, StudentModel, TrainConfig, TrainingDiverged, _log,
-                      _softmax, _sole, _training_data, gradient_descent_batch,
-                      softmax)
+from .student import (EPS, StudentModel, TrainConfig, TrainingDiverged,
+                      _finite_logits, _log, _softmax, _sole, _training_data,
+                      gradient_descent_batch, softmax)
 
 
 @dataclass(frozen=True)
@@ -99,10 +99,9 @@ def _check_pair(teacher: SoftLabelSet, student: SoftLabelSet) -> None:
         raise ValueError("teacher and student target indices disagree")
 
 
-def _kl_rows(p: np.ndarray, q: np.ndarray,
-             log_p: np.ndarray | None = None) -> np.ndarray:
-    """KL(p || q) along the last axis; log_p is _log(p) if already known."""
-    return (p * ((_log(p) if log_p is None else log_p) - _log(q))).sum(axis=-1)
+def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """KL(p || q) along the last axis."""
+    return (p * (_log(p) - _log(q))).sum(axis=-1)
 
 
 def kd_loss(teacher: SoftLabelSet, student: SoftLabelSet) -> float:
@@ -133,8 +132,11 @@ def _distill_loss_grad(Xh, Y, y_idx, teachers, cfgs):
     b x D x C points Q of candidates idx along a leading candidate axis,
     with one gemm per candidate and reductions only along contiguous axes,
     so each candidate gets the values a batch of one gives it. Per-fit work
-    (flat target/non-target indices, stacked teacher views and weights) is
-    done once.
+    (flat target/non-target indices, stacked teacher views, their logs and
+    the weights) is done once. TCKL and NCKL are written out here from
+    their formulas: the closure shares no KL code with the kd_loss and
+    dkd_loss oracles that tests check it against. A candidate whose logits
+    overflow gets total inf (see _finite_logits), so its fit diverges.
     """
     n, c = Y.shape
     target = np.arange(n) * c + y_idx  # flat (row, target class) cells
@@ -143,7 +145,7 @@ def _distill_loss_grad(Xh, Y, y_idx, teachers, cfgs):
     def column(values):  # B x 1 x 1, to broadcast against b x n x c
         return np.array(values, dtype=float).reshape(len(cfgs), 1, 1)
 
-    binary = np.stack([t.binary for t in teachers])
+    a = np.stack([t.binary[:, 0] for t in teachers])  # teacher target mass
     rest = np.stack([t.non_target for t in teachers])
     per_fit = (column([cfg.temperature for cfg in cfgs]),
                column([cfg.target_weight for cfg in cfgs]),
@@ -151,44 +153,34 @@ def _distill_loss_grad(Xh, Y, y_idx, teachers, cfgs):
                np.stack([np.broadcast_to(np.asarray(cfg.non_target_weight,
                                                     dtype=float), (n,))
                          for cfg in cfgs])[:, :, None],
-               binary, _log(binary), binary[:, :, 0], 1.0 - binary[:, :, 0],
-               rest, _log(rest))
+               a, 1.0 - a, _log(a), _log(1.0 - a), rest, _log(rest))
 
     def loss_grad(Q, idx):
         b = len(Q)
-        logits = np.matmul(Xh, Q)
-        overflow = None
-        if not np.isfinite(logits).all():  # those fits diverge: total inf
-            overflow = ~np.isfinite(logits).reshape(b, -1).all(axis=1)
-            logits[overflow] = 0.0
-        tau, zeta, phi, lam, t_bin, log_t_bin, a, not_a, t_rest, log_t_rest = (
+        logits, overflow = _finite_logits(Xh, Q)
+        tau, zeta, phi, lam, a, not_a, log_a, log_not_a, t_rest, log_t_rest = (
             per_fit if b == len(cfgs) else [arr[idx] for arr in per_fit])
         u = _softmax(logits, tau)
         u_t = u.reshape(b, -1)[:, target]
-        u_bin = np.empty((b, n, 2))
-        u_bin[:, :, 0] = u_t
-        np.subtract(1.0, u_t, out=u_bin[:, :, 1])
-        tckl = _kl_rows(t_bin, u_bin, log_t_bin).sum(axis=1)
+        tckl = (a * (log_a - _log(u_t)) +
+                not_a * (log_not_a - _log(1.0 - u_t))).sum(axis=1)
         p1 = _softmax(logits, 1.0)
         h = -(Y * _log(p1)).reshape(b, -1).sum(axis=1)
 
         pt = np.minimum(np.maximum(u_t, EPS), 1.0 - EPS)
         coeff = (-a / pt + not_a / (1.0 - pt)) * pt / tau[:, :, 0]
-        g_tckl = coeff[:, :, None] * (Y - u)
+        g = zeta * (coeff[:, :, None] * (Y - u))
 
         # C = 2: one non-target cell per row, softmax 1, NCKL and grad 0
         s_rest = _softmax(logits.reshape(b, -1)[:, others]
                           .reshape(b, n, c - 1), tau)
-        nckl_rows = _kl_rows(t_rest, s_rest, log_t_rest)
-        g_nckl = np.zeros((b, n * c))
-        g_nckl[:, others] = ((s_rest - t_rest) / tau).reshape(b, -1)
-
-        g = (zeta * g_tckl + lam * g_nckl.reshape(b, n, c) +
-             phi * (p1 - Y))
+        nckl_rows = (t_rest * (log_t_rest - _log(s_rest))).sum(axis=-1)
+        g.reshape(b, -1)[:, others] += (
+            lam * ((s_rest - t_rest) / tau)).reshape(b, -1)
+        g += phi * (p1 - Y)
         total = (zeta[:, 0, 0] * tckl +
                  (lam[:, :, 0] * nckl_rows).sum(axis=1) + phi[:, 0, 0] * h)
-        if overflow is not None:
-            total[overflow] = np.inf
+        total[overflow] = np.inf
         return total, np.matmul(Xh.T, g), {
             "tckl": tckl / n, "nckl": nckl_rows.sum(axis=1) / n, "h": h / n}
 
@@ -238,7 +230,8 @@ def distill_batch(teacher_out: np.ndarray, sm: StudentModel, X: np.ndarray,
     The fits share the design matrix of X and the teacher soft labels of
     each temperature, and one loss/gradient call per round evaluates them
     all (gradient_descent_batch); the configs must agree on lr, max_epochs
-    and tol. With kd_weights, config i's fit is vanilla_kd_distill's at
+    and tol. teacher_out needs one value per row of X and class_labels one
+    per class. With kd_weights, config i's fit is vanilla_kd_distill's at
     kd_weights[i]. Returns, per config, (model, trace) or the
     TrainingDiverged that ended its fit; each equals its one-config run.
     """
@@ -251,8 +244,14 @@ def distill_batch(teacher_out: np.ndarray, sm: StudentModel, X: np.ndarray,
             raise ValueError(f"non_target_weight has "
                              f"{np.size(cfg.non_target_weight)} values, "
                              f"expected one per row ({len(Y)})")
+    if np.size(teacher_out) != len(Y):
+        raise ValueError(f"teacher_out has {np.size(teacher_out)} values, "
+                         f"expected one per row ({len(Y)})")
     if class_labels is None:
         class_labels = np.arange(Y.shape[1], dtype=float)
+    if np.size(class_labels) != Y.shape[1]:
+        raise ValueError(f"class_labels has {np.size(class_labels)} values, "
+                         f"expected one per class ({Y.shape[1]})")
     logits = teacher_logits(teacher_out, class_labels)
     at_tau = {tau: soft_labels(logits, tau, y_idx)
               for tau in dict.fromkeys(cfg.temperature for cfg in cfgs)}

@@ -161,6 +161,19 @@ def _training_data(sm: StudentModel, X: np.ndarray, y_onehot: np.ndarray
     return Xh, Y, Y.argmax(axis=1)
 
 
+def _finite_logits(Xh: np.ndarray, Q: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Logits Xh Q of the b candidates Q, and the mask of those overflowed.
+
+    An overflowed candidate's logits are set to 0; the training losses give
+    it total inf, so its fit ends with TrainingDiverged.
+    """
+    logits = np.matmul(Xh, Q)
+    overflow = ~np.isfinite(logits).reshape(len(Q), -1).all(axis=1)
+    logits[overflow] = 0.0
+    return logits, overflow
+
+
 def onehot_encode(y: np.ndarray, n_classes: int) -> np.ndarray:
     y = np.asarray(y, dtype=int).ravel()
     out = np.zeros((y.size, n_classes))
@@ -303,8 +316,10 @@ def train_student(sm: StudentModel, X: np.ndarray, y_onehot: np.ndarray,
 
     def loss_grad(Q, idx):
         b = len(Q)
-        p = _softmax(np.matmul(Xh, Q), 1.0)
+        logits, overflow = _finite_logits(Xh, Q)
+        p = _softmax(logits, 1.0)
         h = -(Y * _log(p)).reshape(b, -1).sum(axis=1)
+        h[overflow] = np.inf
         return h, np.matmul(Xh.T, p - Y), {"h": h / n}
 
     Q, trace = _sole(gradient_descent_batch(sm.coeffs[None], loss_grad, cfg))

@@ -150,6 +150,19 @@ def test_fit_with_no_accepted_step_reports_zero_epochs(tmp_path, iris_csv,
     assert "0 epochs" in capsys.readouterr().out
 
 
+def test_all_folds_failed_exits_2_after_the_report(tmp_path, iris_csv,
+                                                  capsys):
+    out = tmp_path / "report.txt"
+    with np.errstate(all="ignore"):
+        rc = main(["evaluate", "--data", iris_csv, "--rules", "2", "--folds",
+                   "2", "--epochs", "5", "--lr", "inf", "--no-time",
+                   "--out", str(out)])
+    assert rc == 2
+    assert "failed=2" in out.read_text()
+    assert capsys.readouterr().err == ("fuzzykd: error: all 2 outer folds "
+                                       "failed\n")
+
+
 def test_missing_file_exits_nonzero(capsys):
     rc = main(["evaluate", "--data", "/nonexistent.csv"])
     assert rc == 2

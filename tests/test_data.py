@@ -103,6 +103,11 @@ class TestLoadCsv:
         with pytest.raises(CsvParseError, match="no data"):
             load_csv(write(tmp_path, "\n"))
 
+    def test_header_only_file_rejected(self, tmp_path):
+        with pytest.raises(CsvParseError, match=r"data\.csv: no data rows "
+                                                r"after the header"):
+            load_csv(write(tmp_path, "a,b,label\n"), header=True)
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         X = rng.uniform(0, 1, (10, 3))

@@ -1,4 +1,5 @@
 """Soft labels, decoupled KL losses and the distillation training loop."""
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fuzzykd.data import load_bundled, normalize
 from fuzzykd.distill import (DistillConfig, dkd_loss, distill,
                              distill_batch, kd_loss, soft_labels,
                              teacher_logits, trace_lines, vanilla_kd_distill)
@@ -272,6 +274,28 @@ class TestDistill:
                 class_labels=labels)
         assert err.value.epoch == 1
 
+    @pytest.mark.parametrize("fit", [
+        lambda sm, X, Y, y: train_student(sm, X, Y, TrainConfig()),
+        lambda sm, X, Y, y: distill(y.astype(float), sm, X, Y,
+                                    DistillConfig())],
+        ids=["train_student", "distill"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
+    def test_overflowing_class_logits_diverge_in_both_losses(self, fit):
+        # class 0's logits overflow to -inf while the others stay finite;
+        # the clamped log alone would keep the cross-entropy finite
+        ds = load_bundled("iris")
+        X = normalize(ds.X)[0]
+        rb = build_rule_base(3, 4, seed=0)
+        Q = init_student(rb, 3).coeffs
+        Q[:, 0] = -1e308
+        sm, Y = StudentModel(rb, Q, 3), onehot_encode(ds.y, 3)
+        logits = design_matrix(sm, X) @ Q
+        assert np.isneginf(logits[:, 0]).any()
+        assert np.isfinite(logits[:, 1:]).all()
+        with pytest.raises(TrainingDiverged) as err:
+            fit(sm, X, Y, ds.y)
+        assert err.value.epoch == 1
+
     @pytest.mark.parametrize("fit", [distill, vanilla_kd_distill])
     def test_two_class_non_target_term_exactly_zero(self, fit):
         rb, X, y = toy_separable()
@@ -468,6 +492,28 @@ class TestDistillConfig:
                            r"values, expected one per row \(24\)"):
             distill(t_out, init_student(rb, 3), X, onehot_encode(y, 3), cfg,
                     labels)
+
+    @pytest.mark.parametrize("two_classes, n_labels, n_out, message", [
+        (False, 4, 24, "class_labels has 4 values, expected one per class "
+                       "(3)"),
+        (False, 2, 24, "class_labels has 2 values, expected one per class "
+                       "(3)"),
+        (True, 2, None, "class_labels has 2 values, expected one per class "
+                        "(3)"),
+        (False, 3, 23, "teacher_out has 23 values, expected one per row "
+                       "(24)"),
+    ], ids=["4 labels", "2 labels", "2 labels on classes 0 and 1",
+            "23 outputs"])
+    def test_mismatched_teacher_input_named(self, two_classes, n_labels,
+                                            n_out, message):
+        rb, X, y, _, t_out = class_setup()
+        if two_classes:  # a 3-class student on the rows of two classes
+            keep = y < 2
+            X, y, t_out = X[keep], y[keep], t_out[keep]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            distill(t_out[:n_out], init_student(rb, 3), X,
+                    onehot_encode(y, 3), DistillConfig(),
+                    np.arange(n_labels, dtype=float))
 
 
 class TestTraceLines:

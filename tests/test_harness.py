@@ -62,6 +62,15 @@ class TestWeightedF:
         assert accuracy([0, 2, 2], [0, 2, 2]) == 1.0
 
 
+class TestGridSpec:
+    @pytest.mark.parametrize("field", ["rule_counts", "temperatures",
+                                       "target_weights",
+                                       "non_target_weights", "ce_weights"])
+    def test_empty_candidates_rejected(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be non-empty"):
+            GridSpec(**{field: ()})
+
+
 class TestRunMethod:
     def test_student_only_separates_toy_blobs(self):
         ds = toy_dataset()
@@ -251,6 +260,12 @@ class TestInnerSearch:
         harness._select_params("distill-dkd", cands, grid, X, y, c, 0, 0)
         assert sorted(calls) == [2, 2, 2, 3, 3, 3]
 
+    def test_candidates_of_two_rule_counts_rejected(self):
+        ds = toy_dataset()
+        with pytest.raises(ValueError, match="share one rule count K"):
+            harness.fit_candidates("student-only", [{"K": 2}, {"K": 3}],
+                                   GridSpec.fixed(), ds.X, ds.y, 2, 0, 1)
+
     def test_diverged_candidate_scores_zero(self):
         grid = GridSpec.coarse(rule_counts=(2,), max_epochs=5)
         good = {"K": 2, "tau": 2, "zeta": 1, "lam": 2, "phi": 1}
@@ -331,6 +346,38 @@ class TestSweep:
         for group in groups:
             assert [p["phi"] for p in group] == [4.0, 2.0, 1.0]
             assert all(p["lam"] == 3 for p in group)
+
+    def test_lambda_over_unit_zeta_equals_lambda(self):
+        grid = GridSpec(rule_counts=(2,), temperatures=(2,),
+                        target_weights=(1,), non_target_weights=(1, 20),
+                        ce_weights=(1,), max_epochs=5, folds=2)
+        ratio = sweep("lambda/zeta", load_bundled("iris"), grid, seed=0)
+        plain = sweep("lambda", load_bundled("iris"), grid, seed=0)
+
+        def scores(records):
+            return [(r["value"], r["mean_accuracy"], r["std_accuracy"])
+                    for r in records]
+
+        assert scores(ratio) == scores(plain)
+        assert all(r["parameter"] == "lambda/zeta" for r in ratio)
+
+    def test_lambda_over_zeta_scales_lambda_by_zeta(self, monkeypatch):
+        groups, fit_predict = [], harness._fit_predict
+
+        def spy(method, group, *args):
+            groups.append(group)
+            return fit_predict(method, group, *args)
+
+        monkeypatch.setattr(harness, "_fit_predict", spy)
+        grid = GridSpec(rule_counts=(2,), temperatures=(2,),
+                        target_weights=(2,), non_target_weights=(1, 5),
+                        ce_weights=(1,), folds=2)
+        records = sweep("lambda/zeta", toy_dataset(), grid, seed=0)
+        assert [r["value"] for r in records] == [1, 5]
+        assert len(groups) == 2  # one call per outer fold
+        for group in groups:
+            assert [p["lam"] for p in group] == [2, 10]
+            assert all(p["zeta"] == 2 for p in group)
 
     def test_teacher_fit_once_per_outer_fold(self, monkeypatch):
         fit_teacher, calls = harness.fit_teacher, []

@@ -75,7 +75,8 @@ def test_unreadable_file_named(tmp_path, text, message):
     (lambda r: r.pop("kind"), "model record has no key 'kind'"),
     (lambda r: r.update(rule_base=[]), "malformed model record"),
     (lambda r: r.update(coeffs="abc"), "malformed model record"),
-], ids=["no kind", "rule base list", "text coeffs"])
+    (lambda r: r.update(kind="oracle"), "unknown model kind 'oracle'"),
+], ids=["no kind", "rule base list", "text coeffs", "unknown kind"])
 def test_malformed_record_named(tmp_path, edit, message):
     path = tmp_path / "model.json"
     save_model(init_student(build_rule_base(1, 1, seed=0), 2), path)
