@@ -138,11 +138,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write text, ending in exactly one newline, to out or to stdout."""
+    text = text.rstrip("\n") + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 def _load(args):
@@ -226,8 +228,7 @@ def _report(args, grid: GridSpec) -> None:
 def _cmd_sweep(args) -> None:
     name = SWEEP_PARAMETERS[args.param]
     grid = replace(_grid(args), **{name: getattr(GridSpec(), name)})
-    records = sweep(args.param, _load(args), grid, args.seed,
-                    dataset_name=os.path.basename(args.data))
+    records = sweep(args.param, _load(args), grid, args.seed)
     lines = [f"sweep parameter={r['parameter']} value={r['value']:g} "
              f"acc_mean={r['mean_accuracy']:.9f} "
              f"acc_std={r['std_accuracy']:.9f}" for r in records]

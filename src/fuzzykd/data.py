@@ -13,6 +13,14 @@ class CsvParseError(ValueError):
     """CSV structure or content problem, located by row/column."""
 
 
+def _check_finite(X: np.ndarray) -> None:
+    """Reject X's first nan or inf cell, naming its 1-based row and column."""
+    if not np.isfinite(X).all():
+        i, j = np.argwhere(~np.isfinite(X))[0]
+        raise ValueError(f"non-finite value {X[i, j]} in X at row {i + 1}, "
+                         f"column {j + 1}")
+
+
 @dataclass
 class Dataset:
     X: np.ndarray
@@ -26,11 +34,7 @@ class Dataset:
         self.y = np.asarray(self.y, dtype=int).ravel()
         if self.y.size != self.X.shape[0]:
             raise ValueError("X and y disagree on the sample count")
-        bad = np.argwhere(~np.isfinite(self.X))
-        if bad.size:
-            i, j = bad[0]
-            raise ValueError(f"non-finite value {self.X[i, j]} in X at "
-                             f"row {i + 1}, column {j + 1}")
+        _check_finite(self.X)
         if self.y.min() < 0 or self.y.max() >= self.n_classes:
             raise ValueError("class indices must lie in 0..n_classes-1")
 

@@ -189,7 +189,7 @@ def fit_candidates(method: str, group: list[dict], grid: GridSpec, X, y,
     distilled students train together (distill_batch). Returns, per
     candidate, (model, loss trace), the trace empty for a teacher, or the
     TrainingDiverged that ended its fit. The harness fits through
-    _fit_predict; the CLI calls this directly for its one candidate.
+    _cross_validate; the CLI calls this directly for its one candidate.
     """
     fit, order = _parse_method(method)
     if len({params["K"] for params in group}) != 1:
@@ -231,21 +231,36 @@ def predict_class(model, X: np.ndarray) -> np.ndarray:
     return model.class_labels[nearest].astype(int)
 
 
-def _fit_predict(method: str, group: list[dict], grid: GridSpec,
-                 Xtr, ytr, Xte, n_classes: int, seed: int, fold: int) -> list:
-    """Fit one K's candidates on (Xtr, ytr) with the fold's rule-base seeds
-    (fit_candidates); per candidate, the predicted classes of Xte or the
-    TrainingDiverged that ended its fit."""
-    outcomes = fit_candidates(method, group, grid, Xtr, ytr, n_classes,
-                              _rb_seed(seed, fold, student_side=False),
-                              _rb_seed(seed, fold, student_side=True))
-    return [outcome if isinstance(outcome, TrainingDiverged)
-            else predict_class(outcome[0], Xte) for outcome in outcomes]
+def _cross_validate(method: str, points: list[dict], grid: GridSpec,
+                    splits, n_classes: int, seed: int):
+    """Fit and predict each point on each split (fold, Xtr, ytr, Xte, yte).
+
+    Per split, the points of one K fit together (fit_candidates) on the
+    fold's rule-base seeds. Yields (fold, yte, seconds, preds): per point
+    the predicted classes of Xte, or the TrainingDiverged that ended its
+    fit; seconds covers the split's fits and predictions.
+    """
+    by_k: dict = {}
+    for i, params in enumerate(points):
+        by_k.setdefault(params["K"], []).append(i)
+    for fold, Xtr, ytr, Xte, yte in splits:
+        t0 = time.perf_counter()
+        preds = [None] * len(points)
+        for members in by_k.values():
+            outcomes = fit_candidates(method, [points[i] for i in members],
+                                      grid, Xtr, ytr, n_classes,
+                                      _rb_seed(seed, fold, student_side=False),
+                                      _rb_seed(seed, fold, student_side=True))
+            for i, outcome in zip(members, outcomes):
+                preds[i] = (outcome if isinstance(outcome, TrainingDiverged)
+                            else predict_class(outcome[0], Xte))
+        yield fold, yte, time.perf_counter() - t0, preds
 
 
-def _record(fold: int, params: dict, pred, yte) -> FoldRecord:
+def _record(fold: int, params: dict, pred, yte,
+            seconds: float = math.nan) -> FoldRecord:
     """A fold's scores of pred, or its error if pred is a TrainingDiverged."""
-    record = FoldRecord(fold, params, n_rules=params["K"])
+    record = FoldRecord(fold, params, n_rules=params["K"], seconds=seconds)
     if isinstance(pred, TrainingDiverged):
         record.error = str(pred)
     else:
@@ -255,41 +270,24 @@ def _record(fold: int, params: dict, pred, yte) -> FoldRecord:
 
 
 def _select_params(method, candidates, grid, Xtr, ytr, n_classes, seed, fold):
-    """The candidate of highest inner-CV score (see _inner_scores).
+    """The candidate of highest mean inner 3-fold CV accuracy on the
+    training split.
 
-    Candidates are enumerated smallest-K-then-smallest-temperature first,
-    and the first of equal scores wins, so ties resolve toward the simpler
-    model.
+    The inner fits use the outer fold's rule bases. A fit that diverged
+    scores 0 on its inner fold; only accuracy is computed. Candidates are
+    enumerated smallest-K-then-smallest-temperature first, and the first
+    of equal scores wins, so ties resolve toward the simpler model.
     """
     if len(candidates) == 1:
         return candidates[0]
-    scores = _inner_scores(method, candidates, grid, Xtr, ytr, n_classes,
-                           seed, fold)
-    return candidates[int(np.argmax(scores))]
-
-
-def _inner_scores(method, candidates, grid, Xtr, ytr, n_classes, seed, fold):
-    """Mean inner 3-fold CV accuracy of each candidate on the training split.
-
-    Each inner fold fits the candidates of one K together (_fit_predict):
-    one teacher fit and one lock-step student training per (K, inner fold).
-    A fit that diverged scores 0 on its fold. Only accuracy is computed.
-    """
     inner = stratified_folds(ytr, 3, seed=seed * 7919 + fold)
-    by_k: dict = {}
-    for i, params in enumerate(candidates):
-        by_k.setdefault(params["K"], []).append(i)
-    accs = np.zeros((len(candidates), inner.k))
-    for f in range(inner.k):
-        tr, te = inner.split(f)
-        for members in by_k.values():
-            preds = _fit_predict(method, [candidates[i] for i in members],
-                                 grid, Xtr[tr], ytr[tr], Xtr[te], n_classes,
-                                 seed, fold)
-            for i, pred in zip(members, preds):
-                if not isinstance(pred, TrainingDiverged):
-                    accs[i, f] = accuracy(pred, ytr[te])
-    return [float(np.mean(row)) for row in accs]
+    splits = ((fold, Xtr[tr], ytr[tr], Xtr[te], ytr[te])
+              for tr, te in map(inner.split, range(inner.k)))
+    accs = [[0.0 if isinstance(pred, TrainingDiverged)
+             else accuracy(pred, yte) for pred in preds]
+            for _, yte, _, preds in _cross_validate(
+                method, candidates, grid, splits, n_classes, seed)]
+    return candidates[int(np.argmax(np.mean(accs, axis=0)))]
 
 
 def run_method(method: str, ds: Dataset, grid: GridSpec, seed: int,
@@ -298,24 +296,20 @@ def run_method(method: str, ds: Dataset, grid: GridSpec, seed: int,
     """Outer CV evaluation of one method; one record per fold.
 
     A fold selects its candidate (_select_params), then fits and predicts
-    it in one _fit_predict call. A diverged fold is recorded with its error
+    it (_cross_validate). A diverged fold is recorded with its error
     message and excluded from the aggregates, never silently dropped. Wall
     time covers the final fit and prediction, not data handling, scoring
     or the inner search.
     """
-    _parse_method(method)
+    points = candidates(method, grid)
     report = MethodReport(method, dataset_name, seed)
-    for fold, Xtr, ytr, Xte, yte in _outer_folds(ds, grid, seed,
-                                                 global_normalize):
-        params = _select_params(method, candidates(method, grid), grid,
-                                Xtr, ytr, ds.n_classes, seed, fold)
-        t0 = time.perf_counter()
-        (pred,) = _fit_predict(method, [params], grid, Xtr, ytr, Xte,
-                               ds.n_classes, seed, fold)
-        seconds = time.perf_counter() - t0
-        record = _record(fold, params, pred, yte)
-        record.seconds = seconds
-        report.records.append(record)
+    for split in _outer_folds(ds, grid, seed, global_normalize):
+        fold, Xtr, ytr = split[:3]
+        params = _select_params(method, points, grid, Xtr, ytr,
+                                ds.n_classes, seed, fold)
+        for _, yte, seconds, (pred,) in _cross_validate(
+                method, [params], grid, [split], ds.n_classes, seed):
+            report.records.append(_record(fold, params, pred, yte, seconds))
     return report
 
 
@@ -341,16 +335,16 @@ SWEEP_PARAMETERS = {"tau": "temperatures", "zeta": "target_weights",
                     "phi": "ce_weights", "(lambda+zeta)/phi": "ce_weights"}
 
 
-def sweep(parameter: str, ds: Dataset, grid: GridSpec, seed: int,
-          dataset_name: str = "data") -> list[dict]:
+def sweep(parameter: str, ds: Dataset, grid: GridSpec,
+          seed: int) -> list[dict]:
     """One distill-dkd record (value, mean accuracy, std) per sweep value.
 
     The values are the candidates in the GridSpec field SWEEP_PARAMETERS
     names; lambda/zeta sets lambda = value * zeta, (lambda+zeta)/phi sets
     phi = (lambda + zeta) / value. Other settings take their first candidate.
     Each point is scored as run_method scores a one-candidate grid, all
-    points of an outer fold fitting together in one _fit_predict call;
-    diverged folds are left out of a point's mean and std.
+    points of an outer fold fitting together (_cross_validate); diverged
+    folds are left out of a point's mean and std.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ValueError(f"unknown sweep parameter {parameter!r}")
@@ -366,11 +360,10 @@ def sweep(parameter: str, ds: Dataset, grid: GridSpec, seed: int,
         else:
             params["lam" if parameter == "lambda" else parameter] = value
         points.append(params)
-    reports = [MethodReport("distill-dkd", dataset_name, seed)
-               for _ in points]
-    for fold, Xtr, ytr, Xte, yte in _outer_folds(ds, grid, seed):
-        preds = _fit_predict("distill-dkd", points, grid, Xtr, ytr, Xte,
-                             ds.n_classes, seed, fold)
+    reports = [MethodReport("distill-dkd", "", seed) for _ in points]
+    for fold, yte, _, preds in _cross_validate(
+            "distill-dkd", points, grid, _outer_folds(ds, grid, seed),
+            ds.n_classes, seed):
         for rep, params, pred in zip(reports, points, preds):
             rep.records.append(_record(fold, params, pred, yte))
     return [{"parameter": parameter, "value": value,

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _check_finite
+
 PARTITION = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
 PARTITION_LABELS = ("very low", "low", "medium", "high", "very high")
 
@@ -74,10 +76,7 @@ def log_memberships(rb: RuleBase, X: np.ndarray) -> np.ndarray:
     if X.shape[1] != rb.n_features:
         raise ValueError(f"X has {X.shape[1]} features, rule base expects "
                          f"{rb.n_features}")
-    if not np.isfinite(X).all():
-        i, j = np.argwhere(~np.isfinite(X))[0]
-        raise ValueError(f"non-finite value {X[i, j]} in X at row {i + 1}, "
-                         f"column {j + 1}")
+    _check_finite(X)
     diff = X[:, None, :] - rb.centers[None, :, :]
     return -(diff * diff / (2.0 * rb.widths[None, :, :])).sum(axis=2)
 

@@ -86,6 +86,21 @@ def test_sweep_emits_one_line_per_value(tmp_path, iris_csv):
     assert all(ln.startswith("sweep parameter=tau ") for ln in lines)
 
 
+@pytest.mark.parametrize("command", [
+    ["evaluate", "--method", "student-only", "--no-time"],
+    ["sweep", "--param", "tau"]], ids=["evaluate", "sweep"])
+def test_stdout_matches_out_file(tmp_path, iris_csv, capsys, command):
+    args = command + ["--data", iris_csv, "--rules", "2", "--folds", "2",
+                      "--epochs", "5"]
+    out = tmp_path / "out.txt"
+    assert main(args + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(args) == 0
+    stdout = capsys.readouterr().out
+    assert stdout.encode() == out.read_bytes()
+    assert stdout.endswith("\n") and not stdout.endswith("\n\n")
+
+
 def test_explain_round_trip(tmp_path, iris_csv, capsys):
     model = tmp_path / "student.json"
     main(["train-student", "--data", iris_csv, "--rules", "2",

@@ -155,6 +155,10 @@ class TestNormalize:
         with pytest.raises(ValueError, match="empty"):
             normalize(np.empty((0, 2)))
 
+    def test_apply_feature_count_checked(self):
+        with pytest.raises(ValueError, match="feature count differs"):
+            normalize(np.zeros((3, 2)), np.zeros((1, 3)))
+
 
 class TestStratifiedFolds:
     def test_two_class_two_fold_balance(self):

@@ -110,6 +110,10 @@ class TestSoftLabels:
         with pytest.raises(ValueError, match="at least 2 classes, got 1"):
             soft_labels(np.array([[0.5], [1.0]]), 1.0, [0, 0])
 
+    def test_target_length_checked(self):
+        with pytest.raises(ValueError, match="one class index per row"):
+            soft_labels(np.zeros((3, 2)), 1.0, [0, 1])
+
 
 class TestKdLoss:
     def test_identical_labels_zero(self):
@@ -134,6 +138,14 @@ class TestKdLoss:
         s, _ = random_pair(rng, 5, 4, 1.0)
         with pytest.raises(ValueError):
             kd_loss(t, s)
+
+    @pytest.mark.parametrize("loss", [kd_loss, dkd_loss])
+    def test_target_mismatch_rejected(self, loss):
+        logits = np.array([[1.0, 0.0], [0.0, 1.0]])
+        t = soft_labels(logits, 1.0, [0, 1])
+        s = soft_labels(logits, 1.0, [1, 0])
+        with pytest.raises(ValueError, match="target indices disagree"):
+            loss(t, s)
 
 
 class TestDkdLoss:

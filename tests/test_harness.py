@@ -1,4 +1,8 @@
 """Cross-validated evaluation harness, metrics, sweeps and rule readout."""
+import time
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -141,6 +145,20 @@ class TestRunMethod:
                          GridSpec.fixed(n_rules=2, folds=2), seed=0)
         assert all(r.seconds >= 0 for r in rep.records)
 
+    def test_wall_time_covers_the_final_fit_only(self, monkeypatch):
+        fit_candidates = harness.fit_candidates
+
+        def slow(*args):
+            time.sleep(0.1)
+            return fit_candidates(*args)
+
+        monkeypatch.setattr(harness, "fit_candidates", slow)
+        grid = replace(GridSpec.fixed(n_rules=2, folds=2, max_epochs=5),
+                       ce_weights=(1, 2))
+        rep = run_method("distill-dkd", toy_dataset(), grid, seed=0)
+        # one slow fit per fold; the three inner fits would add 0.3 s
+        assert all(0.1 <= r.seconds < 0.4 for r in rep.records)
+
     def test_inner_search_picks_a_candidate(self):
         ds = toy_dataset()
         grid = GridSpec(rule_counts=(1, 3), temperatures=(2,),
@@ -266,18 +284,29 @@ class TestInnerSearch:
             harness.fit_candidates("student-only", [{"K": 2}, {"K": 3}],
                                    GridSpec.fixed(), ds.X, ds.y, 2, 0, 1)
 
-    def test_diverged_candidate_scores_zero(self):
+    def test_diverged_candidate_scores_zero(self, monkeypatch):
         grid = GridSpec.coarse(rule_counts=(2,), max_epochs=5)
         good = {"K": 2, "tau": 2, "zeta": 1, "lam": 2, "phi": 1}
         # finite first total, overflowing first gradient: a non-finite
         # first trial point
         bad = dict(good, tau=1e-6, zeta=1e304)
         X, y, c = self.wine_split()
+        inner, cross_validate = [], harness._cross_validate
+
+        def spy(*args):
+            for outcome in cross_validate(*args):
+                inner.append(outcome)
+                yield outcome
+
+        monkeypatch.setattr(harness, "_cross_validate", spy)
         with np.errstate(all="ignore"):
-            scores = harness._inner_scores("distill-dkd", [bad, good], grid,
-                                           X, y, c, 0, 0)
             picked = harness._select_params("distill-dkd", [bad, good],
                                             grid, X, y, c, 0, 0)
+        assert len(inner) == 3
+        # per inner fold, a diverged fit's accuracy counts as 0
+        scores = np.mean([[0.0 if isinstance(pred, TrainingDiverged)
+                           else accuracy(pred, yte) for pred in preds]
+                          for _, yte, _, preds in inner], axis=0)
         assert scores[0] == 0.0 and scores[1] > 0.5
         assert picked is good
 
@@ -362,13 +391,13 @@ class TestSweep:
         assert all(r["parameter"] == "lambda/zeta" for r in ratio)
 
     def test_lambda_over_zeta_scales_lambda_by_zeta(self, monkeypatch):
-        groups, fit_predict = [], harness._fit_predict
+        groups, fit_candidates = [], harness.fit_candidates
 
         def spy(method, group, *args):
             groups.append(group)
-            return fit_predict(method, group, *args)
+            return fit_candidates(method, group, *args)
 
-        monkeypatch.setattr(harness, "_fit_predict", spy)
+        monkeypatch.setattr(harness, "fit_candidates", spy)
         grid = GridSpec(rule_counts=(2,), temperatures=(2,),
                         target_weights=(2,), non_target_weights=(1, 5),
                         ce_weights=(1,), folds=2)
@@ -441,6 +470,19 @@ class TestRuleReadout:
         sm = init_student(build_rule_base(1, 3, seed=0), 2)
         with pytest.raises(ValueError, match="feature count"):
             rule_readout(sm, np.array([0.5]))
+
+    def test_non_model_rejected(self):
+        # a teacher's fields without its type: prediction works, the
+        # readout does not
+        rng = np.random.default_rng(2)
+        X = rng.uniform(0, 1, (10, 2))
+        tm = fit_teacher(build_rule_base(2, 2, seed=2), X,
+                         rng.integers(0, 2, 10).astype(float), 100.0,
+                         np.array([0.0, 1.0]))
+        fake = SimpleNamespace(rule_base=tm.rule_base, coeffs=tm.coeffs,
+                               order=tm.order, class_labels=tm.class_labels)
+        with pytest.raises(TypeError, match="cannot explain SimpleNamespace"):
+            rule_readout(fake, np.array([0.3, 0.7]))
 
 
 class TestTeacherClassLabels:

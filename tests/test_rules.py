@@ -27,6 +27,12 @@ class TestRuleBase:
         with pytest.raises(ValueError):
             RuleBase(np.array([[0.5, 0.5]]), np.array([[1.0]]))
 
+    @pytest.mark.parametrize("shape", [(0, 2), (2, 0)],
+                             ids=["no rules", "no features"])
+    def test_empty_rule_base_rejected(self, shape):
+        with pytest.raises(ValueError, match="K >= 1 rules and m >= 1"):
+            RuleBase(np.zeros(shape), np.ones(shape))
+
 
 class TestBuildRuleBase:
     def test_single_rule_structure(self):

@@ -1,6 +1,7 @@
 """Versioned model serialization round-trips."""
 import json
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,6 +42,13 @@ def test_student_round_trip(tmp_path):
                                   predict_student(sm, X))
 
 
+def test_non_model_not_saved(tmp_path):
+    # save_model reads rule_base and order before it checks the type
+    fake = SimpleNamespace(rule_base=build_rule_base(1, 1, seed=0), order=1)
+    with pytest.raises(TypeError, match="cannot serialize SimpleNamespace"):
+        save_model(fake, tmp_path / "model.json")
+
+
 def test_missing_magic_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"version": 1, "kind": "student"}))
@@ -76,7 +84,11 @@ def test_unreadable_file_named(tmp_path, text, message):
     (lambda r: r.update(rule_base=[]), "malformed model record"),
     (lambda r: r.update(coeffs="abc"), "malformed model record"),
     (lambda r: r.update(kind="oracle"), "unknown model kind 'oracle'"),
-], ids=["no kind", "rule base list", "text coeffs", "unknown kind"])
+    # a teacher record whose reg TeacherModel rejects
+    (lambda r: r.update(kind="teacher", reg=0, class_labels=[0, 1]),
+     "malformed model record (regularization parameter must be positive)"),
+], ids=["no kind", "rule base list", "text coeffs", "unknown kind",
+        "teacher reg 0"])
 def test_malformed_record_named(tmp_path, edit, message):
     path = tmp_path / "model.json"
     save_model(init_student(build_rule_base(1, 1, seed=0), 2), path)

@@ -94,6 +94,10 @@ class TestCrossEntropy:
         with pytest.raises(ValueError, match="one-hot"):
             cross_entropy(np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]]))
 
+    def test_rejects_shape_mismatch(self):
+        with pytest.raises(ValueError, match="same shape"):
+            cross_entropy(np.array([[0.5, 0.5]]), np.eye(2))
+
 
 class TestTrainConfig:
     @pytest.mark.parametrize("kwargs", [dict(lr=0.0), dict(max_epochs=0),
@@ -168,6 +172,12 @@ class TestTrainStudent:
             train_student(sm, X, np.full((4, 2), 0.5), TrainConfig())
         with pytest.raises(ValueError, match="columns"):
             train_student(sm, X, onehot_encode([0, 0, 1, 2], 3),
+                          TrainConfig())
+
+    def test_row_count_mismatch_rejected(self):
+        rb, X, _ = toy_separable()
+        with pytest.raises(ValueError, match="disagree on the sample count"):
+            train_student(init_student(rb, 2), X, onehot_encode([0, 1], 2),
                           TrainConfig())
 
     def test_oversized_first_step_is_backtracked(self):

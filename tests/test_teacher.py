@@ -107,6 +107,12 @@ class TestFitTeacher:
         with pytest.raises(ValueError):
             fit_teacher(rb, np.array([[0.5]]), np.array([1.0]), reg=0.0)
 
+    def test_target_length_checked(self):
+        rb = build_rule_base(1, 1, seed=0)
+        with pytest.raises(ValueError, match="disagree on the sample count"):
+            fit_teacher(rb, np.array([[0.2], [0.8]]), np.array([1.0]),
+                        reg=100.0)
+
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     def test_dual_shapes_match_design_matrix_oracle(self, order):
         # N < K*D: the fit goes through the kernel, never the design matrix
