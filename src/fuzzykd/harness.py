@@ -378,6 +378,8 @@ def _linguistic(center: float) -> str:
 
 def rule_readout(model, sample: np.ndarray) -> str:
     """Linguistic IF/THEN dump of every rule, evaluated at one sample."""
+    if not isinstance(model, (StudentModel, TeacherModel)):
+        raise TypeError(f"cannot explain {type(model).__name__}")
     x = np.asarray(sample, dtype=float).ravel()
     rb = model.rule_base
     if x.size != rb.n_features:
@@ -401,11 +403,9 @@ def rule_readout(model, sample: np.ndarray) -> str:
                                   for j in range(d))
                 lines.append(f"  output {c + 1} = {expr} "
                              f"= {float(bx @ block[:, c]):.4f}")
-        elif isinstance(model, TeacherModel):
+        else:
             block = model.coeffs[k * d:(k + 1) * d]
             lines.append(f"  output = {float(bx @ block):.4f}")
-        else:
-            raise TypeError(f"cannot explain {type(model).__name__}")
     lines.append(f"Predicted class: {pred}")
     return "\n".join(lines)
 

@@ -19,20 +19,18 @@ def _rule_base_record(rb: RuleBase) -> dict:
 
 
 def save_model(model, path) -> None:
-    record = {"magic": MAGIC, "version": VERSION,
-              "rule_base": _rule_base_record(model.rule_base),
-              "order": model.order}
     if isinstance(model, TeacherModel):
-        record["kind"] = "teacher"
-        record["coeffs"] = model.coeffs.tolist()
-        record["reg"] = model.reg
-        record["class_labels"] = model.class_labels.tolist()
+        fields = {"kind": "teacher", "coeffs": model.coeffs.tolist(),
+                  "reg": model.reg,
+                  "class_labels": model.class_labels.tolist()}
     elif isinstance(model, StudentModel):
-        record["kind"] = "student"
-        record["coeffs"] = model.coeffs.tolist()
-        record["n_classes"] = model.n_classes
+        fields = {"kind": "student", "coeffs": model.coeffs.tolist(),
+                  "n_classes": model.n_classes}
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
+    record = {"magic": MAGIC, "version": VERSION,
+              "rule_base": _rule_base_record(model.rule_base),
+              "order": model.order, **fields}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(record, fh)
         fh.write("\n")

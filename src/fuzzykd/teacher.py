@@ -12,8 +12,11 @@ rule k and B the N x D order-n basis (`basis.expand_matrix`).
 The recursive basis gives b(x) . b(x') = P(s) = 1 + s + ... + s^n with
 s = x . x', so Xg Xg^T = (F F^T) * P(X X^T) elementwise, F being the N x K
 firing matrix. When N < K*D the teacher solves the N x N dual system built
-from this kernel and never forms Xg: the fit holds N x N arrays. When
-N >= K*D it solves the K*D x K*D primal system on Xg.
+from this kernel and never forms Xg. It builds the kernel's lower triangle
+straight into one N x N buffer, _BLOCK_ROWS rows at a time, and factors
+that buffer in place, so the fit holds one N x N array (8*N^2 bytes) plus
+a _BLOCK_ROWS x N block. When N >= K*D it solves the K*D x K*D primal
+system on Xg, factoring its Gram matrix in place too.
 
 Neither prediction nor the dual fit builds B itself. Both take one Horner
 step on the order-(n-1) basis (`basis.basis_apply` for B Q and
@@ -32,6 +35,8 @@ from .basis import (basis_adjoint, basis_apply, basis_dim,
 from .rules import RuleBase, firing_strengths
 
 TEACHER_ORDER = 3
+# rows of the dual Gram matrix built per step: bounds the temporaries
+_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -65,34 +70,52 @@ def ridge_solve(A: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
     for any ridge > 0, by Cholesky with a pivoted fallback. `fit_teacher`
     calls it only when N >= D; `_kernel_solve` holds the dual form.
     """
-    G = A.T @ A
-    G[np.diag_indices_from(G)] += ridge
-    return _spd_solve(G, A.T @ y)
+    def gram():
+        G = A.T @ A
+        G[np.diag_indices_from(G)] += ridge
+        return G
+
+    return _spd_solve(gram, A.T @ y)
 
 
-def _spd_solve(G: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _spd_solve(build, b: np.ndarray) -> np.ndarray:
+    """Solve G x = b for the SPD G = build(), reading G's lower triangle.
+
+    That triangle is the upper one of the Fortran-ordered G.T, so Cholesky
+    factors G.T in place, with no copy. A failed factorization has
+    overwritten G, so the pivoted symmetric (LDL^T) fallback rebuilds it.
+    """
     try:
-        c, low = scipy.linalg.cho_factor(G)
+        c, low = scipy.linalg.cho_factor(build().T, overwrite_a=True)
         return scipy.linalg.cho_solve((c, low), b)
     except scipy.linalg.LinAlgError:
-        return scipy.linalg.solve(G, b)
+        return scipy.linalg.solve(build(), b, lower=True, assume_a="sym")
 
 
 def _kernel_solve(F: np.ndarray, X: np.ndarray, y: np.ndarray, ridge: float,
                   order: int) -> np.ndarray:
     """alpha of the N x N dual system (Xg Xg^T + ridge I) alpha = y.
 
-    Builds Xg Xg^T = (F F^T) * P(X X^T) by Horner's rule, in place because
-    the N x N arrays dominate the fit's memory.
+    Builds the lower triangle of Xg Xg^T = (F F^T) * P(X X^T) into one
+    N x N buffer, _BLOCK_ROWS rows at a time, by Horner's rule in place;
+    the upper triangle stays zero.
     """
-    S = X @ X.T
-    G = np.ones_like(S)
-    for _ in range(order):
-        G *= S
-        G += 1.0
-    G *= F @ F.T
-    G[np.diag_indices_from(G)] += ridge
-    return _spd_solve(G, y)
+    def gram():
+        n = X.shape[0]
+        G = np.zeros((n, n))
+        for start in range(0, n, _BLOCK_ROWS):
+            r = slice(start, min(start + _BLOCK_ROWS, n))
+            Gb = G[r, :r.stop]
+            S = X[r] @ X[:r.stop].T
+            Gb[...] = 1.0
+            for _ in range(order):
+                Gb *= S
+                Gb += 1.0
+            Gb *= F[r] @ F[:r.stop].T
+        G[np.diag_indices_from(G)] += ridge
+        return G
+
+    return _spd_solve(gram, y)
 
 
 def fit_teacher(rb: RuleBase, X: np.ndarray, y_enc: np.ndarray, reg: float,

@@ -484,6 +484,11 @@ class TestRuleReadout:
         with pytest.raises(TypeError, match="cannot explain SimpleNamespace"):
             rule_readout(fake, np.array([0.3, 0.7]))
 
+    def test_plain_object_rejected(self):
+        # the type is checked before any field is read
+        with pytest.raises(TypeError, match="cannot explain object"):
+            rule_readout(object(), np.zeros(2))
+
 
 class TestTeacherClassLabels:
     """A teacher fit on labels other than 0..C-1 predicts those labels."""

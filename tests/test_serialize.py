@@ -43,10 +43,17 @@ def test_student_round_trip(tmp_path):
 
 
 def test_non_model_not_saved(tmp_path):
-    # save_model reads rule_base and order before it checks the type
+    # a model's fields without its type
     fake = SimpleNamespace(rule_base=build_rule_base(1, 1, seed=0), order=1)
     with pytest.raises(TypeError, match="cannot serialize SimpleNamespace"):
         save_model(fake, tmp_path / "model.json")
+
+
+def test_plain_object_not_saved(tmp_path):
+    # the type is checked before any field is read, and nothing is written
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        save_model(object(), tmp_path / "model.json")
+    assert not (tmp_path / "model.json").exists()
 
 
 def test_missing_magic_rejected(tmp_path):

@@ -1,4 +1,6 @@
 """Closed-form ridge fit of the high-order teacher."""
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -133,6 +135,39 @@ class TestFitTeacher:
             want = brute_force_ridge(Xg, y, 0.01)
             np.testing.assert_allclose(tm.coeffs, want, atol=1e-8)
 
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_blocked_dual_build_matches_oracle_at_block_edges(self, order):
+        # one row short of, exactly and one row past a block of the dual
+        # Gram build, then three blocks with a partial last one
+        block = fuzzykd.teacher._BLOCK_ROWS
+        rng = np.random.default_rng(30 + order)
+        m = 4
+        for n in (block - 1, block, block + 1, 2 * block + 44):
+            k = n // basis_dim(order, m) + 1
+            assert n < k * basis_dim(order, m)  # the dual path
+            rb = build_rule_base(k, m, seed=order)
+            X = rng.uniform(0, 1, (n, m))
+            y = rng.normal(size=n)
+            tm = fit_teacher(rb, X, y, reg=100.0, order=order)
+            Xg = stack_design_matrix(firing_strengths(rb, X), X, order)
+            want = brute_force_ridge(Xg, y, 0.01)
+            np.testing.assert_allclose(tm.coeffs, want, atol=1e-8)
+
+    def test_dual_fit_holds_one_n_by_n_array(self):
+        # the Gram matrix is built and factored in one 8 N^2-byte buffer
+        n = 1000
+        rng = np.random.default_rng(14)
+        rb = build_rule_base(8, 13, seed=14)  # K*D = 19,040 > n
+        X = rng.uniform(0, 1, (n, 13))
+        y = rng.normal(size=n)
+        tracemalloc.start()
+        try:
+            fit_teacher(rb, X, y, reg=100.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * n * n
+
     def test_dual_fit_and_prediction_skip_design_matrix(self, monkeypatch):
         # neither the design matrix nor the full order-3 basis is built;
         # lower-order bases (the Horner step's) pass
@@ -177,6 +212,30 @@ class TestFitTeacher:
         monkeypatch.setattr(scipy.linalg, "solve", counted_solve)
         got = fit_teacher(rb, X, y, reg=100.0).coeffs
         assert calls == [1]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("n, k, m", [(30, 2, 3), (300, 4, 4),
+                                         (600, 2, 3)])
+    def test_fallback_rebuilds_overwritten_matrix(self, monkeypatch, n, k,
+                                                  m):
+        # a factorization that fails in place leaves its input spoiled; the
+        # fallback must not solve with it. K*D is 80, 340 and 80: dual,
+        # dual, then primal
+        rng = np.random.default_rng(13)
+        rb = build_rule_base(k, m, seed=13)
+        X = rng.uniform(0, 1, (n, m))
+        y = rng.normal(size=n)
+        want = fit_teacher(rb, X, y, reg=100.0).coeffs
+        calls = []
+
+        def spoil(a, *args, **kwargs):
+            calls.append(a.shape)
+            a[...] = np.nan
+            raise scipy.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", spoil)
+        got = fit_teacher(rb, X, y, reg=100.0).coeffs
+        assert len(calls) == 1
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
 
