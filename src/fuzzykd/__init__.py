@@ -4,8 +4,7 @@ from .basis import basis_dim, basis_labels, expand_basis, stack_design_matrix
 from .data import (Dataset, FoldPlan, load_bundled, load_csv, normalize,
                    stratified_folds)
 from .distill import (DistillConfig, SoftLabelSet, dkd_loss, distill,
-                      distill_batch, kd_loss, soft_labels, teacher_logits,
-                      vanilla_kd_distill)
+                      distill_batch, kd_loss, soft_labels, teacher_logits)
 from .harness import (GridSpec, MethodReport, accuracy, format_report,
                       rule_readout, run_method, sweep, weighted_f)
 from .rules import (PARTITION, PARTITION_LABELS, RuleBase, build_rule_base,

@@ -70,6 +70,16 @@ def _add_distill(p):
     _flag(p, "phi", float, _FIXED.ce_weights[0])
 
 
+def _add_report(p):
+    p.add_argument("--method", default="distill-dkd",
+                   help="teacher-only, student-only, distill-kd, "
+                        "distill-dkd, tsk-order-N-llm or tsk-order-N-gd")
+    _flag(p, "folds", int, _FIXED.folds)
+    p.add_argument("--global-normalize", action="store_true")
+    p.add_argument("--no-time", action="store_true",
+                   help="omit wall-time fields (byte-stable reports)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fuzzykd",
@@ -103,22 +113,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_train(p)
     _add_distill(p)
-    p.add_argument("--method", default="distill-dkd",
-                   help="teacher-only, student-only, distill-kd, "
-                        "distill-dkd, tsk-order-N-llm or tsk-order-N-gd")
-    _flag(p, "folds", int, _FIXED.folds)
-    p.add_argument("--global-normalize", action="store_true")
-    p.add_argument("--no-time", action="store_true",
-                   help="omit wall-time fields (byte-stable reports)")
+    _add_report(p)
 
     p = sub.add_parser("gridsearch",
                        help="evaluation with inner-CV hyperparameter search")
     _add_common(p)
-    p.add_argument("--method", default="distill-dkd")
-    _flag(p, "folds", int, _FIXED.folds)
+    _add_report(p)
     p.add_argument("--grid", choices=("full", "coarse"), default="coarse")
-    p.add_argument("--global-normalize", action="store_true")
-    p.add_argument("--no-time", action="store_true")
 
     p = sub.add_parser("sweep", help="vary one distillation parameter")
     _add_common(p)

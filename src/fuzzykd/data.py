@@ -13,12 +13,12 @@ class CsvParseError(ValueError):
     """CSV structure or content problem, located by row/column."""
 
 
-def _check_finite(X: np.ndarray) -> None:
+def _check_finite(X: np.ndarray, name: str = "X") -> None:
     """Reject X's first nan or inf cell, naming its 1-based row and column."""
     if not np.isfinite(X).all():
         i, j = np.argwhere(~np.isfinite(X))[0]
-        raise ValueError(f"non-finite value {X[i, j]} in X at row {i + 1}, "
-                         f"column {j + 1}")
+        raise ValueError(f"non-finite value {X[i, j]} in {name} at row "
+                         f"{i + 1}, column {j + 1}")
 
 
 @dataclass

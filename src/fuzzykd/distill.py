@@ -1,7 +1,8 @@
 """Decoupled knowledge distillation from the teacher to the student.
 
-Teacher logits are negative distances between the scalar teacher output and
-each class encoding. Both sides are softened with the same temperature; the
+The teacher enters as its N x C logits; for the paper's scalar teacher they
+are negative distances between its output and each class encoding
+(teacher_logits). Both sides are softened with the same temperature; the
 KL between them splits exactly into a target/non-target binary KL plus the
 teacher's non-target mass times the KL among non-target classes. The loss
 reweights the two parts and adds the cross-entropy against the ground truth.
@@ -14,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .data import _check_finite
 from .student import (EPS, StudentModel, TrainConfig, TrainingDiverged,
                       _finite_logits, _log, _softmax, _sole, _training_data,
                       gradient_descent_batch, softmax)
@@ -73,8 +75,7 @@ def soft_labels(logits: np.ndarray, temperature: float,
                 target: np.ndarray) -> SoftLabelSet:
     """Temperature softmax plus the decoupled binary / non-target views."""
     logits = np.atleast_2d(np.asarray(logits, dtype=float))
-    if not np.isfinite(logits).all():
-        raise ValueError("logits must be finite")
+    _check_finite(logits, "logits")
     target = np.asarray(target, dtype=int).ravel()
     if target.size != logits.shape[0]:
         raise ValueError("target must give one class index per row")
@@ -189,51 +190,43 @@ def _distill_loss_grad(Xh, Y, y_idx, teachers, cfgs):
 
 def distill(teacher_out: np.ndarray, sm: StudentModel, X: np.ndarray,
             y_onehot: np.ndarray, cfg: DistillConfig,
-            class_labels: np.ndarray | None = None
+            class_labels: np.ndarray | None = None,
+            kd_weight: float | None = None
             ) -> tuple[StudentModel, list[dict]]:
     """Train the student on the decoupled loss (frozen teacher soft labels).
 
-    teacher_out holds the fitted teacher's scalar outputs on X. The teacher
+    teacher_out holds the fitted teacher's scalar outputs on X, turned into
+    logits by teacher_logits (class_labels 0..C-1 by default). The teacher
     soft labels are computed once; the student's are recomputed from its
     current logits every epoch. The optimized total is summed over samples;
     the trace components (tckl, nckl, h) are per-sample means for
     scale-free monitoring. Returns the trained model and a per-epoch trace
-    of (epoch, tckl, nckl, h, total). The one-config case of distill_batch.
+    of (epoch, tckl, nckl, h, total). A float kd_weight trains the coupled
+    loss instead. The one-config case of distill_batch.
     """
-    return _sole(distill_batch(teacher_out, sm, X, y_onehot, [cfg],
-                               class_labels))
+    if class_labels is None:
+        class_labels = np.arange(sm.n_classes, dtype=float)
+    return _sole(distill_batch(teacher_logits(teacher_out, class_labels), sm,
+                               X, y_onehot, [cfg],
+                               None if kd_weight is None else [kd_weight]))
 
 
-def vanilla_kd_distill(teacher_out: np.ndarray, sm: StudentModel,
-                       X: np.ndarray, y_onehot: np.ndarray,
-                       cfg: DistillConfig, kd_weight: float = 1.0,
-                       class_labels: np.ndarray | None = None
-                       ) -> tuple[StudentModel, list[dict]]:
-    """Train the student on the coupled loss kd_weight*KL + ce_weight*H.
-
-    Baseline for ablation against distill. Per sample, KL(u_T || u_S) =
-    TCKL + (1 - u_t) * NCKL (u_t: teacher target mass), so this runs
-    distill's fit at target weight kd_weight and per-sample non-target
-    weight kd_weight * (1 - u_t) in place of cfg's two KL weights; the trace
-    rows are distill's. DistillConfig checks these weights, as for distill.
-    """
-    return _sole(distill_batch(teacher_out, sm, X, y_onehot, [cfg],
-                               class_labels, [kd_weight]))
-
-
-def distill_batch(teacher_out: np.ndarray, sm: StudentModel, X: np.ndarray,
+def distill_batch(logits: np.ndarray, sm: StudentModel, X: np.ndarray,
                   y_onehot: np.ndarray, cfgs: list[DistillConfig],
-                  class_labels: np.ndarray | None = None,
                   kd_weights: list[float] | None = None) -> list:
     """distill from sm once per config, all fits in lock step.
 
-    The fits share the design matrix of X and the teacher soft labels of
-    each temperature, and one loss/gradient call per round evaluates them
-    all (gradient_descent_batch); the configs must agree on lr, max_epochs
-    and tol. teacher_out needs one value per row of X and class_labels one
-    per class. With kd_weights, config i's fit is vanilla_kd_distill's at
-    kd_weights[i]. Returns, per config, (model, trace) or the
-    TrainingDiverged that ended its fit; each equals its one-config run.
+    logits holds the teacher's logits on X, one row per row of X and one
+    column per class. The fits share the design matrix of X and the teacher
+    soft labels of each temperature, and one loss/gradient call per round
+    evaluates them all (gradient_descent_batch); the configs must agree on
+    lr, max_epochs and tol. With kd_weights, config i's fit trains the
+    coupled loss w*KL + ce_weight*H at w = kd_weights[i], the baseline for
+    ablation: per sample, KL(u_T || u_S) = TCKL + (1 - u_t) * NCKL (u_t:
+    teacher target mass), so the fit runs at target weight w and per-sample
+    non-target weight w * (1 - u_t) in place of the config's two KL weights.
+    Returns, per config, (model, trace) or the TrainingDiverged that ended
+    its fit; each equals its one-config run.
     """
     if len({(cfg.lr, cfg.max_epochs, cfg.tol) for cfg in cfgs}) != 1:
         raise ValueError("need at least one config, all with the same lr, "
@@ -244,15 +237,10 @@ def distill_batch(teacher_out: np.ndarray, sm: StudentModel, X: np.ndarray,
             raise ValueError(f"non_target_weight has "
                              f"{np.size(cfg.non_target_weight)} values, "
                              f"expected one per row ({len(Y)})")
-    if np.size(teacher_out) != len(Y):
-        raise ValueError(f"teacher_out has {np.size(teacher_out)} values, "
-                         f"expected one per row ({len(Y)})")
-    if class_labels is None:
-        class_labels = np.arange(Y.shape[1], dtype=float)
-    if np.size(class_labels) != Y.shape[1]:
-        raise ValueError(f"class_labels has {np.size(class_labels)} values, "
-                         f"expected one per class ({Y.shape[1]})")
-    logits = teacher_logits(teacher_out, class_labels)
+    if np.shape(logits) != Y.shape:
+        raise ValueError(f"teacher logits have shape {np.shape(logits)}, "
+                         f"expected {Y.shape}: one row per sample, one "
+                         f"column per class")
     at_tau = {tau: soft_labels(logits, tau, y_idx)
               for tau in dict.fromkeys(cfg.temperature for cfg in cfgs)}
     teachers = [at_tau[cfg.temperature] for cfg in cfgs]

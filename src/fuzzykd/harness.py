@@ -185,7 +185,7 @@ def fit_candidates(method: str, group: list[dict], grid: GridSpec, X, y,
     checked for every candidate before the first fit, so a bad setting
     costs no rule base or teacher fit. The rule bases are drawn with
     teacher_seed and student_seed. The candidates share the rule bases, the
-    teacher fit and its outputs, and the student's design matrix, and the
+    teacher fit and its logits, and the student's design matrix, and the
     distilled students train together (distill_batch). Returns, per
     candidate, (model, loss trace), the trace empty for a teacher, or the
     TrainingDiverged that ended its fit. The harness fits through
@@ -218,8 +218,8 @@ def fit_candidates(method: str, group: list[dict], grid: GridSpec, X, y,
     tm = fit_teacher(rule_base(teacher_seed), X, y.astype(float), grid.reg,
                      class_labels)
     kd_weights = [params["lam"] for params in group] if fit == "kd" else None
-    return distill_batch(predict_teacher(tm, X), sm, X, Y, cfgs,
-                         class_labels, kd_weights)
+    return distill_batch(teacher_logits(predict_teacher(tm, X), class_labels),
+                         sm, X, Y, cfgs, kd_weights)
 
 
 def predict_class(model, X: np.ndarray) -> np.ndarray:

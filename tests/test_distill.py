@@ -1,6 +1,7 @@
 """Soft labels, decoupled KL losses and the distillation training loop."""
 import re
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from fuzzykd.data import load_bundled, normalize
 from fuzzykd.distill import (DistillConfig, dkd_loss, distill,
                              distill_batch, kd_loss, soft_labels,
-                             teacher_logits, trace_lines, vanilla_kd_distill)
+                             teacher_logits, trace_lines)
 from fuzzykd.rules import build_rule_base
 from fuzzykd.student import (StudentModel, TrainConfig, TrainingDiverged,
                              cross_entropy, design_matrix, init_student,
@@ -227,8 +228,7 @@ class TestDistill:
                               ce_weight=0.0)
         cfg_v = DistillConfig(0.01, 15, 0.0, temperature=tau, ce_weight=0.0)
         m_d, tr_d = distill(t_out, sm, X, Y, cfg_d, labels)
-        m_v, tr_v = vanilla_kd_distill(t_out, sm, X, Y, cfg_v,
-                                       kd_weight=1.0, class_labels=labels)
+        m_v, tr_v = distill(t_out, sm, X, Y, cfg_v, labels, kd_weight=1.0)
         for a, b in zip(tr_d, tr_v):
             assert abs(a["total"] - b["total"]) < 1e-9
         np.testing.assert_allclose(m_d.coeffs, m_v.coeffs, atol=1e-9)
@@ -255,7 +255,7 @@ class TestDistill:
             sm = init_student(rb, c)
             Xh, Y, y_idx = _training_data(sm, X, onehot_encode(y, c))
             tsl = soft_labels(teacher_logits(t_out, labels), 2.0, y_idx)
-            # coupled KD at kd_weight 2: vanilla_kd_distill's weights
+            # coupled KD at kd_weight 2: the weights distill_batch uses
             weights = (dict(target_weight=2.0,
                             non_target_weight=2.0 * tsl.binary[:, 1])
                        if coupled else {})
@@ -275,7 +275,9 @@ class TestDistill:
                 np.testing.assert_array_equal(lg0(Q[None], idx)[1][0],
                                               analytic)
 
-    @pytest.mark.parametrize("fit", [distill, vanilla_kd_distill])
+    @pytest.mark.parametrize("fit", [distill,
+                                     partial(distill, kd_weight=1.0)],
+                             ids=["distill", "distill-kd"])
     @pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
     def test_overflowing_logits_diverge_at_epoch_one(self, fit):
         rb, X, y, labels, t_out = class_setup()
@@ -308,7 +310,9 @@ class TestDistill:
             fit(sm, X, Y, ds.y)
         assert err.value.epoch == 1
 
-    @pytest.mark.parametrize("fit", [distill, vanilla_kd_distill])
+    @pytest.mark.parametrize("fit", [distill,
+                                     partial(distill, kd_weight=1.0)],
+                             ids=["distill", "distill-kd"])
     def test_two_class_non_target_term_exactly_zero(self, fit):
         rb, X, y = toy_separable()
         t_out = np.array([0.1, 0.3, 0.6, 0.9])
@@ -317,7 +321,9 @@ class TestDistill:
                        cfg, class_labels=np.array([0.0, 1.0]))
         assert trace and all(row["nckl"] == 0.0 for row in trace)
 
-    @pytest.mark.parametrize("fit", [distill, vanilla_kd_distill])
+    @pytest.mark.parametrize("fit", [distill,
+                                     partial(distill, kd_weight=1.0)],
+                             ids=["distill", "distill-kd"])
     def test_invalid_targets_rejected_before_training(self, fit):
         rb, X, y, labels, t_out = class_setup()
         Y = onehot_encode(y, 3)
@@ -342,8 +348,7 @@ class TestVanillaKd:
         sm = init_student(rb, 3)
         Y = onehot_encode(y, 3)
         cfg = DistillConfig(0.01, 10, 0.0, temperature=2.0)
-        m1, _ = vanilla_kd_distill(t_out, sm, X, Y, cfg, kd_weight=0.0,
-                                   class_labels=labels)
+        m1, _ = distill(t_out, sm, X, Y, cfg, labels, kd_weight=0.0)
         m2, _ = train_student(sm, X, Y, TrainConfig(0.01, 10, 0.0))
         np.testing.assert_array_equal(m1.coeffs, m2.coeffs)
 
@@ -352,9 +357,8 @@ class TestVanillaKd:
         rb, X, y, labels, t_out = class_setup()
         cfg = DistillConfig(0.01, 10, 0.0, ce_weight=0.0)
         with pytest.raises(ValueError, match="at least one loss weight"):
-            vanilla_kd_distill(t_out, init_student(rb, 3), X,
-                               onehot_encode(y, 3), cfg, kd_weight=0.0,
-                               class_labels=labels)
+            distill(t_out, init_student(rb, 3), X, onehot_encode(y, 3), cfg,
+                    labels, kd_weight=0.0)
 
     def test_one_step_matches_finite_differences(self):
         rb, X, y, labels, t_out = class_setup(n=1)
@@ -362,8 +366,7 @@ class TestVanillaKd:
         Y = onehot_encode(y, 3)
         tau = 2.0
         cfg = DistillConfig(0.01, 1, 0.0, temperature=tau)
-        trained, _ = vanilla_kd_distill(t_out, sm, X, Y, cfg, kd_weight=1.0,
-                                        class_labels=labels)
+        trained, _ = distill(t_out, sm, X, Y, cfg, labels, kd_weight=1.0)
         tsl = soft_labels(teacher_logits(t_out, labels), tau, y)
         Xh = design_matrix(sm, X)
         eps = 1e-12
@@ -388,8 +391,7 @@ class TestVanillaKd:
         sm = init_student(rb, 3)
         Y = onehot_encode(y, 3)
         cfg = DistillConfig(0.01, 12, 0.0, temperature=tau, ce_weight=phi)
-        trained, trace = vanilla_kd_distill(t_out, sm, X, Y, cfg,
-                                            kd_weight=w, class_labels=labels)
+        trained, trace = distill(t_out, sm, X, Y, cfg, labels, kd_weight=w)
         Xh = design_matrix(sm, X)
         logits = Xh @ trained.coeffs
         tsl = soft_labels(teacher_logits(t_out, labels), tau, y)
@@ -401,15 +403,14 @@ class TestVanillaKd:
         rb, X, y, labels, t_out = class_setup()
         sm = init_student(rb, 3)
         with pytest.raises(ValueError):
-            vanilla_kd_distill(t_out, sm, X, onehot_encode(y, 3),
-                               DistillConfig(), kd_weight=-1.0)
+            distill(t_out, sm, X, onehot_encode(y, 3), DistillConfig(),
+                    kd_weight=-1.0)
 
     def test_infinite_weight_rejected(self):
         rb, X, y, labels, t_out = class_setup()
         with pytest.raises(ValueError, match="^target_weight must be"):
-            vanilla_kd_distill(t_out, init_student(rb, 3), X,
-                               onehot_encode(y, 3), DistillConfig(),
-                               kd_weight=np.inf, class_labels=labels)
+            distill(t_out, init_student(rb, 3), X, onehot_encode(y, 3),
+                    DistillConfig(), labels, kd_weight=np.inf)
 
 
 def eight_configs():
@@ -432,15 +433,12 @@ class TestDistillBatch:
         sm = init_student(build_rule_base(3, 3, seed=2), c)
         cfgs = eight_configs()
         kd = [cfg.non_target_weight for cfg in cfgs] if coupled else None
-        batch = distill_batch(t_out, sm, X, Y, cfgs, labels, kd)
+        batch = distill_batch(teacher_logits(t_out, labels), sm, X, Y, cfgs,
+                              kd)
         assert len(batch) == 8
         for i, (cfg, (model, trace)) in enumerate(zip(cfgs, batch)):
-            if coupled:
-                alone = vanilla_kd_distill(t_out, sm, X, Y, cfg,
-                                           kd_weight=kd[i],
-                                           class_labels=labels)
-            else:
-                alone = distill(t_out, sm, X, Y, cfg, labels)
+            alone = distill(t_out, sm, X, Y, cfg, labels,
+                            kd[i] if coupled else None)
             assert np.array_equal(model.coeffs, alone[0].coeffs)
             assert trace == alone[1]
         # tol stops the fits after different numbers of epochs, so the
@@ -455,7 +453,8 @@ class TestDistillBatch:
         # point is not finite
         cfgs[3] = DistillConfig(temperature=1e-6, target_weight=1e304)
         with np.errstate(all="ignore"):
-            batch = distill_batch(t_out, sm, X, Y, cfgs, labels)
+            batch = distill_batch(teacher_logits(t_out, labels), sm, X, Y,
+                                  cfgs)
             with pytest.raises(TrainingDiverged):
                 distill(t_out, sm, X, Y, cfgs[3], labels)
         assert isinstance(batch[3], TrainingDiverged)
@@ -468,8 +467,8 @@ class TestDistillBatch:
         rb, X, y, labels, t_out = class_setup()
         cfgs = [DistillConfig(), DistillConfig(max_epochs=5)]
         with pytest.raises(ValueError, match="max_epochs"):
-            distill_batch(t_out, init_student(rb, 3), X, onehot_encode(y, 3),
-                          cfgs, labels)
+            distill_batch(teacher_logits(t_out, labels), init_student(rb, 3),
+                          X, onehot_encode(y, 3), cfgs)
 
 
 class TestDistillConfig:
@@ -505,27 +504,43 @@ class TestDistillConfig:
             distill(t_out, init_student(rb, 3), X, onehot_encode(y, 3), cfg,
                     labels)
 
-    @pytest.mark.parametrize("two_classes, n_labels, n_out, message", [
-        (False, 4, 24, "class_labels has 4 values, expected one per class "
-                       "(3)"),
-        (False, 2, 24, "class_labels has 2 values, expected one per class "
-                       "(3)"),
-        (True, 2, None, "class_labels has 2 values, expected one per class "
-                        "(3)"),
-        (False, 3, 23, "teacher_out has 23 values, expected one per row "
-                       "(24)"),
+    @pytest.mark.parametrize("two_classes, n_labels, n_out, batch, shapes", [
+        (False, 4, 24, False, "(24, 4), expected (24, 3)"),
+        (False, 2, 24, False, "(24, 2), expected (24, 3)"),
+        (True, 2, None, False, "(18, 2), expected (18, 3)"),
+        (False, 3, 23, False, "(23, 3), expected (24, 3)"),
+        (False, None, 24, True, "(24,), expected (24, 3)"),
+        (False, 4, 24, True, "(24, 4), expected (24, 3)"),
     ], ids=["4 labels", "2 labels", "2 labels on classes 0 and 1",
-            "23 outputs"])
+            "23 outputs", "scalar outputs to distill_batch",
+            "4 columns to distill_batch"])
     def test_mismatched_teacher_input_named(self, two_classes, n_labels,
-                                            n_out, message):
+                                            n_out, batch, shapes):
         rb, X, y, _, t_out = class_setup()
         if two_classes:  # a 3-class student on the rows of two classes
             keep = y < 2
             X, y, t_out = X[keep], y[keep], t_out[keep]
-        with pytest.raises(ValueError, match=re.escape(message)):
-            distill(t_out[:n_out], init_student(rb, 3), X,
-                    onehot_encode(y, 3), DistillConfig(),
-                    np.arange(n_labels, dtype=float))
+        sm, Y, t_out = init_student(rb, 3), onehot_encode(y, 3), t_out[:n_out]
+        labels = None if n_labels is None else np.arange(n_labels, dtype=float)
+        message = (f"teacher logits have shape {shapes}: one row per sample, "
+                   f"one column per class")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            if not batch:
+                distill(t_out, sm, X, Y, DistillConfig(), labels)
+            elif labels is None:  # the scalar outputs must not broadcast
+                distill_batch(t_out, sm, X, Y, [DistillConfig()])
+            else:
+                distill_batch(teacher_logits(t_out, labels), sm, X, Y,
+                              [DistillConfig()])
+
+    def test_non_finite_teacher_output_located(self):
+        rb, X, y, labels, t_out = class_setup()
+        t_out = t_out.copy()
+        t_out[5] = np.nan
+        with pytest.raises(ValueError, match=r"^non-finite value nan in "
+                           r"logits at row 6, column 1$"):
+            distill(t_out, init_student(rb, 3), X, onehot_encode(y, 3),
+                    DistillConfig(), labels)
 
 
 class TestTraceLines:

@@ -278,6 +278,21 @@ class TestInnerSearch:
         harness._select_params("distill-dkd", cands, grid, X, y, c, 0, 0)
         assert sorted(calls) == [2, 2, 2, 3, 3, 3]
 
+    @pytest.mark.parametrize("method", ["distill-dkd", "distill-kd"])
+    def test_split_without_a_class_distills_every_class(self, method):
+        # an inner training split can lack a class (here iris's class 1);
+        # the student still needs the dataset's C = 3 classes
+        ds = load_bundled("iris")
+        keep = ds.y != 1
+        X, _, _ = normalize(ds.X[keep])
+        grid = GridSpec.fixed(max_epochs=5)
+        (model, trace), = harness.fit_candidates(
+            method, harness.candidates(method, grid), grid, X, ds.y[keep],
+            ds.n_classes, 0, 1)
+        assert isinstance(model, StudentModel)
+        assert model.n_classes == 3 and model.coeffs.shape[1] == 3
+        assert trace
+
     def test_candidates_of_two_rule_counts_rejected(self):
         ds = toy_dataset()
         with pytest.raises(ValueError, match="share one rule count K"):
