@@ -82,6 +82,11 @@ def soft_labels(logits: np.ndarray, temperature: float,
     n, c = logits.shape
     if c < 2:
         raise ValueError(f"soft labels need at least 2 classes, got {c}")
+    bad = (target < 0) | (target >= c)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"target index {target[i]} at row {i + 1} is "
+                         f"outside 0..{c - 1} for {c} classes")
     u = softmax(logits, temperature)
     rows = np.arange(n)
     u_t = u[rows, target]

@@ -67,7 +67,20 @@ def build_rule_base(n_rules: int, n_features: int, width: float = 0.5,
 def log_memberships(rb: RuleBase, X: np.ndarray) -> np.ndarray:
     """Unnormalized log rule memberships, N x K.
 
-    log mu^k(x) = sum_i -(x_i - v_i^k)^2 / (2 * delta_i^k).
+    log mu^k(x) = sum_i -(x_i - v_i^k)^2 / (2 * delta_i^k), computed as the
+    expanded square
+
+        log mu = X (v/delta)^T - (X*X) (1/(2 delta))^T - sum_i v_i^2/(2 delta_i)
+
+    two N x m by m x K products plus one constant per rule. The products
+    are taken with the rules on the slow axis, into one C-contiguous K x N
+    array, and the N x K result is its transposed view.
+
+    Error bound: no term exceeds S = sum_i (x_i^2 + v_i^2) / (2 delta_i) in
+    magnitude, so the absolute error stays within a small multiple of
+    eps * S (eps = 2.2e-16; measured under 1e-15 * S for m up to 40 and
+    |x| up to 1e8). Near a rule's center, where the result is much smaller
+    than S, that is a larger relative error than the direct square's.
 
     Every model fit, prediction and rule readout passes through here, so
     this is where a nan or inf cell is rejected, by row and column.
@@ -77,17 +90,24 @@ def log_memberships(rb: RuleBase, X: np.ndarray) -> np.ndarray:
         raise ValueError(f"X has {X.shape[1]} features, rule base expects "
                          f"{rb.n_features}")
     _check_finite(X)
-    diff = X[:, None, :] - rb.centers[None, :, :]
-    return -(diff * diff / (2.0 * rb.widths[None, :, :])).sum(axis=2)
+    half_inv = 0.5 / rb.widths
+    log_mu = (rb.centers / rb.widths) @ X.T
+    log_mu -= half_inv @ (X * X).T
+    log_mu -= (rb.centers * rb.centers * half_inv).sum(axis=1)[:, None]
+    return log_mu.T
 
 
 def firing_strengths(rb: RuleBase, X: np.ndarray) -> np.ndarray:
-    """Normalized firing strengths, N x K, rows summing to 1.
+    """Normalized firing strengths: a C-contiguous N x K array, rows sum to 1.
 
     Normalization happens in log space (log-sum-exp), so the product of many
-    per-feature Gaussians cannot underflow to an all-zero row.
+    per-feature Gaussians cannot underflow to an all-zero row. It runs on
+    the K x N layout of `log_memberships`, where each rule is one
+    contiguous row: the max and the sum over rules are K - 1 elementwise
+    passes over N values, not N reductions over K cells.
     """
-    log_mu = log_memberships(rb, X)
-    shifted = log_mu - log_mu.max(axis=1, keepdims=True)
-    w = np.exp(shifted)
-    return w / w.sum(axis=1, keepdims=True)
+    w = log_memberships(rb, X).T
+    w -= w.max(axis=0)
+    np.exp(w, out=w)
+    w /= w.sum(axis=0)
+    return np.ascontiguousarray(w.T)

@@ -32,6 +32,7 @@ import scipy.linalg
 
 from .basis import (basis_adjoint, basis_apply, basis_dim,
                     stack_design_matrix)
+from .data import _check_finite
 from .rules import RuleBase, firing_strengths
 
 TEACHER_ORDER = 3
@@ -139,6 +140,7 @@ def fit_teacher(rb: RuleBase, X: np.ndarray, y_enc: np.ndarray, reg: float,
         raise ValueError("X and y_enc disagree on the sample count")
     if not reg > 0:
         raise ValueError("regularization parameter must be positive")
+    _check_finite(y_enc[:, None], "y_enc")
     if class_labels is None:
         class_labels = np.unique(y_enc)
     F = firing_strengths(rb, X)

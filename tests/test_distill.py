@@ -115,6 +115,14 @@ class TestSoftLabels:
         with pytest.raises(ValueError, match="one class index per row"):
             soft_labels(np.zeros((3, 2)), 1.0, [0, 1])
 
+    @pytest.mark.parametrize("bad", [-1, 3], ids=["negative", "C"])
+    def test_target_outside_class_range_rejected(self, bad):
+        # -1 would pick the last class and C would be numpy's IndexError
+        with pytest.raises(ValueError, match=f"target index {bad} at row 2 "
+                                             r"is outside 0\.\.2 for 3 "
+                                             "classes"):
+            soft_labels(np.zeros((3, 3)), 1.0, [0, bad, 1])
+
 
 class TestKdLoss:
     def test_identical_labels_zero(self):

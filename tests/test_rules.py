@@ -101,6 +101,35 @@ class TestFiringStrengths:
                                              "at row 3, column 2"):
             log_memberships(rb, X)
 
+    @pytest.mark.parametrize("k,m,seed", [(1, 1, 0), (3, 4, 1), (8, 13, 2),
+                                          (5, 40, 3)])
+    def test_log_memberships_match_row_loop(self, k, m, seed):
+        # per-cell widths, rows scaled from 1e-2 up to 1e8; the expanded
+        # square's error is bounded by S = sum_i (x_i^2 + v_i^2)/(2 delta_i)
+        rng = np.random.default_rng(seed)
+        rb = RuleBase(rng.choice(PARTITION, (k, m)),
+                      rng.uniform(0.01, 5.0, (k, m)))
+        X = rng.uniform(-1, 1, (12, m)) * np.logspace(-2, 8, 12)[:, None]
+        got = log_memberships(rb, X)
+        assert got.shape == (12, k)
+        for n, x in enumerate(X.tolist()):
+            for r in range(k):
+                v, d = rb.centers[r].tolist(), rb.widths[r].tolist()
+                want = -sum((x[i] - v[i]) ** 2 / (2 * d[i]) for i in range(m))
+                bound = sum((x[i] ** 2 + v[i] ** 2) / (2 * d[i])
+                            for i in range(m))
+                assert abs(got[n, r] - want) <= 1e-14 * bound
+
+    @pytest.mark.parametrize("scale", [1.0, 1e4, 1e8])
+    def test_large_rows_normalize(self, scale):
+        rng = np.random.default_rng(5)
+        rb = RuleBase(rng.choice(PARTITION, (8, 13)),
+                      rng.uniform(0.01, 5.0, (8, 13)))
+        fm = firing_strengths(rb, rng.uniform(-1, 1, (30, 13)) * scale)
+        assert fm.shape == (30, 8) and fm.flags.c_contiguous
+        assert np.isfinite(fm).all()
+        np.testing.assert_allclose(fm.sum(axis=1), 1.0, rtol=0, atol=1e-9)
+
     def test_matches_naive_product_path(self):
         # direct exp-then-normalize, safe for small m
         rng = np.random.default_rng(3)

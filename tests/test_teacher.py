@@ -115,6 +115,27 @@ class TestFitTeacher:
             fit_teacher(rb, np.array([[0.2], [0.8]]), np.array([1.0]),
                         reg=100.0)
 
+    @pytest.mark.parametrize("n,bad", [(30, np.nan), (30, np.inf),
+                                       (600, np.nan), (600, -np.inf)],
+                             ids=["dual-nan", "dual-inf", "primal-nan",
+                                  "primal-inf"])
+    def test_non_finite_target_located_before_firing(self, monkeypatch, n,
+                                                     bad):
+        # K*D = 2 * D(3, 3) = 40: 30 rows take the dual path, 600 the
+        # primal; neither firing strengths nor a Gram matrix is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("firing strengths computed")
+
+        monkeypatch.setattr(fuzzykd.teacher, "firing_strengths", refuse)
+        rng = np.random.default_rng(15)
+        rb = build_rule_base(2, 3, seed=15)
+        y = rng.normal(size=n)
+        y[n - 4] = bad
+        with pytest.raises(ValueError, match=f"non-finite value {bad} in "
+                                             f"y_enc at row {n - 3}, "
+                                             "column 1"):
+            fit_teacher(rb, rng.uniform(0, 1, (n, 3)), y, reg=100.0)
+
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     def test_dual_shapes_match_design_matrix_oracle(self, order):
         # N < K*D: the fit goes through the kernel, never the design matrix
