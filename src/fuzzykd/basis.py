@@ -11,6 +11,8 @@ basis, holding D(n-1) instead of D(n) doubles per row.
 """
 from __future__ import annotations
 
+from numbers import Integral
+
 import numpy as np
 
 MAX_ORDER = 3
@@ -26,8 +28,9 @@ def basis_dim(order: int, n_features: int) -> int:
 
 
 def _check_order(order: int) -> None:
-    if order not in range(MAX_ORDER + 1):
-        raise ValueError(f"order must be in 0..{MAX_ORDER}, got {order}")
+    if not isinstance(order, Integral) or order not in range(MAX_ORDER + 1):
+        raise ValueError(f"order must be an integer in 0..{MAX_ORDER}, got "
+                         f"{order}")
 
 
 def expand_basis(x: np.ndarray, order: int) -> np.ndarray:

@@ -21,6 +21,18 @@ def _check_finite(X: np.ndarray, name: str = "X") -> None:
                          f"{i + 1}, column {j + 1}")
 
 
+def _class_indices(y, n_classes: int, name: str = "class index") -> np.ndarray:
+    """y as a flat int array; its first entry not in 0..n_classes-1
+    (negative, too large, fractional or nan) is named with its 1-based row."""
+    y = np.asarray(y).ravel()
+    bad = ~np.isin(y, np.arange(n_classes))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"{name} {y[i]} at row {i + 1} is outside "
+                         f"0..{n_classes - 1} for {n_classes} classes")
+    return y.astype(int)
+
+
 @dataclass
 class Dataset:
     X: np.ndarray
@@ -31,12 +43,12 @@ class Dataset:
 
     def __post_init__(self):
         self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        self.y = np.asarray(self.y, dtype=int).ravel()
+        if self.X.shape[0] == 0:
+            raise ValueError("X has no rows")
+        self.y = _class_indices(self.y, self.n_classes)
         if self.y.size != self.X.shape[0]:
             raise ValueError("X and y disagree on the sample count")
         _check_finite(self.X)
-        if self.y.min() < 0 or self.y.max() >= self.n_classes:
-            raise ValueError("class indices must lie in 0..n_classes-1")
 
 
 def _numeric_column(path, values: list[str], col: int) -> list[float] | None:

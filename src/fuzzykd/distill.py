@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import _check_finite
+from .data import _check_finite, _class_indices
 from .student import (EPS, StudentModel, TrainConfig, TrainingDiverged,
                       _finite_logits, _log, _softmax, _sole, _training_data,
                       gradient_descent_batch, softmax)
@@ -76,17 +76,12 @@ def soft_labels(logits: np.ndarray, temperature: float,
     """Temperature softmax plus the decoupled binary / non-target views."""
     logits = np.atleast_2d(np.asarray(logits, dtype=float))
     _check_finite(logits, "logits")
-    target = np.asarray(target, dtype=int).ravel()
-    if target.size != logits.shape[0]:
-        raise ValueError("target must give one class index per row")
     n, c = logits.shape
     if c < 2:
         raise ValueError(f"soft labels need at least 2 classes, got {c}")
-    bad = (target < 0) | (target >= c)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"target index {target[i]} at row {i + 1} is "
-                         f"outside 0..{c - 1} for {c} classes")
+    target = _class_indices(target, c, "target index")
+    if target.size != n:
+        raise ValueError("target must give one class index per row")
     u = softmax(logits, temperature)
     rows = np.arange(n)
     u_t = u[rows, target]

@@ -387,25 +387,20 @@ def rule_readout(model, sample: np.ndarray) -> str:
     # predicting first rejects a non-finite sample before any rule output
     pred = int(predict_class(model, x[None, :])[0])
     labels = basis_labels(model.order, rb.n_features)
-    d = len(labels)
     bx = expand_basis(x, model.order)
+    # K x D x c: a student's c class outputs, a teacher's one (c = 1)
+    blocks = model.coeffs.reshape(rb.n_rules, len(labels), -1)
     lines = []
-    for k in range(rb.n_rules):
+    for k, block in enumerate(blocks):
         lines.append(f"Rule {k + 1}:")
         lines.append("IF:")
         for i in range(rb.n_features):
             lines.append(f"  feature {i + 1} is {_linguistic(rb.centers[k, i])}")
         lines.append("THEN:")
-        if isinstance(model, StudentModel):
-            block = model.coeffs[k * d:(k + 1) * d, :]
-            for c in range(model.n_classes):
-                expr = " + ".join(f"{block[j, c]:.4f}*{labels[j]}"
-                                  for j in range(d))
-                lines.append(f"  output {c + 1} = {expr} "
-                             f"= {float(bx @ block[:, c]):.4f}")
-        else:
-            block = model.coeffs[k * d:(k + 1) * d]
-            lines.append(f"  output = {float(bx @ block):.4f}")
+        for c, q in enumerate(block.T):
+            expr = " + ".join(f"{a:.4f}*{label}"
+                              for a, label in zip(q, labels))
+            lines.append(f"  output {c + 1} = {expr} = {float(bx @ q):.4f}")
     lines.append(f"Predicted class: {pred}")
     return "\n".join(lines)
 

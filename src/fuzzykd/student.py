@@ -18,6 +18,7 @@ import numpy as np
 from scipy.linalg.blas import daxpy, ddot
 
 from .basis import basis_dim, stack_design_matrix
+from .data import _class_indices
 from .rules import RuleBase, firing_strengths
 
 EPS = 1e-12
@@ -80,6 +81,9 @@ class StudentModel:
     order: int = STUDENT_ORDER
 
     def __post_init__(self):
+        if not isinstance(self.n_classes, Integral):
+            raise ValueError(f"n_classes must be an integer, got "
+                             f"{self.n_classes}")
         if self.n_classes < 2:
             raise ValueError("need at least 2 classes")
         d = self.rule_base.n_rules * basis_dim(self.order,
@@ -175,7 +179,7 @@ def _finite_logits(Xh: np.ndarray, Q: np.ndarray
 
 
 def onehot_encode(y: np.ndarray, n_classes: int) -> np.ndarray:
-    y = np.asarray(y, dtype=int).ravel()
+    y = _class_indices(y, n_classes)
     out = np.zeros((y.size, n_classes))
     out[np.arange(y.size), y] = 1.0
     return out

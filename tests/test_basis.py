@@ -24,6 +24,13 @@ class TestBasisDim:
         with pytest.raises(ValueError, match="order"):
             basis_dim(order, 3)
 
+    @pytest.mark.parametrize("order", [1.0, 1.5, "1"])
+    def test_non_integral_order_rejected(self, order):
+        # 1.0 in range(4) holds, so a range test alone lets 1.0 through
+        with pytest.raises(ValueError, match=f"order must be an integer in "
+                                             f"0..3, got {order}"):
+            basis_dim(order, 3)
+
 
 class TestExpandBasis:
     def test_order_zero_is_constant(self):

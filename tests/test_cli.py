@@ -113,6 +113,25 @@ def test_explain_round_trip(tmp_path, iris_csv, capsys):
     assert "Rule 1:" in out and "Predicted class:" in out
 
 
+def test_explain_float_class_count_is_a_malformed_model(tmp_path, iris_csv,
+                                                       capsys):
+    # the readout does not read n_classes, so only the load can reject it
+    model = tmp_path / "student.json"
+    main(["train-student", "--data", iris_csv, "--rules", "2",
+          "--epochs", "3", "--seed", "1", "--out", str(model)])
+    model.write_text(model.read_text().replace('"n_classes": 3',
+                                               '"n_classes": 3.0'))
+    capsys.readouterr()
+    rc = main(["explain", "--model", str(model),
+               "--sample", "0.2,0.4,0.1,0.3"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"fuzzykd: error: {model}: malformed model "
+                            "record (n_classes must be an integer, got "
+                            "3.0)\n")
+
+
 def test_explain_rejects_non_finite_sample(tmp_path, iris_csv, capsys):
     model = tmp_path / "teacher.json"
     main(["train-teacher", "--data", iris_csv, "--rules", "2",

@@ -121,8 +121,23 @@ class TestLoadCsv:
 
 class TestDataset:
     def test_label_range_checked(self):
-        with pytest.raises(ValueError, match="class indices"):
+        with pytest.raises(ValueError, match=r"class index 3 at row 2 is "
+                                             r"outside 0\.\.1 for 2 classes"):
             Dataset(np.zeros((2, 1)), np.array([0, 3]), 2)
+
+    def test_fractional_label_rejected(self):
+        # an int cast would truncate these silently to [0, 1, 0, 1]
+        with pytest.raises(ValueError, match=r"class index 0\.5 at row 1 "):
+            Dataset(np.zeros((4, 1)), [0.5, 1.7, 0.2, 1.9], 2)
+
+    def test_integral_float_labels_accepted(self):
+        ds = Dataset(np.zeros((3, 1)), [0.0, 1.0, 1.0], 2)
+        np.testing.assert_array_equal(ds.y, [0, 1, 1])
+        assert ds.y.dtype.kind == "i"
+
+    def test_zero_row_x_rejected(self):
+        with pytest.raises(ValueError, match="X has no rows"):
+            Dataset(np.zeros((0, 4)), np.zeros(0, dtype=int), 2)
 
     def test_length_mismatch_checked(self):
         with pytest.raises(ValueError, match="sample count"):

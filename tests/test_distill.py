@@ -123,6 +123,11 @@ class TestSoftLabels:
                                              "classes"):
             soft_labels(np.zeros((3, 3)), 1.0, [0, bad, 1])
 
+    def test_fractional_target_rejected(self):
+        # an int cast would truncate it to class 1
+        with pytest.raises(ValueError, match=r"target index 1\.7 at row 1 "):
+            soft_labels(np.zeros((2, 3)), 1.0, [1.7, 0])
+
 
 class TestKdLoss:
     def test_identical_labels_zero(self):

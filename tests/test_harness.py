@@ -473,13 +473,45 @@ class TestRuleReadout:
             assert text.strip().endswith(f"Predicted class: {want}")
 
     def test_teacher_readout_has_scalar_consequent(self):
+        # one output per rule, printed in full: all D(3, 2) = 15 terms,
+        # and the value b(x) . q_k with the basis built here from its
+        # recursion b_0 = [1], b_n = [1, x (x) b_{n-1}]
         rng = np.random.default_rng(1)
         rb = build_rule_base(2, 2, seed=1)
         X = rng.uniform(0, 1, (15, 2))
         tm = fit_teacher(rb, X, rng.integers(0, 2, 15).astype(float), 100.0,
                          np.array([0.0, 1.0]))
-        text = rule_readout(tm, np.array([0.3, 0.7]))
-        assert "Rule 2:" in text and "output =" in text
+        x = np.array([0.3, 0.7])
+        b = np.ones(1)
+        for _ in range(3):
+            b = np.concatenate([[1.0], np.outer(x, b).ravel()])
+        lines = rule_readout(tm, x).splitlines()
+        outputs = [line for line in lines if line.startswith("  output")]
+        assert len(outputs) == 2
+        for k, line in enumerate(outputs):
+            head, expr, value = line.split(" = ")
+            assert head == "  output 1"
+            assert len(expr.split(" + ")) == 15
+            q = tm.coeffs[k * 15:(k + 1) * 15]
+            assert value == f"{float(b @ q):.4f}"
+
+    def test_student_readout_text_is_pinned(self):
+        # a student's readout bytes are fixed; this literal pins them
+        rb = RuleBase(np.array([[0.25, 1.0], [0.5, 0.0]]),
+                      np.full((2, 2), 0.5))
+        coeffs = np.arange(12.0).reshape(6, 2) / 8 - 0.5
+        text = rule_readout(StudentModel(rb, coeffs, 2),
+                            np.array([0.5, 0.25]))
+        assert text == (
+            "Rule 1:\nIF:\n  feature 1 is low\n  feature 2 is very high\n"
+            "THEN:\n"
+            "  output 1 = -0.5000*1 + -0.2500*x1 + 0.0000*x2 = -0.6250\n"
+            "  output 2 = -0.3750*1 + -0.1250*x1 + 0.1250*x2 = -0.4062\n"
+            "Rule 2:\nIF:\n  feature 1 is medium\n  feature 2 is very low\n"
+            "THEN:\n"
+            "  output 1 = 0.2500*1 + 0.5000*x1 + 0.7500*x2 = 0.6875\n"
+            "  output 2 = 0.3750*1 + 0.6250*x1 + 0.8750*x2 = 0.9062\n"
+            "Predicted class: 1")
 
     def test_sample_length_checked(self):
         sm = init_student(build_rule_base(1, 3, seed=0), 2)

@@ -94,8 +94,12 @@ def test_unreadable_file_named(tmp_path, text, message):
     # a teacher record whose reg TeacherModel rejects
     (lambda r: r.update(kind="teacher", reg=0, class_labels=[0, 1]),
      "malformed model record (regularization parameter must be positive)"),
+    (lambda r: r.update(n_classes=2.0),
+     "malformed model record (n_classes must be an integer, got 2.0)"),
+    (lambda r: r.update(order=1.0),
+     "malformed model record (order must be an integer in 0..3, got 1.0)"),
 ], ids=["no kind", "rule base list", "text coeffs", "unknown kind",
-        "teacher reg 0"])
+        "teacher reg 0", "float n_classes", "float order"])
 def test_malformed_record_named(tmp_path, edit, message):
     path = tmp_path / "model.json"
     save_model(init_student(build_rule_base(1, 1, seed=0), 2), path)

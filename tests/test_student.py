@@ -116,6 +116,24 @@ class TestInitStudent:
         assert sm.coeffs.shape == (2 * 4, 4)
         assert (sm.coeffs == 0).all()
 
+    def test_non_integral_class_count_rejected(self):
+        rb = build_rule_base(2, 3, seed=0)
+        with pytest.raises(ValueError, match="n_classes must be an integer, "
+                                             "got 3.0"):
+            StudentModel(rb, np.zeros((2 * 4, 3)), 3.0)
+
+
+class TestOnehotEncode:
+    @pytest.mark.parametrize("bad", [-1, 3, 1.7, np.nan],
+                             ids=["negative", "C", "fraction", "nan"])
+    def test_non_class_label_located(self, bad):
+        # unchecked, -1 would set the last column, 3 would be numpy's
+        # IndexError and 1.7 would be truncated to 1
+        with pytest.raises(ValueError, match=f"class index {bad} at row 2 "
+                                             r"is outside 0\.\.2 for 3 "
+                                             "classes"):
+            onehot_encode([0, bad, 1], 3)
+
 
 class TestTrainStudent:
     def test_separable_toy_set_reaches_full_accuracy(self):
