@@ -11,26 +11,20 @@ basis, holding D(n-1) instead of D(n) doubles per row.
 """
 from __future__ import annotations
 
-from numbers import Integral
-
 import numpy as np
+
+from .data import _check_count
 
 MAX_ORDER = 3
 
 
 def basis_dim(order: int, n_features: int) -> int:
     """Length of the order-n basis: D(0)=1, D(n)=1+m*D(n-1)."""
-    _check_order(order)
+    _check_count(order, "order", 0, MAX_ORDER)
     d = 1
     for _ in range(order):
         d = 1 + n_features * d
     return d
-
-
-def _check_order(order: int) -> None:
-    if not isinstance(order, Integral) or order not in range(MAX_ORDER + 1):
-        raise ValueError(f"order must be an integer in 0..{MAX_ORDER}, got "
-                         f"{order}")
 
 
 def expand_basis(x: np.ndarray, order: int) -> np.ndarray:
@@ -41,7 +35,7 @@ def expand_basis(x: np.ndarray, order: int) -> np.ndarray:
 
 def expand_matrix(X: np.ndarray, order: int) -> np.ndarray:
     """Row-wise order-n basis for an N x m matrix; returns N x D(order, m)."""
-    _check_order(order)
+    _check_count(order, "order", 0, MAX_ORDER)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, m = X.shape
     ones = np.ones((n, 1))
@@ -60,7 +54,7 @@ def basis_apply(X: np.ndarray, Q: np.ndarray, order: int) -> np.ndarray:
     one D(n-1) x c block R_i per feature, so the product is
     Q[0] + sum_i x_i * (H R_i): one N x D(n-1) by D(n-1) x (m*c) product.
     """
-    _check_order(order)
+    _check_count(order, "order", 0, MAX_ORDER)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Q = np.asarray(Q, dtype=float)
     if order == 0:
@@ -77,7 +71,7 @@ def basis_adjoint(X: np.ndarray, W: np.ndarray, order: int) -> np.ndarray:
     Stacks W's column sums on the rows of H^T (x_i * W), taken over all
     features i at once, with H = expand_matrix(X, order - 1).
     """
-    _check_order(order)
+    _check_count(order, "order", 0, MAX_ORDER)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     W = np.asarray(W, dtype=float)
     if order == 0:
@@ -91,7 +85,7 @@ def basis_adjoint(X: np.ndarray, W: np.ndarray, order: int) -> np.ndarray:
 
 def basis_labels(order: int, n_features: int) -> list[str]:
     """Human-readable monomial names in basis order, for rule readout."""
-    _check_order(order)
+    _check_count(order, "order", 0, MAX_ORDER)
     labels = ["1"]
     for _ in range(order):
         labels = ["1"] + [f"x{i + 1}" if prev == "1" else f"x{i + 1}*{prev}"

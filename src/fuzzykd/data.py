@@ -5,6 +5,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from importlib import resources
+from numbers import Integral
 
 import numpy as np
 
@@ -21,9 +22,19 @@ def _check_finite(X: np.ndarray, name: str = "X") -> None:
                          f"{i + 1}, column {j + 1}")
 
 
+def _check_count(value, name: str, low: int, high: int | None = None) -> None:
+    """Reject a count setting unless it is an integer in low..high (>= low
+    with no high), naming the setting and its value."""
+    if not (isinstance(value, Integral) and value >= low
+            and (high is None or value <= high)):
+        span = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{name} must be an integer {span}, got {value}")
+
+
 def _class_indices(y, n_classes: int, name: str = "class index") -> np.ndarray:
     """y as a flat int array; its first entry not in 0..n_classes-1
     (negative, too large, fractional or nan) is named with its 1-based row."""
+    _check_count(n_classes, "n_classes", 1)
     y = np.asarray(y).ravel()
     bad = ~np.isin(y, np.arange(n_classes))
     if bad.any():
@@ -51,12 +62,31 @@ class Dataset:
         _check_finite(self.X)
 
 
-def _numeric_column(path, values: list[str], col: int) -> list[float] | None:
-    """Floats of one column, or None if any cell is not a number."""
+def _float(cell: str) -> float | None:
     try:
-        parsed = [float(v) for v in values]
+        return float(cell)
     except ValueError:
         return None
+
+
+def _numeric_column(path, values: list[str], col: int,
+                    label: bool = False) -> list[float] | None:
+    """Floats of one column, or None for a column of category codes.
+
+    A column with a non-numeric cell is coded if it is the label column or
+    holds no finite number; a feature column that mixes finite numbers
+    with text (such as a '?' for a missing value) is rejected at its first
+    non-numeric cell.
+    """
+    parsed = [_float(v) for v in values]
+    if None in parsed:
+        if label or not any(p is not None and math.isfinite(p)
+                            for p in parsed):
+            return None
+        i = parsed.index(None)
+        raise CsvParseError(f"{path}: non-numeric value {values[i]!r} at "
+                            f"row {i + 1}, column {col + 1} of a numeric "
+                            "column")
     for i, p in enumerate(parsed):
         if not math.isfinite(p):
             raise CsvParseError(f"{path}: non-finite value {values[i]!r} at "
@@ -69,8 +99,9 @@ def load_csv(path, header: bool = False, label_col: int = -1) -> Dataset:
 
     label_col counts from 0, or from the end when negative, and must name
     one of the file's columns. A UTF-8 byte-order mark is skipped. Numeric
-    feature columns are parsed as floats; columns containing any
-    non-numeric cell are encoded as integers in first-appearance order.
+    feature columns are parsed as floats; feature columns with no finite
+    number are encoded as integers in first-appearance order, and a
+    feature column that mixes finite numbers with other text is rejected.
     Numeric labels are mapped to 0..C-1 by sorted value, non-numeric labels
     in first-appearance order. Missing cells, ragged rows, numeric cells
     that parse to nan or +-inf and text the csv module cannot parse (such
@@ -118,7 +149,7 @@ def load_csv(path, header: bool = False, label_col: int = -1) -> Dataset:
         X[:, out_j] = parsed
 
     labels = cols[label_col]
-    numeric = _numeric_column(path, labels, label_col)
+    numeric = _numeric_column(path, labels, label_col, label=True)
     if numeric is not None:
         uniq = sorted(set(numeric))
         code = {v: i for i, v in enumerate(uniq)}
@@ -179,8 +210,7 @@ class FoldPlan:
 def stratified_folds(y: np.ndarray, k: int,
                      seed: int | None = None) -> FoldPlan:
     """Deterministic stratified fold assignment; per-class counts within 1."""
-    if k < 2:
-        raise ValueError(f"need at least 2 folds, got {k}")
+    _check_count(k, "folds", 2)
     y = np.asarray(y, dtype=int).ravel()
     if k > y.size:
         raise ValueError(f"cannot split {y.size} samples into {k} folds")

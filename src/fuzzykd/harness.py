@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import MAX_ORDER, basis_labels, expand_basis
-from .data import Dataset, normalize, stratified_folds
+from .data import Dataset, _check_count, normalize, stratified_folds
 from .distill import DistillConfig, distill_batch, teacher_logits
 from .rules import PARTITION, PARTITION_LABELS, build_rule_base
 from .student import (STUDENT_ORDER, StudentModel, TrainConfig,
@@ -57,6 +57,9 @@ class GridSpec:
         for name, _ in _KEYS.values():
             if len(getattr(self, name)) == 0:
                 raise ValueError(f"{name} must be non-empty")
+        for i, k in enumerate(self.rule_counts):
+            _check_count(k, f"rule_counts[{i}]", 1)
+        _check_count(self.folds, "folds", 2)
 
     @classmethod
     def coarse(cls, **overrides) -> "GridSpec":

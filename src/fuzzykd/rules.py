@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _check_finite
+from .data import _check_count, _check_finite
 
 PARTITION = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
 PARTITION_LABELS = ("very low", "low", "medium", "high", "very high")
@@ -28,10 +28,11 @@ class RuleBase:
         widths = np.asarray(self.widths, dtype=float)
         if centers.ndim != 2 or centers.shape != widths.shape:
             raise ValueError("centers and widths must be matching K x m arrays")
-        if centers.shape[0] < 1 or centers.shape[1] < 1:
-            raise ValueError("rule base needs K >= 1 rules and m >= 1 features")
+        _check_count(centers.shape[0], "n_rules", 1)
+        _check_count(centers.shape[1], "n_features", 1)
         if not np.isin(centers, PARTITION).all():
             raise ValueError("every center must lie on the 5-point partition")
+        _check_finite(widths, "widths")
         if not (widths > 0).all():
             raise ValueError("every width must be strictly positive")
         object.__setattr__(self, "centers", centers)
@@ -53,9 +54,8 @@ def build_rule_base(n_rules: int, n_features: int, width: float = 0.5,
     Deterministic for a fixed seed. Centers are drawn independently per
     (rule, feature) cell; duplicate rules are allowed.
     """
-    if n_rules < 1 or n_features < 1:
-        raise ValueError(f"need n_rules >= 1 and n_features >= 1, "
-                         f"got ({n_rules}, {n_features})")
+    _check_count(n_rules, "n_rules", 1)
+    _check_count(n_features, "n_features", 1)
     if not width > 0:
         raise ValueError(f"width must be positive, got {width}")
     rng = np.random.default_rng(seed)

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 from scipy.linalg.blas import daxpy, ddot
 
 from .basis import basis_dim, stack_design_matrix
-from .data import _class_indices
+from .data import _check_count, _check_finite, _class_indices
 from .rules import RuleBase, firing_strengths
 
 EPS = 1e-12
@@ -64,11 +63,7 @@ class TrainConfig:
         if not self.lr > 0:
             raise ValueError(f"learning rate must be positive, got "
                              f"lr={self.lr}")
-        if not isinstance(self.max_epochs, Integral):
-            raise ValueError(f"max_epochs must be an integer, got "
-                             f"{self.max_epochs!r}")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be at least 1")
+        _check_count(self.max_epochs, "max_epochs", 1)
         if not self.tol >= 0:
             raise ValueError(f"tol must be non-negative, got {self.tol}")
 
@@ -81,17 +76,14 @@ class StudentModel:
     order: int = STUDENT_ORDER
 
     def __post_init__(self):
-        if not isinstance(self.n_classes, Integral):
-            raise ValueError(f"n_classes must be an integer, got "
-                             f"{self.n_classes}")
-        if self.n_classes < 2:
-            raise ValueError("need at least 2 classes")
+        _check_count(self.n_classes, "n_classes", 2)
         d = self.rule_base.n_rules * basis_dim(self.order,
                                                self.rule_base.n_features)
         coeffs = np.asarray(self.coeffs, dtype=float)
         if coeffs.shape != (d, self.n_classes):
             raise ValueError(f"coeffs has shape {coeffs.shape}, expected "
                              f"({d}, {self.n_classes})")
+        _check_finite(coeffs, "coeffs")
         object.__setattr__(self, "coeffs", coeffs)
 
 

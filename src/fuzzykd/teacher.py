@@ -60,6 +60,7 @@ class TeacherModel:
         coeffs = np.asarray(self.coeffs, dtype=float).ravel()
         if coeffs.size != d:
             raise ValueError(f"coeffs has length {coeffs.size}, expected {d}")
+        _check_finite(coeffs[:, None], "coeffs")
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "class_labels", labels)
 

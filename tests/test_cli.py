@@ -1,4 +1,6 @@
 """End-to-end command-line interface checks."""
+import json
+
 import numpy as np
 import pytest
 
@@ -128,8 +130,40 @@ def test_explain_float_class_count_is_a_malformed_model(tmp_path, iris_csv,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (f"fuzzykd: error: {model}: malformed model "
-                            "record (n_classes must be an integer, got "
+                            "record (n_classes must be an integer >= 2, got "
                             "3.0)\n")
+
+
+def test_explain_nan_coefficient_is_a_malformed_model(tmp_path, iris_csv,
+                                                     capsys):
+    # loaded, a nan coefficient would predict class 0 for every sample
+    model = tmp_path / "student.json"
+    main(["train-student", "--data", iris_csv, "--rules", "2",
+          "--epochs", "3", "--seed", "1", "--out", str(model)])
+    record = json.loads(model.read_text())
+    record["coeffs"][0][0] = float("nan")
+    model.write_text(json.dumps(record))
+    capsys.readouterr()
+    rc = main(["explain", "--model", str(model),
+               "--sample", "0.2,0.4,0.1,0.3"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"fuzzykd: error: {model}: malformed model "
+                            "record (non-finite value nan in coeffs at row "
+                            "1, column 1)\n")
+
+
+def test_evaluate_rejects_text_in_numeric_column(tmp_path, capsys):
+    data = tmp_path / "mixed.csv"
+    data.write_text("1,2,0.0,0\n2,3,3.0,1\n3,4,2.0,0\n4,5,?,1\n5,6,0.0,0\n")
+    rc = main(["evaluate", "--data", str(data), "--rules", "2",
+               "--folds", "2", "--epochs", "5", "--no-time"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"fuzzykd: error: {data}: non-numeric value "
+                            "'?' at row 4, column 3 of a numeric column\n")
 
 
 def test_explain_rejects_non_finite_sample(tmp_path, iris_csv, capsys):

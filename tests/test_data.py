@@ -89,6 +89,21 @@ class TestLoadCsv:
         np.testing.assert_array_equal(ds.X[:, 0], [0, 1, 0])
         assert ds.class_names == ["A", "nan"]
 
+    def test_text_in_numeric_column_located(self, tmp_path):
+        # a '?' for a missing value would be coded with the numbers,
+        # turning 0.0, 3.0, 2.0, ?, 0.0 into 0, 1, 2, 3, 0
+        path = write(tmp_path, "1,2,0.0,0\n2,3,3.0,1\n3,4,2.0,0\n"
+                               "4,5,?,1\n5,6,0.0,0\n")
+        with pytest.raises(CsvParseError, match=re.escape(
+                f"{path}: non-numeric value '?' at row 4, column 3 of a "
+                "numeric column")):
+            load_csv(path)
+
+    def test_mixed_label_column_kept(self, tmp_path):
+        ds = load_csv(write(tmp_path, "1,A\n2,3\n3,A\n"))
+        np.testing.assert_array_equal(ds.y, [0, 1, 0])
+        assert ds.class_names == ["A", "3"]
+
     def test_unparseable_text_located(self, tmp_path):
         # one quoted cell over the csv module's default 131072-character
         # field limit, on the file's second line
@@ -142,6 +157,11 @@ class TestDataset:
     def test_length_mismatch_checked(self):
         with pytest.raises(ValueError, match="sample count"):
             Dataset(np.zeros((2, 1)), np.array([0]), 2)
+
+    def test_float_class_count_rejected(self):
+        with pytest.raises(ValueError, match=r"n_classes must be an integer "
+                                             r">= 1, got 2\.0"):
+            Dataset(np.zeros((20, 2)), [0, 1] * 10, 2.0)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_cell_located(self, value):
@@ -214,6 +234,11 @@ class TestStratifiedFolds:
     def test_too_few_folds_rejected(self):
         with pytest.raises(ValueError, match="folds"):
             stratified_folds([0, 1], 1)
+
+    def test_float_fold_count_rejected(self):
+        with pytest.raises(ValueError, match=r"folds must be an integer "
+                                             r">= 2, got 2\.0"):
+            stratified_folds([0, 1, 0, 1], 2.0)
 
     def test_more_folds_than_samples_rejected(self):
         with pytest.raises(ValueError, match="cannot split 6 samples into "

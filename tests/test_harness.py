@@ -220,7 +220,8 @@ class TestRunMethod:
 
     @pytest.mark.parametrize("grid, message", [
         (GridSpec.fixed(lr=0.0), "learning rate must be positive"),
-        (GridSpec.fixed(max_epochs=0), "max_epochs must be at least 1"),
+        (GridSpec.fixed(max_epochs=0),
+         "max_epochs must be an integer >= 1, got 0"),
         (GridSpec.fixed(temperature=-1), "temperature must be positive"),
         (GridSpec.fixed(target_weight=0, non_target_weight=0, ce_weight=0),
          "at least one loss weight must be non-zero"),
@@ -236,6 +237,28 @@ class TestRunMethod:
         monkeypatch.setattr(harness, "fit_teacher", no_fit)
         with pytest.raises(ValueError, match=message):
             run_method("distill-dkd", load_bundled("wine"), grid, 0)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: GridSpec(rule_counts=(2, 2.5)),
+         r"rule_counts\[1\] must be an integer >= 1, got 2\.5"),
+        (lambda: GridSpec.fixed(n_rules=0),
+         r"rule_counts\[0\] must be an integer >= 1, got 0"),
+        (lambda: GridSpec.fixed(folds=2.0),
+         r"folds must be an integer >= 2, got 2\.0"),
+        (lambda: GridSpec.coarse(folds=1),
+         "folds must be an integer >= 2, got 1")],
+        ids=["float rule count", "no rules", "float folds", "one fold"])
+    def test_bad_grid_fails_when_built(self, build, message):
+        # checked when built, so a bad K fails before any candidate is fit
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    def test_float_class_count_fails_at_the_dataset(self):
+        X = np.random.default_rng(0).uniform(0, 1, (20, 2))
+        with pytest.raises(ValueError, match=r"n_classes must be an integer "
+                                             r">= 1, got 2\.0"):
+            run_method("student-only", Dataset(X, [0, 1] * 10, 2.0),
+                       GridSpec.fixed(folds=2), 0)
 
     def test_bad_student_setting_fails_before_the_rule_base(self,
                                                             monkeypatch):

@@ -23,6 +23,12 @@ class TestRuleBase:
         with pytest.raises(ValueError, match="width"):
             RuleBase(np.array([[0.5]]), np.array([[0.0]]))
 
+    def test_infinite_width_located(self):
+        # an inf width passes the positivity test but fires uniformly
+        with pytest.raises(ValueError, match="non-finite value inf in widths "
+                                             "at row 2, column 1"):
+            RuleBase(np.array([[0.5], [0.0]]), np.array([[1.0], [np.inf]]))
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             RuleBase(np.array([[0.5, 0.5]]), np.array([[1.0]]))
@@ -30,7 +36,8 @@ class TestRuleBase:
     @pytest.mark.parametrize("shape", [(0, 2), (2, 0)],
                              ids=["no rules", "no features"])
     def test_empty_rule_base_rejected(self, shape):
-        with pytest.raises(ValueError, match="K >= 1 rules and m >= 1"):
+        with pytest.raises(ValueError, match="n_(rules|features) must be an "
+                                             "integer >= 1, got 0"):
             RuleBase(np.zeros(shape), np.ones(shape))
 
 
@@ -58,6 +65,11 @@ class TestBuildRuleBase:
     def test_non_positive_counts_rejected(self, k, m):
         with pytest.raises(ValueError):
             build_rule_base(k, m)
+
+    def test_float_rule_count_rejected(self):
+        with pytest.raises(ValueError, match=r"n_rules must be an integer "
+                                             r">= 1, got 2\.5"):
+            build_rule_base(2.5, 3)
 
     def test_non_positive_width_rejected(self):
         with pytest.raises(ValueError):

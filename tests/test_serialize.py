@@ -95,11 +95,23 @@ def test_unreadable_file_named(tmp_path, text, message):
     (lambda r: r.update(kind="teacher", reg=0, class_labels=[0, 1]),
      "malformed model record (regularization parameter must be positive)"),
     (lambda r: r.update(n_classes=2.0),
-     "malformed model record (n_classes must be an integer, got 2.0)"),
+     "malformed model record (n_classes must be an integer >= 2, got 2.0)"),
     (lambda r: r.update(order=1.0),
      "malformed model record (order must be an integer in 0..3, got 1.0)"),
+    (lambda r: r["coeffs"][0].__setitem__(0, float("nan")),
+     "malformed model record (non-finite value nan in coeffs at row 1, "
+     "column 1)"),
+    # the student's order-1 record read as a teacher: 2 coefficients
+    (lambda r: r.update(kind="teacher", reg=1.0, class_labels=[0, 1],
+                        coeffs=[0.0, float("inf")]),
+     "malformed model record (non-finite value inf in coeffs at row 2, "
+     "column 1)"),
+    (lambda r: r["rule_base"].update(widths=[[float("inf")]]),
+     "malformed model record (non-finite value inf in widths at row 1, "
+     "column 1)"),
 ], ids=["no kind", "rule base list", "text coeffs", "unknown kind",
-        "teacher reg 0", "float n_classes", "float order"])
+        "teacher reg 0", "float n_classes", "float order", "nan coeff",
+        "teacher inf coeff", "inf width"])
 def test_malformed_record_named(tmp_path, edit, message):
     path = tmp_path / "model.json"
     save_model(init_student(build_rule_base(1, 1, seed=0), 2), path)

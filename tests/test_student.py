@@ -109,6 +109,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=field):
             TrainConfig(**kwargs)
 
+    def test_float_epoch_cap_rejected(self):
+        with pytest.raises(ValueError, match=r"max_epochs must be an integer "
+                                             r">= 1, got 2\.0"):
+            TrainConfig(max_epochs=2.0)
+
 
 class TestInitStudent:
     def test_zero_default(self):
@@ -118,8 +123,8 @@ class TestInitStudent:
 
     def test_non_integral_class_count_rejected(self):
         rb = build_rule_base(2, 3, seed=0)
-        with pytest.raises(ValueError, match="n_classes must be an integer, "
-                                             "got 3.0"):
+        with pytest.raises(ValueError, match="n_classes must be an integer "
+                                             ">= 2, got 3.0"):
             StudentModel(rb, np.zeros((2 * 4, 3)), 3.0)
 
 
@@ -133,6 +138,11 @@ class TestOnehotEncode:
                                              r"is outside 0\.\.2 for 3 "
                                              "classes"):
             onehot_encode([0, bad, 1], 3)
+
+    def test_float_class_count_rejected(self):
+        with pytest.raises(ValueError, match=r"n_classes must be an integer "
+                                             r">= 1, got 2\.0"):
+            onehot_encode([0, 1], 2.0)
 
 
 class TestTrainStudent:
@@ -328,6 +338,13 @@ class TestStudentModelValidation:
         rb = build_rule_base(2, 3, seed=0)
         with pytest.raises(ValueError, match="shape"):
             StudentModel(rb, np.zeros((5, 2)), 2)
+
+    def test_non_finite_coeff_located(self):
+        Q = np.zeros((2 * 4, 3))
+        Q[1, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite value nan in coeffs "
+                                             "at row 2, column 3"):
+            StudentModel(build_rule_base(2, 3, seed=0), Q, 3)
 
     def test_needs_two_classes(self):
         rb = build_rule_base(1, 1, seed=0)

@@ -308,3 +308,11 @@ class TestTeacherModelValidation:
         rb = build_rule_base(1, 1, seed=0)
         with pytest.raises(ValueError, match="length"):
             TeacherModel(rb, np.zeros(3), 100.0, np.array([0.0, 1.0]))
+
+    def test_non_finite_coeff_located(self):
+        # the coefficients are one column: row i is coefficient i
+        rb = build_rule_base(1, 1, seed=0)
+        q = np.array([0.0, 1.0, -np.inf, 0.0])
+        with pytest.raises(ValueError, match="non-finite value -inf in coeffs "
+                                             "at row 3, column 1"):
+            TeacherModel(rb, q, 100.0, np.array([0.0, 1.0]))
