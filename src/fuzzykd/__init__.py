@@ -7,13 +7,13 @@ from .distill import (DistillConfig, SoftLabelSet, dkd_loss, distill,
                       distill_batch, kd_loss, soft_labels, teacher_logits)
 from .harness import (GridSpec, MethodReport, accuracy, format_report,
                       rule_readout, run_method, sweep, weighted_f)
-from .rules import (PARTITION, PARTITION_LABELS, RuleBase, build_rule_base,
-                    firing_strengths)
+from .rules import (PARTITION, PARTITION_LABELS, RuleBase, TSKModel,
+                    build_rule_base, firing_strengths, predict_class,
+                    predict_outputs)
 from .serialize import load_model, save_model
-from .student import (StudentModel, TrainConfig, TrainingDiverged,
-                      cross_entropy, init_student, onehot_encode,
-                      predict_student, softmax, student_logits,
+from .student import (TrainConfig, TrainingDiverged, cross_entropy,
+                      init_student, onehot_encode, predict_student, softmax,
                       train_student)
-from .teacher import TeacherModel, fit_teacher, predict_teacher
+from .teacher import fit_teacher, predict_teacher
 
 __version__ = "0.1.0"

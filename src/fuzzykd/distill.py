@@ -16,8 +16,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import _check_finite, _class_indices
-from .student import (EPS, StudentModel, TrainConfig, TrainingDiverged,
-                      _finite_logits, _log, _softmax, _sole, _training_data,
+from .rules import TSKModel
+from .student import (EPS, TrainConfig, TrainingDiverged, _finite_logits,
+                      _log, _softmax, _sole, _training_data,
                       gradient_descent_batch, softmax)
 
 
@@ -188,11 +189,11 @@ def _distill_loss_grad(Xh, Y, y_idx, teachers, cfgs):
     return loss_grad
 
 
-def distill(teacher_out: np.ndarray, sm: StudentModel, X: np.ndarray,
+def distill(teacher_out: np.ndarray, sm: TSKModel, X: np.ndarray,
             y_onehot: np.ndarray, cfg: DistillConfig,
             class_labels: np.ndarray | None = None,
             kd_weight: float | None = None
-            ) -> tuple[StudentModel, list[dict]]:
+            ) -> tuple[TSKModel, list[dict]]:
     """Train the student on the decoupled loss (frozen teacher soft labels).
 
     teacher_out holds the fitted teacher's scalar outputs on X, turned into
@@ -204,14 +205,13 @@ def distill(teacher_out: np.ndarray, sm: StudentModel, X: np.ndarray,
     of (epoch, tckl, nckl, h, total). A float kd_weight trains the coupled
     loss instead. The one-config case of distill_batch.
     """
-    if class_labels is None:
-        class_labels = np.arange(sm.n_classes, dtype=float)
-    return _sole(distill_batch(teacher_logits(teacher_out, class_labels), sm,
+    labels = sm.class_labels if class_labels is None else class_labels
+    return _sole(distill_batch(teacher_logits(teacher_out, labels), sm,
                                X, y_onehot, [cfg],
                                None if kd_weight is None else [kd_weight]))
 
 
-def distill_batch(logits: np.ndarray, sm: StudentModel, X: np.ndarray,
+def distill_batch(logits: np.ndarray, sm: TSKModel, X: np.ndarray,
                   y_onehot: np.ndarray, cfgs: list[DistillConfig],
                   kd_weights: list[float] | None = None) -> list:
     """distill from sm once per config, all fits in lock step.
@@ -252,8 +252,7 @@ def distill_batch(logits: np.ndarray, sm: StudentModel, X: np.ndarray,
     outcomes = gradient_descent_batch(
         Q0, _distill_loss_grad(Xh, Y, y_idx, teachers, cfgs), cfgs[0])
     return [out if isinstance(out, TrainingDiverged) else
-            (StudentModel(sm.rule_base, out[0], sm.n_classes, sm.order),
-             out[1]) for out in outcomes]
+            (replace(sm, coeffs=out[0]), out[1]) for out in outcomes]
 
 
 def trace_lines(trace: list[dict]) -> list[str]:

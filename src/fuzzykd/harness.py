@@ -11,12 +11,11 @@ import numpy as np
 from .basis import MAX_ORDER, basis_labels, expand_basis
 from .data import Dataset, _check_count, normalize, stratified_folds
 from .distill import DistillConfig, distill_batch, teacher_logits
-from .rules import PARTITION, PARTITION_LABELS, build_rule_base
-from .student import (STUDENT_ORDER, StudentModel, TrainConfig,
-                      TrainingDiverged, init_student, onehot_encode,
-                      predict_student, train_student)
-from .teacher import (TEACHER_ORDER, TeacherModel, fit_teacher,
-                      predict_teacher)
+from .rules import (PARTITION, PARTITION_LABELS, TSKModel, build_rule_base,
+                    predict_class)
+from .student import (STUDENT_ORDER, TrainConfig, TrainingDiverged,
+                      init_student, onehot_encode, train_student)
+from .teacher import TEACHER_ORDER, fit_teacher, predict_teacher
 
 # method -> (fit, order). Fits: "llm" closed-form teacher, "gd" student by
 # gradient training, "kd"/"dkd" teacher distilled into a student.
@@ -225,15 +224,6 @@ def fit_candidates(method: str, group: list[dict], grid: GridSpec, X, y,
                          sm, X, Y, cfgs, kd_weights)
 
 
-def predict_class(model, X: np.ndarray) -> np.ndarray:
-    """Predicted classes: a student's argmax, a teacher's nearest label."""
-    if isinstance(model, StudentModel):
-        return predict_student(model, X)
-    nearest = teacher_logits(predict_teacher(model, X),
-                             model.class_labels).argmax(axis=1)
-    return model.class_labels[nearest].astype(int)
-
-
 def _cross_validate(method: str, points: list[dict], grid: GridSpec,
                     splits, n_classes: int, seed: int):
     """Fit and predict each point on each split (fold, Xtr, ytr, Xte, yte).
@@ -381,7 +371,7 @@ def _linguistic(center: float) -> str:
 
 def rule_readout(model, sample: np.ndarray) -> str:
     """Linguistic IF/THEN dump of every rule, evaluated at one sample."""
-    if not isinstance(model, (StudentModel, TeacherModel)):
+    if not isinstance(model, TSKModel):
         raise TypeError(f"cannot explain {type(model).__name__}")
     x = np.asarray(sample, dtype=float).ravel()
     rb = model.rule_base
@@ -391,7 +381,6 @@ def rule_readout(model, sample: np.ndarray) -> str:
     pred = int(predict_class(model, x[None, :])[0])
     labels = basis_labels(model.order, rb.n_features)
     bx = expand_basis(x, model.order)
-    # K x D x c: a student's c class outputs, a teacher's one (c = 1)
     blocks = model.coeffs.reshape(rb.n_rules, len(labels), -1)
     lines = []
     for k, block in enumerate(blocks):

@@ -1,4 +1,4 @@
-"""Fuzzy rule bases and normalized firing strengths.
+"""Fuzzy rule bases, normalized firing strengths and the TSK model.
 
 A rule base holds, for each of K rules, a Gaussian center and kernel width
 per feature. Centers live on a fixed 5-point partition of [0, 1] so each
@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import basis_apply, basis_dim, stack_design_matrix
 from .data import _check_count, _check_finite
 
 PARTITION = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
@@ -111,3 +112,72 @@ def firing_strengths(rb: RuleBase, X: np.ndarray) -> np.ndarray:
     np.exp(w, out=w)
     w /= w.sum(axis=0)
     return np.ascontiguousarray(w.T)
+
+
+def _check_reg(reg) -> None:
+    if not 0 < reg < np.inf:
+        raise ValueError("regularization parameter must be "
+                         + ("finite" if reg == np.inf else "positive"))
+
+
+@dataclass(frozen=True)
+class TSKModel:
+    """Teacher or student: rule k's order-n polynomials in rows k*D..k*D+D-1
+    of coeffs, one column per output. c >= 2 outputs are the logits of
+    classes 0..c-1, one output regresses the class labels. reg is the ridge
+    parameter L of a closed-form fit, None for any other."""
+
+    rule_base: RuleBase
+    coeffs: np.ndarray
+    order: int
+    class_labels: np.ndarray
+    reg: float | None = None
+
+    def __post_init__(self):
+        if self.reg is not None:
+            _check_reg(self.reg)
+        d = self.rule_base.n_rules * basis_dim(self.order,
+                                               self.rule_base.n_features)
+        coeffs = np.asarray(self.coeffs, dtype=float)
+        if coeffs.ndim != 2 or coeffs.shape[0] != d or coeffs.shape[1] == 0:
+            raise ValueError(f"coeffs has shape {coeffs.shape}, expected one "
+                             f"or more columns of length K*D = {d}")
+        _check_finite(coeffs, "coeffs")
+        labels = np.asarray(self.class_labels, dtype=float).ravel()
+        _check_finite(labels[:, None], "class_labels")
+        if labels.size == 0 or not (np.diff(labels) > 0).all():
+            raise ValueError("class_labels must be non-empty and strictly "
+                             "increasing")
+        c = coeffs.shape[1]
+        if c >= 2 and not np.array_equal(labels, np.arange(c)):
+            raise ValueError(f"a model with {c} outputs has class labels "
+                             f"0..{c - 1}, got {labels.tolist()}")
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "class_labels", labels)
+
+    @property
+    def n_classes(self) -> int:
+        return self.class_labels.size
+
+
+def predict_outputs(model: TSKModel, X: np.ndarray) -> np.ndarray:
+    """N x c outputs sum_k f_k(x) * b(x) . q_k: order <= 1 through the design
+    matrix, higher orders through one Horner step (`basis_apply` on the
+    D x K*c matrix), building neither the design matrix nor the basis."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    F = firing_strengths(model.rule_base, X)
+    if model.order <= 1:
+        return stack_design_matrix(F, X, model.order) @ model.coeffs
+    k, c = model.rule_base.n_rules, model.coeffs.shape[1]
+    Q = model.coeffs.reshape(k, -1, c).transpose(1, 0, 2).reshape(-1, k * c)
+    out = basis_apply(X, Q, model.order).reshape(-1, k, c)
+    return (out * F[:, :, None]).sum(axis=1)
+
+
+def predict_class(model: TSKModel, X: np.ndarray) -> np.ndarray:
+    """Classes: the argmax of c >= 2 outputs, else the nearest label."""
+    out = predict_outputs(model, X)
+    if out.shape[1] >= 2:
+        return out.argmax(axis=1)
+    nearest = np.abs(out - model.class_labels).argmin(axis=1)
+    return model.class_labels[nearest].astype(int)

@@ -11,14 +11,15 @@ mean of each loss component for scale-free monitoring.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.blas import daxpy, ddot
 
 from .basis import basis_dim, stack_design_matrix
-from .data import _check_count, _check_finite, _class_indices
-from .rules import RuleBase, firing_strengths
+from .data import _check_count, _class_indices
+from .rules import RuleBase, TSKModel, firing_strengths
+from .rules import predict_class as predict_student
 
 EPS = 1e-12
 STUDENT_ORDER = 1
@@ -68,40 +69,18 @@ class TrainConfig:
             raise ValueError(f"tol must be non-negative, got {self.tol}")
 
 
-@dataclass(frozen=True)
-class StudentModel:
-    rule_base: RuleBase
-    coeffs: np.ndarray  # (K * D(order, m)) x C
-    n_classes: int
-    order: int = STUDENT_ORDER
-
-    def __post_init__(self):
-        _check_count(self.n_classes, "n_classes", 2)
-        d = self.rule_base.n_rules * basis_dim(self.order,
-                                               self.rule_base.n_features)
-        coeffs = np.asarray(self.coeffs, dtype=float)
-        if coeffs.shape != (d, self.n_classes):
-            raise ValueError(f"coeffs has shape {coeffs.shape}, expected "
-                             f"({d}, {self.n_classes})")
-        _check_finite(coeffs, "coeffs")
-        object.__setattr__(self, "coeffs", coeffs)
-
-
 def init_student(rb: RuleBase, n_classes: int,
-                 order: int = STUDENT_ORDER) -> StudentModel:
-    """Zero-coefficient student; build a StudentModel to start elsewhere."""
+                 order: int = STUDENT_ORDER) -> TSKModel:
+    """Zero-coefficient student over classes 0..n_classes-1."""
+    _check_count(n_classes, "n_classes", 2)
     d = rb.n_rules * basis_dim(order, rb.n_features)
-    return StudentModel(rb, np.zeros((d, n_classes)), n_classes, order)
+    return TSKModel(rb, np.zeros((d, n_classes)), order,
+                    np.arange(n_classes, dtype=float))
 
 
-def design_matrix(sm: StudentModel, X: np.ndarray) -> np.ndarray:
+def design_matrix(sm: TSKModel, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     return stack_design_matrix(firing_strengths(sm.rule_base, X), X, sm.order)
-
-
-def student_logits(sm: StudentModel, X: np.ndarray) -> np.ndarray:
-    """N x C logit matrix z = Q^T x_h for each row of X."""
-    return design_matrix(sm, X) @ sm.coeffs
 
 
 def softmax(z: np.ndarray, temperature: float = 1.0) -> np.ndarray:
@@ -139,7 +118,7 @@ def _check_onehot(onehot: np.ndarray) -> None:
         raise ValueError("onehot rows must be valid one-hot vectors")
 
 
-def _training_data(sm: StudentModel, X: np.ndarray, y_onehot: np.ndarray
+def _training_data(sm: TSKModel, X: np.ndarray, y_onehot: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Design matrix of X, checked N x C one-hot targets, their indices.
 
@@ -150,9 +129,9 @@ def _training_data(sm: StudentModel, X: np.ndarray, y_onehot: np.ndarray
     Y = np.atleast_2d(np.asarray(y_onehot, dtype=float))
     if Y.shape[0] != Xh.shape[0]:
         raise ValueError("X and y_onehot disagree on the sample count")
-    if Y.shape[1] != sm.n_classes:
-        raise ValueError(f"y_onehot has {Y.shape[1]} columns, expected "
-                         f"{sm.n_classes}")
+    if Y.shape[1] != sm.coeffs.shape[1]:
+        raise ValueError(f"y_onehot has {Y.shape[1]} columns, expected one "
+                         f"per model output ({sm.coeffs.shape[1]})")
     _check_onehot(Y)
     return Xh, Y, Y.argmax(axis=1)
 
@@ -299,8 +278,8 @@ def _lbfgs_direction(g, pairs):
     return -q
 
 
-def train_student(sm: StudentModel, X: np.ndarray, y_onehot: np.ndarray,
-                  cfg: TrainConfig) -> tuple[StudentModel, list[dict]]:
+def train_student(sm: TSKModel, X: np.ndarray, y_onehot: np.ndarray,
+                  cfg: TrainConfig) -> tuple[TSKModel, list[dict]]:
     """Train on the total softmax cross-entropy (see gradient_descent_batch).
 
     Returns the trained model and the per-epoch loss trace; each entry has
@@ -319,9 +298,4 @@ def train_student(sm: StudentModel, X: np.ndarray, y_onehot: np.ndarray,
         return h, np.matmul(Xh.T, p - Y), {"h": h / n}
 
     Q, trace = _sole(gradient_descent_batch(sm.coeffs[None], loss_grad, cfg))
-    return StudentModel(sm.rule_base, Q, sm.n_classes, sm.order), trace
-
-
-def predict_student(sm: StudentModel, X: np.ndarray) -> np.ndarray:
-    """Predicted class indices: argmax of the logits."""
-    return student_logits(sm, X).argmax(axis=1)
+    return replace(sm, coeffs=Q), trace

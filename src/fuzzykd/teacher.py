@@ -18,51 +18,24 @@ that buffer in place, so the fit holds one N x N array (8*N^2 bytes) plus
 a _BLOCK_ROWS x N block. When N >= K*D it solves the K*D x K*D primal
 system on Xg, factoring its Gram matrix in place too.
 
-Neither prediction nor the dual fit builds B itself. Both take one Horner
-step on the order-(n-1) basis (`basis.basis_apply` for B Q and
-`basis.basis_adjoint` for B^T W), holding D(n-1) + m*K doubles per row
-instead of D: 183 + 104 against 2,380 at m = 13, K = 8, order 3.
+The dual fit never builds B: it takes one Horner step on the order-(n-1)
+basis (`basis.basis_adjoint` for B^T W), as prediction does for B Q, holding
+D(n-1) + m*K doubles per row instead of D: 183 + 104 against 2,380 at
+m = 13, K = 8, order 3.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .basis import (basis_adjoint, basis_apply, basis_dim,
-                    stack_design_matrix)
+from .basis import basis_adjoint, basis_dim, stack_design_matrix
 from .data import _check_finite
-from .rules import RuleBase, firing_strengths
+from .rules import (RuleBase, TSKModel, _check_reg, firing_strengths,
+                    predict_outputs)
 
 TEACHER_ORDER = 3
 # rows of the dual Gram matrix built per step: bounds the temporaries
 _BLOCK_ROWS = 128
-
-
-@dataclass(frozen=True)
-class TeacherModel:
-    rule_base: RuleBase
-    coeffs: np.ndarray
-    reg: float
-    class_labels: np.ndarray
-    order: int = TEACHER_ORDER
-
-    def __post_init__(self):
-        labels = np.asarray(self.class_labels, dtype=float)
-        if labels.size == 0 or not (np.diff(labels) > 0).all():
-            raise ValueError("class_labels must be non-empty and strictly "
-                             "increasing")
-        if not self.reg > 0:
-            raise ValueError("regularization parameter must be positive")
-        d = self.rule_base.n_rules * basis_dim(self.order,
-                                               self.rule_base.n_features)
-        coeffs = np.asarray(self.coeffs, dtype=float).ravel()
-        if coeffs.size != d:
-            raise ValueError(f"coeffs has length {coeffs.size}, expected {d}")
-        _check_finite(coeffs[:, None], "coeffs")
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "class_labels", labels)
 
 
 def ridge_solve(A: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
@@ -122,7 +95,7 @@ def _kernel_solve(F: np.ndarray, X: np.ndarray, y: np.ndarray, ridge: float,
 
 def fit_teacher(rb: RuleBase, X: np.ndarray, y_enc: np.ndarray, reg: float,
                 class_labels: np.ndarray | None = None,
-                order: int = TEACHER_ORDER) -> TeacherModel:
+                order: int = TEACHER_ORDER) -> TSKModel:
     """Fit the consequent coefficients in closed form.
 
     `reg` is the parameter L of the ridge system; the ridge coefficient
@@ -133,14 +106,13 @@ def fit_teacher(rb: RuleBase, X: np.ndarray, y_enc: np.ndarray, reg: float,
     design matrix nor the N x D basis B is built.
     N >= K*D solves the primal system on the design matrix (`ridge_solve`).
     """
+    _check_reg(reg)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y_enc = np.asarray(y_enc, dtype=float).ravel()
     if X.shape[0] == 0:
         raise ValueError("cannot fit a teacher on an empty dataset")
     if y_enc.size != X.shape[0]:
         raise ValueError("X and y_enc disagree on the sample count")
-    if not reg > 0:
-        raise ValueError("regularization parameter must be positive")
     _check_finite(y_enc[:, None], "y_enc")
     if class_labels is None:
         class_labels = np.unique(y_enc)
@@ -150,17 +122,9 @@ def fit_teacher(rb: RuleBase, X: np.ndarray, y_enc: np.ndarray, reg: float,
     else:
         alpha = _kernel_solve(F, X, y_enc, 1.0 / reg, order)
         q = basis_adjoint(X, alpha[:, None] * F, order).T.ravel()
-    return TeacherModel(rb, q, float(reg), class_labels, order)
+    return TSKModel(rb, q[:, None], order, class_labels, float(reg))
 
 
-def predict_teacher(tm: TeacherModel, X: np.ndarray) -> np.ndarray:
-    """Scalar teacher outputs, one per row of X.
-
-    Sums f_k(x) * b(x) . q_k over rules k, applying the D x K coefficient
-    matrix through `basis_apply`, so neither the N x K*D design matrix nor
-    the N x D basis is built.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    F = firing_strengths(tm.rule_base, X)
-    Q = tm.coeffs.reshape(tm.rule_base.n_rules, -1).T
-    return (basis_apply(X, Q, tm.order) * F).sum(axis=1)
+def predict_teacher(tm: TSKModel, X: np.ndarray) -> np.ndarray:
+    """Scalar outputs of a one-output model, one per row of X."""
+    return predict_outputs(tm, X)[:, 0]

@@ -154,6 +154,35 @@ def test_explain_nan_coefficient_is_a_malformed_model(tmp_path, iris_csv,
                             "1, column 1)\n")
 
 
+def test_train_teacher_infinite_reg_is_an_error(tmp_path, iris_csv, capsys):
+    # L = inf would fit with ridge 1/L = 0
+    out = tmp_path / "teacher.json"
+    rc = main(["train-teacher", "--data", iris_csv, "--rules", "2",
+               "--reg-L", "inf", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == ("fuzzykd: error: regularization "
+                                       "parameter must be finite\n")
+    assert not out.exists()
+
+
+def test_explain_infinite_reg_is_a_malformed_model(tmp_path, iris_csv,
+                                                   capsys):
+    model = tmp_path / "teacher.json"
+    main(["train-teacher", "--data", iris_csv, "--rules", "2", "--seed", "1",
+          "--out", str(model)])
+    model.write_text(model.read_text().replace('"reg": 100.0',
+                                               '"reg": Infinity'))
+    capsys.readouterr()
+    rc = main(["explain", "--model", str(model),
+               "--sample", "0.2,0.4,0.1,0.3"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"fuzzykd: error: {model}: malformed model "
+                            "record (regularization parameter must be "
+                            "finite)\n")
+
+
 def test_evaluate_rejects_text_in_numeric_column(tmp_path, capsys):
     data = tmp_path / "mixed.csv"
     data.write_text("1,2,0.0,0\n2,3,3.0,1\n3,4,2.0,0\n4,5,?,1\n5,6,0.0,0\n")

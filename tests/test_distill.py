@@ -12,8 +12,8 @@ from fuzzykd.data import load_bundled, normalize
 from fuzzykd.distill import (DistillConfig, dkd_loss, distill,
                              distill_batch, kd_loss, soft_labels,
                              teacher_logits, trace_lines)
-from fuzzykd.rules import build_rule_base
-from fuzzykd.student import (StudentModel, TrainConfig, TrainingDiverged,
+from fuzzykd.rules import TSKModel, build_rule_base
+from fuzzykd.student import (TrainConfig, TrainingDiverged,
                              cross_entropy, design_matrix, init_student,
                              onehot_encode, predict_student, softmax,
                              train_student)
@@ -294,8 +294,8 @@ class TestDistill:
     @pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
     def test_overflowing_logits_diverge_at_epoch_one(self, fit):
         rb, X, y, labels, t_out = class_setup()
-        sm = StudentModel(rb, np.full(init_student(rb, 3).coeffs.shape,
-                                      1e308), 3)
+        sm = TSKModel(rb, np.full(init_student(rb, 3).coeffs.shape, 1e308),
+                      1, np.arange(3.0))
         with pytest.raises(TrainingDiverged) as err:
             fit(t_out, sm, X, onehot_encode(y, 3), DistillConfig(),
                 class_labels=labels)
@@ -315,7 +315,7 @@ class TestDistill:
         rb = build_rule_base(3, 4, seed=0)
         Q = init_student(rb, 3).coeffs
         Q[:, 0] = -1e308
-        sm, Y = StudentModel(rb, Q, 3), onehot_encode(ds.y, 3)
+        sm, Y = TSKModel(rb, Q, 1, np.arange(3.0)), onehot_encode(ds.y, 3)
         logits = design_matrix(sm, X) @ Q
         assert np.isneginf(logits[:, 0]).any()
         assert np.isfinite(logits[:, 1:]).all()

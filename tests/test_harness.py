@@ -9,10 +9,9 @@ import pytest
 import fuzzykd.harness as harness
 from fuzzykd.data import Dataset, load_bundled, normalize
 from fuzzykd.harness import (GridSpec, accuracy, format_report,
-                             predict_class, rule_readout, run_method, sweep,
-                             weighted_f)
-from fuzzykd.rules import RuleBase, build_rule_base
-from fuzzykd.student import (StudentModel, TrainingDiverged, init_student,
+                             rule_readout, run_method, sweep, weighted_f)
+from fuzzykd.rules import RuleBase, TSKModel, build_rule_base, predict_class
+from fuzzykd.student import (TrainingDiverged, init_student,
                              onehot_encode, predict_student, train_student,
                              TrainConfig)
 from fuzzykd.teacher import fit_teacher
@@ -312,7 +311,7 @@ class TestInnerSearch:
         (model, trace), = harness.fit_candidates(
             method, harness.candidates(method, grid), grid, X, ds.y[keep],
             ds.n_classes, 0, 1)
-        assert isinstance(model, StudentModel)
+        assert isinstance(model, TSKModel)
         assert model.n_classes == 3 and model.coeffs.shape[1] == 3
         assert trace
 
@@ -477,8 +476,8 @@ class TestRuleReadout:
     def test_linguistic_labels_and_prediction(self):
         rb = RuleBase(np.array([[0.75, 0.0]]), np.full((1, 2), 0.5))
         sm = init_student(rb, 2)
-        sm = StudentModel(rb, sm.coeffs + [[1.0, 0.0], [0.0, 0.0],
-                                           [0.0, 0.0]], 2)
+        sm = TSKModel(rb, sm.coeffs + [[1.0, 0.0], [0.0, 0.0],
+                                       [0.0, 0.0]], 1, np.arange(2.0))
         text = rule_readout(sm, np.array([0.5, 0.5]))
         assert "feature 1 is high" in text
         assert "feature 2 is very low" in text
@@ -488,7 +487,7 @@ class TestRuleReadout:
         rng = np.random.default_rng(0)
         rb = build_rule_base(3, 2, seed=0)
         coeffs = np.random.default_rng(1).uniform(-0.5, 0.5, (3 * 3, 3))
-        sm = StudentModel(rb, coeffs, 3)
+        sm = TSKModel(rb, coeffs, 1, np.arange(3.0))
         for _ in range(5):
             x = rng.uniform(0, 1, 2)
             text = rule_readout(sm, x)
@@ -515,7 +514,7 @@ class TestRuleReadout:
             head, expr, value = line.split(" = ")
             assert head == "  output 1"
             assert len(expr.split(" + ")) == 15
-            q = tm.coeffs[k * 15:(k + 1) * 15]
+            q = tm.coeffs[:, 0][k * 15:(k + 1) * 15]
             assert value == f"{float(b @ q):.4f}"
 
     def test_student_readout_text_is_pinned(self):
@@ -523,7 +522,7 @@ class TestRuleReadout:
         rb = RuleBase(np.array([[0.25, 1.0], [0.5, 0.0]]),
                       np.full((2, 2), 0.5))
         coeffs = np.arange(12.0).reshape(6, 2) / 8 - 0.5
-        text = rule_readout(StudentModel(rb, coeffs, 2),
+        text = rule_readout(TSKModel(rb, coeffs, 1, np.arange(2.0)),
                             np.array([0.5, 0.25]))
         assert text == (
             "Rule 1:\nIF:\n  feature 1 is low\n  feature 2 is very high\n"

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzykd.rules import (PARTITION, PARTITION_LABELS, RuleBase,
+from fuzzykd.basis import basis_apply, basis_dim
+from fuzzykd.rules import (PARTITION, PARTITION_LABELS, RuleBase, TSKModel,
                            build_rule_base, firing_strengths,
-                           log_memberships)
+                           log_memberships, predict_class, predict_outputs)
 
 
 class TestRuleBase:
@@ -181,3 +182,110 @@ class TestFiringStrengths:
         assert np.isfinite(fm).all()
         assert (fm >= 0).all() and (fm <= 1).all()
         np.testing.assert_allclose(fm.sum(axis=1), 1.0, atol=1e-9)
+
+
+def row_loop_outputs(rb, coeffs, order, X):
+    """sum_k f_k(x) * b(x) . q_k one row at a time: Gaussian firing
+    normalized over rules, basis from b_0 = [1], b_n = [1, x (x) b_{n-1}]."""
+    k = rb.centers.shape[0]
+    rows = []
+    for x in X:
+        mu = np.array([np.exp(-sum((x[i] - rb.centers[j, i]) ** 2
+                                   / (2.0 * rb.widths[j, i])
+                                   for i in range(x.size)))
+                       for j in range(k)])
+        f = mu / mu.sum()
+        b = [1.0]
+        for _ in range(order):
+            b = [1.0] + [xi * bj for xi in x for bj in b]
+        q = coeffs.reshape(k, len(b), -1)
+        rows.append([sum(f[j] * sum(b[i] * q[j, i, c] for i in range(len(b)))
+                         for j in range(k)) for c in range(q.shape[2])])
+    return np.array(rows)
+
+
+def random_model(order, c, seed, k=3, m=2):
+    rng = np.random.default_rng(seed)
+    rb = build_rule_base(k, m, seed=seed)
+    coeffs = rng.normal(size=(k * basis_dim(order, m), c))
+    labels = np.array([0.0, 1.0, 2.0]) if c == 1 else np.arange(float(c))
+    return TSKModel(rb, coeffs, order, labels), rng.uniform(0, 1, (7, m))
+
+
+class TestPredictOutputs:
+    @pytest.mark.parametrize("c", [1, 3])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_matches_row_loop(self, order, c):
+        # orders 0-1 go through the design matrix, 2-3 through Horner
+        model, X = random_model(order, c, seed=10 * order + c)
+        got = predict_outputs(model, X)
+        assert got.shape == (7, c)
+        np.testing.assert_allclose(
+            got, row_loop_outputs(model.rule_base, model.coeffs, order, X),
+            rtol=1e-12, atol=1e-12)
+
+    def test_order_three_scalar_is_bitwise_the_horner_sum(self):
+        # one output at order 3 keeps the scalar teacher's exact bits
+        model, X = random_model(3, 1, seed=5, k=8, m=4)
+        F = firing_strengths(model.rule_base, X)
+        Q = model.coeffs[:, 0].reshape(8, -1).T
+        np.testing.assert_array_equal(predict_outputs(model, X)[:, 0],
+                                      (basis_apply(X, Q, 3) * F).sum(axis=1))
+
+    def test_predict_class_decodes_by_output_count(self):
+        model, X = random_model(1, 3, seed=1)
+        np.testing.assert_array_equal(predict_class(model, X),
+                                      predict_outputs(model, X).argmax(1))
+        rb = RuleBase(np.array([[0.5]]), np.array([[0.5]]))
+        # one output: the nearest label itself, not its index
+        const = TSKModel(rb, np.array([[1.4], [0.0]]), 1,
+                         np.array([0.0, 2.0, 5.0]))
+        np.testing.assert_array_equal(predict_class(const, [[0.1], [0.9]]),
+                                      [2, 2])
+
+
+class TestTSKModel:
+    def test_coeffs_become_a_float_matrix(self):
+        model = TSKModel(build_rule_base(2, 1, seed=0), [[0], [1], [2], [3]],
+                         1, [0, 2])
+        assert model.coeffs.dtype == float and model.coeffs.shape == (4, 1)
+        assert model.n_classes == 2 and model.reg is None
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 0), (3, 2)],
+                             ids=["flat", "no outputs", "short"])
+    def test_coeff_shape_checked(self, shape):
+        with pytest.raises(ValueError, match=r"coeffs has shape .*columns of "
+                                             r"length K\*D = 4"):
+            TSKModel(build_rule_base(2, 1, seed=0), np.zeros(shape), 1,
+                     np.arange(2.0))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_class_label_located(self, bad):
+        with pytest.raises(ValueError, match=f"non-finite value {bad} in "
+                                             "class_labels at row 2, "
+                                             "column 1"):
+            TSKModel(build_rule_base(1, 1, seed=0), np.zeros((2, 1)), 1,
+                     np.array([0.0, bad]), 100.0)
+
+    @pytest.mark.parametrize("reg,word", [
+        (0.0, "positive"), (-1.0, "positive"), (np.nan, "positive"),
+        (np.inf, "finite")])
+    def test_reg_outside_open_half_line_rejected(self, reg, word):
+        with pytest.raises(ValueError, match="regularization parameter "
+                                             f"must be {word}$"):
+            TSKModel(build_rule_base(1, 1, seed=0), np.zeros((2, 1)), 1,
+                     np.arange(2.0), reg)
+
+    @pytest.mark.parametrize("labels", [[0.0, 2.0], [1.0, 2.0], [0.0],
+                                        [0.0, 1.0, 2.0]])
+    def test_several_outputs_need_labels_zero_to_c_minus_one(self, labels):
+        # a student's model file stores only its class count
+        with pytest.raises(ValueError, match=r"a model with 2 outputs has "
+                                             r"class labels 0\.\.1"):
+            TSKModel(build_rule_base(1, 1, seed=0), np.zeros((2, 2)), 1,
+                     np.array(labels))
+
+    def test_class_labels_must_be_non_empty(self):
+        with pytest.raises(ValueError, match="increasing"):
+            TSKModel(build_rule_base(1, 1, seed=0), np.zeros((2, 1)), 1,
+                     np.array([]))

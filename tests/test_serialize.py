@@ -6,10 +6,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fuzzykd.rules import build_rule_base
+from fuzzykd.rules import RuleBase, TSKModel, build_rule_base
 from fuzzykd.serialize import load_model, save_model
-from fuzzykd.student import StudentModel, init_student, predict_student
-from fuzzykd.teacher import TeacherModel, fit_teacher, predict_teacher
+from fuzzykd.student import init_student, predict_student
+from fuzzykd.teacher import fit_teacher, predict_teacher
 
 
 def test_teacher_round_trip(tmp_path):
@@ -21,7 +21,7 @@ def test_teacher_round_trip(tmp_path):
     path = tmp_path / "teacher.json"
     save_model(tm, path)
     back = load_model(path)
-    assert isinstance(back, TeacherModel)
+    assert isinstance(back, TSKModel)
     assert back.order == 3 and back.reg == 100.0
     np.testing.assert_array_equal(back.coeffs, tm.coeffs)
     np.testing.assert_allclose(predict_teacher(back, X),
@@ -32,7 +32,7 @@ def test_student_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     rb = build_rule_base(2, 3, seed=1)
     coeffs = np.random.default_rng(2).uniform(-0.5, 0.5, (2 * 4, 3))
-    sm = StudentModel(rb, coeffs, 3)
+    sm = TSKModel(rb, coeffs, 1, np.arange(3.0))
     X = rng.uniform(0, 1, (10, 3))
     path = tmp_path / "student.json"
     save_model(sm, path)
@@ -91,7 +91,7 @@ def test_unreadable_file_named(tmp_path, text, message):
     (lambda r: r.update(rule_base=[]), "malformed model record"),
     (lambda r: r.update(coeffs="abc"), "malformed model record"),
     (lambda r: r.update(kind="oracle"), "unknown model kind 'oracle'"),
-    # a teacher record whose reg TeacherModel rejects
+    # a teacher record whose reg TSKModel rejects
     (lambda r: r.update(kind="teacher", reg=0, class_labels=[0, 1]),
      "malformed model record (regularization parameter must be positive)"),
     (lambda r: r.update(n_classes=2.0),
@@ -118,5 +118,72 @@ def test_malformed_record_named(tmp_path, edit, message):
     record = json.loads(path.read_text())
     edit(record)
     path.write_text(json.dumps(record))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        load_model(path)
+
+
+def test_version_one_bytes_are_pinned(tmp_path):
+    # key order, the teacher's flat coefficients, the student's nested
+    # K*D x C rows and the float text are all part of version 1
+    tm = TSKModel(RuleBase(np.array([[0.25]]), np.array([[0.5]])),
+                  np.array([[0.5], [-1.25], [0.1], [3e-05]]), 3,
+                  np.array([0.0, 1.0, 2.0]), 100.0)
+    sm = TSKModel(RuleBase(np.array([[0.75]]), np.array([[0.3]])),
+                  np.array([[1.0, -0.5], [0.1, 2.5e-07]]), 1,
+                  np.arange(2.0))
+    save_model(tm, tmp_path / "teacher.json")
+    save_model(sm, tmp_path / "student.json")
+    assert (tmp_path / "teacher.json").read_text() == (
+        '{"magic": "fuzzykd-model", "version": 1, "rule_base": '
+        '{"n_rules": 1, "n_features": 1, "centers": [[0.25]], "widths": '
+        '[[0.5]]}, "order": 3, "kind": "teacher", "coeffs": [0.5, -1.25, '
+        '0.1, 3e-05], "reg": 100.0, "class_labels": [0.0, 1.0, 2.0]}\n')
+    assert (tmp_path / "student.json").read_text() == (
+        '{"magic": "fuzzykd-model", "version": 1, "rule_base": '
+        '{"n_rules": 1, "n_features": 1, "centers": [[0.75]], "widths": '
+        '[[0.3]]}, "order": 1, "kind": "student", "coeffs": [[1.0, -0.5], '
+        '[0.1, 2.5e-07]], "n_classes": 2}\n')
+
+
+@pytest.mark.parametrize("coeffs,labels,reg", [
+    (np.zeros((2, 3)), np.arange(3.0), 100.0),
+    (np.zeros((2, 1)), np.array([0.0, 2.0]), None),
+], ids=["closed-form with 3 outputs", "one output without reg"])
+def test_model_version_one_cannot_hold_not_saved(tmp_path, coeffs, labels,
+                                                 reg):
+    # a teacher record keeps one output column, a student record only a
+    # class count: either would lose part of these models
+    model = TSKModel(build_rule_base(1, 1, seed=0), coeffs, 1, labels, reg)
+    with pytest.raises(ValueError, match="version 1 cannot hold a model"):
+        save_model(model, tmp_path / "model.json")
+    assert not (tmp_path / "model.json").exists()
+
+
+def test_non_finite_value_never_written(tmp_path):
+    # TSKModel rejects an infinite reg; one set past that check still
+    # never reaches the file as the non-JSON token Infinity
+    tm = TSKModel(build_rule_base(1, 1, seed=0), np.zeros((4, 1)), 3,
+                  np.arange(2.0), 100.0)
+    object.__setattr__(tm, "reg", float("inf"))
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        save_model(tm, tmp_path / "model.json")
+    assert not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda r: r.update(reg=float("inf")),
+     "malformed model record (regularization parameter must be finite)"),
+    (lambda r: r.update(class_labels=[0.0, float("inf")]),
+     "malformed model record (non-finite value inf in class_labels at row "
+     "2, column 1)"),
+], ids=["reg Infinity", "label Infinity"])
+def test_non_finite_teacher_record_named(tmp_path, edit, message):
+    path = tmp_path / "model.json"
+    save_model(TSKModel(build_rule_base(1, 1, seed=0), np.zeros((4, 1)), 3,
+                        np.arange(2.0), 100.0), path)
+    record = json.loads(path.read_text())
+    edit(record)
+    path.write_text(json.dumps(record))
+    assert "Infinity" in path.read_text()
     with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
         load_model(path)

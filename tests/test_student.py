@@ -5,12 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzykd.data import normalize
-from fuzzykd.rules import RuleBase, build_rule_base
-from fuzzykd.student import (StudentModel, TrainConfig, TrainingDiverged,
+from fuzzykd.rules import RuleBase, TSKModel, build_rule_base, predict_outputs
+from fuzzykd.student import (TrainConfig, TrainingDiverged,
                              _lbfgs_direction, cross_entropy, design_matrix,
                              gradient_descent_batch, init_student,
                              onehot_encode, predict_student, softmax,
-                             student_logits, train_student)
+                             train_student)
+from fuzzykd.teacher import fit_teacher
 
 
 def toy_separable():
@@ -46,21 +47,21 @@ class TestLogitsAndSoftmax:
     def test_zero_coeffs_zero_logits(self):
         sm = init_student(build_rule_base(3, 2, seed=0), 3)
         X = np.random.default_rng(0).uniform(0, 1, (5, 2))
-        np.testing.assert_array_equal(student_logits(sm, X), np.zeros((5, 3)))
+        np.testing.assert_array_equal(predict_outputs(sm, X), np.zeros((5, 3)))
 
     def test_hand_dot_product(self):
         rb = RuleBase(np.array([[0.5]]), np.array([[0.5]]))
         Q = np.array([[1.0, 0.0], [0.0, 0.0]])
-        sm = StudentModel(rb, Q, 2)
-        logits = student_logits(sm, np.array([[0.5]]))
+        sm = TSKModel(rb, Q, 1, np.arange(2.0))
+        logits = predict_outputs(sm, np.array([[0.5]]))
         np.testing.assert_allclose(logits, [[1.0, 0.0]], atol=1e-12)
 
     def test_identical_columns_give_uniform_softmax(self):
         rb = build_rule_base(2, 2, seed=1)
         col = np.random.default_rng(1).normal(size=(6, 1))
-        sm = StudentModel(rb, np.repeat(col, 3, axis=1), 3)
+        sm = TSKModel(rb, np.repeat(col, 3, axis=1), 1, np.arange(3.0))
         X = np.random.default_rng(2).uniform(0, 1, (4, 2))
-        p = softmax(student_logits(sm, X))
+        p = softmax(predict_outputs(sm, X))
         np.testing.assert_allclose(p, 1.0 / 3.0, atol=1e-12)
 
     def test_softmax_rows_sum_to_one(self):
@@ -125,7 +126,7 @@ class TestInitStudent:
         rb = build_rule_base(2, 3, seed=0)
         with pytest.raises(ValueError, match="n_classes must be an integer "
                                              ">= 2, got 3.0"):
-            StudentModel(rb, np.zeros((2 * 4, 3)), 3.0)
+            init_student(rb, 3.0)
 
 
 class TestOnehotEncode:
@@ -333,20 +334,31 @@ class TestGradientDescentBatch:
         assert trace[-1]["total"] == 0.0
 
 
+class TestTrainingTargets:
+    def test_one_target_column_per_model_output(self):
+        # a fitted teacher is a TSKModel too, with one output
+        rb, X, y = toy_separable()
+        tm = fit_teacher(rb, X, y.astype(float), 100.0)
+        with pytest.raises(ValueError, match=r"y_onehot has 2 columns, "
+                                             r"expected one per model "
+                                             r"output \(1\)"):
+            train_student(tm, X, onehot_encode(y, 2), TrainConfig())
+
+
 class TestStudentModelValidation:
     def test_coeff_shape_checked(self):
         rb = build_rule_base(2, 3, seed=0)
         with pytest.raises(ValueError, match="shape"):
-            StudentModel(rb, np.zeros((5, 2)), 2)
+            TSKModel(rb, np.zeros((5, 2)), 1, np.arange(2.0))
 
     def test_non_finite_coeff_located(self):
         Q = np.zeros((2 * 4, 3))
         Q[1, 2] = np.nan
         with pytest.raises(ValueError, match="non-finite value nan in coeffs "
                                              "at row 2, column 3"):
-            StudentModel(build_rule_base(2, 3, seed=0), Q, 3)
+            TSKModel(build_rule_base(2, 3, seed=0), Q, 1, np.arange(3.0))
 
     def test_needs_two_classes(self):
         rb = build_rule_base(1, 1, seed=0)
         with pytest.raises(ValueError, match="classes"):
-            StudentModel(rb, np.zeros((2, 1)), 1)
+            init_student(rb, 1)

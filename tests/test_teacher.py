@@ -8,9 +8,9 @@ import scipy.linalg
 import fuzzykd.basis
 import fuzzykd.teacher
 from fuzzykd.basis import basis_dim, stack_design_matrix
-from fuzzykd.rules import RuleBase, build_rule_base, firing_strengths
-from fuzzykd.teacher import (TeacherModel, fit_teacher, predict_teacher,
-                             ridge_solve)
+from fuzzykd.rules import (RuleBase, TSKModel, build_rule_base,
+                           firing_strengths)
+from fuzzykd.teacher import fit_teacher, predict_teacher, ridge_solve
 
 
 def brute_force_ridge(A, y, ridge):
@@ -55,7 +55,7 @@ class TestFitTeacher:
         rb = RuleBase(np.array([[0.5]]), np.array([[0.5]]))
         tm = fit_teacher(rb, np.array([[0.5]]), np.array([1.0]), reg=100.0,
                          order=0)
-        assert tm.coeffs[0] == pytest.approx(1.0 / 1.01, abs=1e-12)
+        assert tm.coeffs[:, 0][0] == pytest.approx(1.0 / 1.01, abs=1e-12)
 
     def test_zero_targets_give_zero_coeffs(self):
         rb = build_rule_base(3, 2, seed=0)
@@ -71,7 +71,7 @@ class TestFitTeacher:
         tm = fit_teacher(rb, X, y, reg=100.0)
         Xg = stack_design_matrix(firing_strengths(rb, X), X, 3)
         want = brute_force_ridge(Xg, y, 0.01)
-        np.testing.assert_allclose(tm.coeffs, want, atol=1e-8)
+        np.testing.assert_allclose(tm.coeffs[:, 0], want, atol=1e-8)
 
     def test_ridge_optimality_against_perturbations(self):
         rng = np.random.default_rng(4)
@@ -84,11 +84,11 @@ class TestFitTeacher:
         def objective(q):
             return 0.01 * q @ q + np.sum((Xg @ q - y) ** 2)
 
-        base = objective(tm.coeffs)
+        base = objective(tm.coeffs[:, 0])
         for _ in range(100):
             delta = rng.normal(size=tm.coeffs.size)
             delta *= 1e-3 / np.linalg.norm(delta)
-            assert objective(tm.coeffs + delta) >= base
+            assert objective(tm.coeffs[:, 0] + delta) >= base
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
@@ -108,6 +108,17 @@ class TestFitTeacher:
         rb = build_rule_base(1, 1, seed=0)
         with pytest.raises(ValueError):
             fit_teacher(rb, np.array([[0.5]]), np.array([1.0]), reg=0.0)
+
+    def test_infinite_reg_rejected_before_any_work(self, monkeypatch):
+        # L = inf would fit with ridge 1/L = 0; nothing is computed first
+        def no_firing(*args):
+            raise AssertionError("firing strengths computed")
+
+        monkeypatch.setattr(fuzzykd.teacher, "firing_strengths", no_firing)
+        rb = build_rule_base(1, 1, seed=0)
+        with pytest.raises(ValueError, match="regularization parameter must "
+                                             "be finite"):
+            fit_teacher(rb, np.array([[0.5]]), np.array([1.0]), reg=np.inf)
 
     def test_target_length_checked(self):
         rb = build_rule_base(1, 1, seed=0)
@@ -154,7 +165,7 @@ class TestFitTeacher:
             tm = fit_teacher(rb, X, y, reg=100.0, order=order)
             Xg = stack_design_matrix(firing_strengths(rb, X), X, order)
             want = brute_force_ridge(Xg, y, 0.01)
-            np.testing.assert_allclose(tm.coeffs, want, atol=1e-8)
+            np.testing.assert_allclose(tm.coeffs[:, 0], want, atol=1e-8)
 
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     def test_blocked_dual_build_matches_oracle_at_block_edges(self, order):
@@ -172,7 +183,7 @@ class TestFitTeacher:
             tm = fit_teacher(rb, X, y, reg=100.0, order=order)
             Xg = stack_design_matrix(firing_strengths(rb, X), X, order)
             want = brute_force_ridge(Xg, y, 0.01)
-            np.testing.assert_allclose(tm.coeffs, want, atol=1e-8)
+            np.testing.assert_allclose(tm.coeffs[:, 0], want, atol=1e-8)
 
     def test_dual_fit_holds_one_n_by_n_array(self):
         # the Gram matrix is built and factored in one 8 N^2-byte buffer
@@ -271,7 +282,7 @@ class TestPredictTeacher:
                              order=order)
             fresh = rng.uniform(0, 1, (9, m))
             want = stack_design_matrix(firing_strengths(rb, fresh), fresh,
-                                       order) @ tm.coeffs
+                                       order) @ tm.coeffs[:, 0]
             np.testing.assert_allclose(predict_teacher(tm, fresh), want,
                                        atol=1e-10)
 
@@ -286,7 +297,7 @@ class TestPredictTeacher:
         rb = RuleBase(np.array([[0.5]]), np.array([[0.5]]))
         q = np.zeros(4)  # D(3, 1) = 4
         q[0] = 1.0
-        tm = TeacherModel(rb, q, 100.0, np.array([0.0, 1.0]))
+        tm = TSKModel(rb, q[:, None], 3, np.array([0.0, 1.0]), 100.0)
         X = np.array([[0.1], [0.5], [0.9]])
         np.testing.assert_allclose(predict_teacher(tm, X), 1.0, atol=1e-12)
 
@@ -302,12 +313,12 @@ class TestTeacherModelValidation:
     def test_class_labels_must_increase(self):
         rb = build_rule_base(1, 1, seed=0)
         with pytest.raises(ValueError, match="increasing"):
-            TeacherModel(rb, np.zeros(4), 100.0, np.array([1.0, 0.0]))
+            TSKModel(rb, np.zeros((4, 1)), 3, np.array([1.0, 0.0]), 100.0)
 
     def test_coeff_length_checked(self):
         rb = build_rule_base(1, 1, seed=0)
         with pytest.raises(ValueError, match="length"):
-            TeacherModel(rb, np.zeros(3), 100.0, np.array([0.0, 1.0]))
+            TSKModel(rb, np.zeros((3, 1)), 3, np.array([0.0, 1.0]), 100.0)
 
     def test_non_finite_coeff_located(self):
         # the coefficients are one column: row i is coefficient i
@@ -315,4 +326,4 @@ class TestTeacherModelValidation:
         q = np.array([0.0, 1.0, -np.inf, 0.0])
         with pytest.raises(ValueError, match="non-finite value -inf in coeffs "
                                              "at row 3, column 1"):
-            TeacherModel(rb, q, 100.0, np.array([0.0, 1.0]))
+            TSKModel(rb, q[:, None], 3, np.array([0.0, 1.0]), 100.0)
