@@ -378,7 +378,7 @@ def rule_readout(model, sample: np.ndarray) -> str:
     if x.size != rb.n_features:
         raise ValueError("sample length must match the model's feature count")
     # predicting first rejects a non-finite sample before any rule output
-    pred = int(predict_class(model, x[None, :])[0])
+    pred = predict_class(model, x[None, :])[0]
     labels = basis_labels(model.order, rb.n_features)
     bx = expand_basis(x, model.order)
     blocks = model.coeffs.reshape(rb.n_rules, len(labels), -1)
@@ -393,7 +393,7 @@ def rule_readout(model, sample: np.ndarray) -> str:
             expr = " + ".join(f"{a:.4f}*{label}"
                               for a, label in zip(q, labels))
             lines.append(f"  output {c + 1} = {expr} = {float(bx @ q):.4f}")
-    lines.append(f"Predicted class: {pred}")
+    lines.append(f"Predicted class: {pred:g}")
     return "\n".join(lines)
 
 

@@ -180,4 +180,4 @@ def predict_class(model: TSKModel, X: np.ndarray) -> np.ndarray:
     if out.shape[1] >= 2:
         return out.argmax(axis=1)
     nearest = np.abs(out - model.class_labels).argmin(axis=1)
-    return model.class_labels[nearest].astype(int)
+    return model.class_labels[nearest]

@@ -19,9 +19,10 @@ a _BLOCK_ROWS x N block. When N >= K*D it solves the K*D x K*D primal
 system on Xg, factoring its Gram matrix in place too.
 
 The dual fit never builds B: it takes one Horner step on the order-(n-1)
-basis (`basis.basis_adjoint` for B^T W), as prediction does for B Q, holding
-D(n-1) + m*K doubles per row instead of D: 183 + 104 against 2,380 at
-m = 13, K = 8, order 3.
+basis (`basis.basis_adjoint` for B^T W), as prediction does for B Q. At
+order 3 that step runs on the order-2 basis's distinct monomials, holding
+105 + 104 doubles per row against D = 2,380 at m = 13, K = 8, with 1.7x
+fewer multiply-adds than on its 183 redundant columns.
 """
 from __future__ import annotations
 
@@ -82,10 +83,13 @@ def _kernel_solve(F: np.ndarray, X: np.ndarray, y: np.ndarray, ridge: float,
             r = slice(start, min(start + _BLOCK_ROWS, n))
             Gb = G[r, :r.stop]
             S = X[r] @ X[:r.stop].T
-            Gb[...] = 1.0
-            for _ in range(order):
-                Gb *= S
-                Gb += 1.0
+            if order == 0:
+                Gb[...] = 1.0
+            else:
+                np.add(S, 1.0, out=Gb)
+                for _ in range(order - 1):
+                    Gb *= S
+                    Gb += 1.0
             Gb *= F[r] @ F[:r.stop].T
         G[np.diag_indices_from(G)] += ridge
         return G

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from fuzzykd.basis import (basis_adjoint, basis_apply, basis_dim,
                            basis_labels, expand_basis, expand_matrix,
+                           quadratic_map, quadratic_monomials,
                            stack_design_matrix)
 from fuzzykd.rules import build_rule_base, firing_strengths
 from fuzzykd.teacher import fit_teacher, predict_teacher
@@ -89,6 +90,60 @@ class TestHornerProducts:
             basis_apply(np.ones((2, 1)), np.ones((5, 1)), 4)
         with pytest.raises(ValueError, match="order"):
             basis_adjoint(np.ones((2, 1)), np.ones((2, 1)), -1)
+
+
+def sorted_factors(label: str) -> tuple[str, ...]:
+    return tuple(sorted(f for f in label.split("*") if f != "1"))
+
+
+class TestQuadraticMap:
+    """The order-2 basis's columns against its distinct monomials."""
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 7, 13])
+    def test_copies_share_sorted_factors(self, m):
+        qmap = quadratic_map(m)
+        labels = basis_labels(2, m)
+        assert qmap.of_column.size == len(labels) == basis_dim(2, m)
+        counts = np.bincount(qmap.of_column)
+        assert counts.size == 1 + m + m * (m + 1) // 2
+        assert counts.min() == 1 and counts.max() <= 2
+        factors = {}
+        for label, mono in zip(labels, qmap.of_column):
+            factors.setdefault(mono, set()).add(sorted_factors(label))
+        assert all(len(f) == 1 for f in factors.values())
+        assert len({f.pop() for f in factors.values()}) == counts.size
+        np.testing.assert_array_equal(qmap.of_column[qmap.first],
+                                      np.arange(counts.size))
+        np.testing.assert_array_equal(qmap.of_column[qmap.copies],
+                                      qmap.copy_of)
+        assert qmap.first.size + qmap.copies.size == len(labels)
+
+    def test_map_is_shared_read_only(self):
+        qmap = quadratic_map(3)
+        assert quadratic_map(3) is qmap
+        with pytest.raises(ValueError):
+            qmap.of_column[0] = 1
+
+    @pytest.mark.parametrize("m", [1, 3, 13])
+    def test_monomials_gather_to_the_basis(self, m):
+        X = np.random.default_rng(m).uniform(-2, 2, (9, m))
+        np.testing.assert_array_equal(
+            quadratic_monomials(X)[:, quadratic_map(m).of_column],
+            expand_matrix(X, 2))
+
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_adjoint_rows_of_swapped_factors_are_equal(self, m):
+        # x_k*x_i*x_j and x_k*x_j*x_i differ only in the order-2 factor
+        rng = np.random.default_rng(m)
+        X, W = rng.uniform(-2, 2, (20, m)), rng.normal(size=(20, 3))
+        got = basis_adjoint(X, W, 3)
+        rows = {}
+        for label, row in zip(basis_labels(3, m), got):
+            head, _, tail = label.partition("*")
+            rows.setdefault((head, sorted_factors(tail)), []).append(row)
+        assert max(len(r) for r in rows.values()) == 2
+        for same in rows.values():
+            np.testing.assert_array_equal(same[0], same[-1])
 
 
 class TestBasisLabels:

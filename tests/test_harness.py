@@ -582,6 +582,18 @@ class TestTeacherClassLabels:
         text = rule_readout(tm, X[np.flatnonzero(y == 2)[0]])
         assert text.strip().endswith("Predicted class: 2")
 
+    def test_non_integral_labels_are_not_truncated(self):
+        ds = load_bundled("iris")
+        X, _, _ = normalize(ds.X)
+        y = ds.y * 0.5
+        tm = fit_teacher(build_rule_base(4, X.shape[1], seed=0), X, y, 100.0)
+        np.testing.assert_array_equal(tm.class_labels, [0.0, 0.5, 1.0])
+        pred = predict_class(tm, X)
+        assert set(pred.tolist()) == {0.0, 0.5, 1.0}
+        assert accuracy(pred, y) > 0.9
+        text = rule_readout(tm, X[np.flatnonzero(pred == 0.5)[0]])
+        assert text.strip().endswith("Predicted class: 0.5")
+
 
 class TestFormatReport:
     def test_byte_identical_without_time(self):

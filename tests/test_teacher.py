@@ -202,8 +202,9 @@ class TestFitTeacher:
 
     def test_dual_fit_and_prediction_skip_design_matrix(self, monkeypatch):
         # neither the design matrix nor the full order-3 basis is built;
-        # lower-order bases (the Horner step's) pass
-        expand, orders = fuzzykd.basis.expand_matrix, []
+        # each Horner step runs on the quadratic basis's distinct monomials
+        expand = fuzzykd.basis.expand_matrix
+        monomials, built = fuzzykd.basis.quadratic_monomials, []
 
         def refuse(*args, **kwargs):
             raise AssertionError("design matrix built")
@@ -211,18 +212,23 @@ class TestFitTeacher:
         def below_order_3(X, order):
             if order >= 3:
                 raise AssertionError(f"order-{order} basis built")
-            orders.append(order)
+            built.append(f"order-{order} basis")
             return expand(X, order)
+
+        def distinct(X):
+            built.append("quadratic monomials")
+            return monomials(X)
 
         monkeypatch.setattr(fuzzykd.teacher, "stack_design_matrix", refuse)
         monkeypatch.setattr(fuzzykd.basis, "expand_matrix", below_order_3)
+        monkeypatch.setattr(fuzzykd.basis, "quadratic_monomials", distinct)
         rng = np.random.default_rng(11)
         rb = build_rule_base(3, 4, seed=11)
         X = rng.uniform(0, 1, (30, 4))  # 30 < 3 * D(3, 4) = 255
         tm = fit_teacher(rb, X, rng.normal(size=30), reg=100.0)
-        assert tm.order == 3 and orders == [2]
+        assert tm.order == 3 and built == ["quadratic monomials"]
         assert predict_teacher(tm, X).shape == (30,)
-        assert orders == [2, 2]
+        assert built == ["quadratic monomials"] * 2
 
     @pytest.mark.parametrize("n", [30, 600])  # dual, then primal shape
     def test_lu_fallback_matches_cholesky(self, monkeypatch, n):
