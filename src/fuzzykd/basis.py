@@ -5,13 +5,17 @@ bn(x) = [1, x_1*b_{n-1}(x), ..., x_m*b_{n-1}(x)] (concatenated over features).
 The quadratic and cubic bases are therefore redundant (x_i*x_j appears once
 per ordering); ridge regularization keeps the downstream solve well-posed.
 
-The recursion also means a product with the order-n basis never needs it:
-`basis_apply` and `basis_adjoint` take one Horner step on the order-(n-1)
-basis, holding D(n-1) instead of D(n) doubles per row. When that basis is
-the quadratic one, the step runs on its 1 + m + m(m+1)/2 distinct monomials
-instead (`quadratic_monomials`): 105 columns instead of 183 at m = 13.
-`quadratic_map` gives where each basis column sits among them; the
-coefficients stay in the redundant layout.
+Products with the basis never build it. `monomial_map(n, m)` lays out its
+C(m+n, n) distinct monomials: the constant, then the monomials grouped by
+their smallest index, largest index first. The monomials whose indices are
+all >= i are then a prefix of the layout, and the group of index i is x_i
+times such a prefix of the order-(n-1) layout, so each monomial is formed
+once, by one product. `fold_monomials` sums a coefficient matrix's rows
+over the copies of each monomial, once per model; `apply_monomials` (B Q)
+and `basis_adjoint` (B^T W) take one Horner step on the order-(n-1)
+monomials. At order 3 and m = 13 that is 559 multiply-adds per row and
+output column instead of the basis's 2,380, and at order 1 it is
+Q[0] + X @ Q[1:]. The coefficients themselves stay in the redundant layout.
 """
 from __future__ import annotations
 
@@ -54,122 +58,143 @@ def expand_matrix(X: np.ndarray, order: int) -> np.ndarray:
     return B
 
 
-class QuadraticMap(NamedTuple):
-    """Where the columns of the order-2 basis sit among its distinct
-    monomials 1, x_1, ..., x_m, then x_i*x_j for i <= j in row-major order.
+class MonomialMap(NamedTuple):
+    """The distinct monomials of the order-n basis on m features, by slot.
 
-    Each x_i*x_j with i != j fills two columns, every other monomial one.
+    Slot 0 is the constant. The other slots group the monomials by their
+    smallest index i, from i = m-1 down to 0, and group i is x_i times the
+    first slots of the order-(n-1) map, those whose indices are all >= i,
+    in their order. Here too those slots come first.
     """
 
-    of_column: np.ndarray  # the distinct monomial of each basis column
-    first: np.ndarray      # the first column holding each monomial
-    copies: np.ndarray     # the other columns, each a monomial's second copy
-    copy_of: np.ndarray    # the monomial of each of those copies
+    prefix: tuple        # m+1 counts: the first prefix[i] slots have every
+    #                      index >= i, so group i is prefix[i+1]:prefix[i]
+    slot: np.ndarray     # the slot of each basis column
+    by_slot: np.ndarray  # the basis columns sorted by slot, stably
+    starts: np.ndarray   # the position in by_slot of each slot's first copy
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def monomial_map(order: int, n_features: int) -> MonomialMap:
+    """The monomial layout of the order-n basis on m features, built once
+    per (order, m) and type, so a float order is checked, never served
+    from the cache. Its arrays are read-only, since every caller shares
+    them."""
+    _check_count(order, "order", 0, MAX_ORDER)
+    m = n_features
+    slot, sizes = np.zeros(1, dtype=np.intp), (0,) * m
+    if order > 0:
+        low = monomial_map(order - 1, m)
+        index = {mono: s for s, mono in enumerate(_monomial_factors(order, m))}
+        # the slot of x_i times each order-(n-1) slot, then of each column
+        times = np.array([[index[tuple(sorted((i,) + mono))]
+                           for mono in _monomial_factors(order - 1, m)]
+                          for i in range(m)])
+        slot = np.concatenate([slot, times[:, low.slot].ravel()])
+        sizes = low.prefix[:m]
+    prefix = tuple(1 + sum(sizes[i:]) for i in range(m + 1))
+    by_slot = np.argsort(slot, kind="stable")
+    starts = np.flatnonzero(np.diff(slot[by_slot], prepend=-1))
+    for a in (slot, by_slot, starts):
+        a.setflags(write=False)
+    return MonomialMap(prefix, slot, by_slot, starts)
 
 
 @functools.lru_cache(maxsize=None)
-def quadratic_map(n_features: int) -> QuadraticMap:
-    """The index map of the order-2 basis on m features, built once per m.
+def _monomial_factors(order: int, n_features: int) -> tuple:
+    """The ascending indices of each slot's monomial, in map order."""
+    if order == 0:
+        return ((),)
+    low = _monomial_factors(order - 1, n_features)
+    return ((),) + tuple((i,) + mono for i in range(n_features - 1, -1, -1)
+                         for mono in low if not mono or mono[0] >= i)
 
-    Its arrays are read-only, since every caller shares them.
+
+def fold_monomials(Q: np.ndarray, order: int, n_features: int) -> np.ndarray:
+    """Q's rows summed over the copies of each monomial, in slot order.
+
+    Q is D(order) x c; the result C has one row per slot of
+    `monomial_map(order, m)`, and apply_monomials(X, C, order) is
+    expand_matrix(X, order) @ Q.
     """
-    m = n_features
-    left, right = np.triu_indices(m)
-    pair = np.empty((m, m), dtype=np.intp)
-    pair[left, right] = pair[right, left] = 1 + m + np.arange(left.size)
-    # column 1 + i*(m+1) is x_i*1, the m columns after it x_i*x_1..x_i*x_m
-    of_column = np.concatenate(
-        [[0], np.column_stack([1 + np.arange(m), pair]).ravel()])
-    _, first = np.unique(of_column, return_index=True)
-    copies = np.setdiff1d(np.arange(of_column.size), first)
-    qmap = QuadraticMap(of_column, first, copies, of_column[copies])
-    for a in qmap:
-        a.setflags(write=False)
-    return qmap
+    mmap = monomial_map(order, n_features)
+    Q = np.asarray(Q, dtype=float)
+    if Q.shape[0] != mmap.slot.size:
+        raise ValueError(f"Q has {Q.shape[0]} rows, the order-{order} basis "
+                         f"on {n_features} features {mmap.slot.size}")
+    return np.add.reduceat(Q[mmap.by_slot], mmap.starts, axis=0)
 
 
-def quadratic_monomials(X: np.ndarray) -> np.ndarray:
-    """The N x (1 + m + m(m+1)/2) distinct monomials of the order-2 basis,
-    in `quadratic_map` order: expand_matrix(X, 2) is this matrix's
-    columns `quadratic_map(m).of_column`.
+def _horner_rows(XT: np.ndarray, order: int, c: int):
+    """(H, M, split): what one Horner step with c columns multiplies by.
 
-    Built along the rows of a monomial x N array, one block x_i*x_(i..m)
-    per feature, and returned transposed: gathering the columns of an
-    N x monomial array, or every row pair at once, took 2-9x as long at
-    N = 1,000, m = 13, most when their temporaries faulted in fresh pages.
+    XT is m x N. Group i, the monomials with smallest index i, is x_i
+    times the first rows of H, the order-(n-1) monomials. Scaling those
+    rows by x_i costs one product per monomial of the group, scaling the
+    c columns of their matrix product instead costs c. So the features
+    i < split, whose groups hold more than c monomials, scale the product,
+    and the other groups are formed here: M holds the first prefix[split]
+    order-n monomials, the constant first. H is None at order 0.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    n, m = X.shape
-    XT = np.ascontiguousarray(X.T)
-    M = np.empty((1 + m + m * (m + 1) // 2, n))
-    M[0] = 1.0
-    M[1:m + 1] = XT
-    start = m + 1
-    for i in range(m):
-        np.multiply(XT[i], XT[i:], out=M[start:start + m - i])
-        start += m - i
-    return M.T
+    m, n = XT.shape
+    prefix = monomial_map(order, m).prefix
+    split = sum(prefix[i] - prefix[i + 1] > c for i in range(m))
+    H, M = None, np.ones((1, n))
+    if order:  # the order-1 monomials: 1, then x_m, ..., x_1
+        H, M = M, np.concatenate([M, XT[::-1]])
+    for level in range(2, order + 1):
+        p = monomial_map(level, m).prefix
+        stop = split if level == order else 0
+        H, M = M, np.empty((p[stop], n))
+        M[0] = 1.0
+        for i in range(stop, m):
+            np.multiply(XT[i], H[:p[i] - p[i + 1]], out=M[p[i + 1]:p[i]])
+    return H, M, split
 
 
-def _horner_basis(X: np.ndarray, order: int):
-    """(H, qmap): the order-(n-1) basis that a Horner step multiplies by.
+def apply_monomials(X: np.ndarray, C: np.ndarray, order: int) -> np.ndarray:
+    """expand_matrix(X, order) @ Q for C = fold_monomials(Q, order, m); N x c.
 
-    Up to order 1 every basis column is a distinct monomial, so H is that
-    basis and qmap is None. The order-2 basis lists each x_i*x_j twice, so
-    H holds its distinct monomials and qmap is its `quadratic_map`.
+    The sum over monomials of each one times its row of C, in two parts
+    (`_horner_rows`): one matrix product with the monomials M, then for
+    each feature i < split, x_i times the product of its group's rows of
+    C with their cofactors, a prefix of H.
     """
-    if order - 1 == 2:
-        return quadratic_monomials(X), quadratic_map(X.shape[1])
-    return expand_matrix(X, order - 1), None
+    XT = np.ascontiguousarray(np.atleast_2d(np.asarray(X, dtype=float)).T)
+    C = np.asarray(C, dtype=float)
+    prefix = monomial_map(order, XT.shape[0]).prefix
+    H, M, split = _horner_rows(XT, order, C.shape[1])
+    out = C[:M.shape[0]].T @ M
+    for i in range(split):
+        lo, hi = prefix[i + 1], prefix[i]
+        out += XT[i] * (C[lo:hi].T @ H[:hi - lo])
+    return out.T
 
 
 def basis_apply(X: np.ndarray, Q: np.ndarray, order: int) -> np.ndarray:
-    """expand_matrix(X, order) @ Q for a D(order) x c matrix Q; N x c.
-
-    With H = expand_matrix(X, order - 1), Q's rows after the first hold
-    one D(n-1) x c block R_i per feature, so the product is
-    Q[0] + sum_i x_i * (H R_i): one N x D(n-1) by D(n-1) x (m*c) product.
-    On the order-2 basis, R's rows for the two copies of each monomial are
-    summed first and the product runs on the distinct monomials.
-    """
-    _check_count(order, "order", 0, MAX_ORDER)
+    """expand_matrix(X, order) @ Q for a D(order) x c matrix Q; N x c."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    Q = np.asarray(Q, dtype=float)
-    if order == 0:
-        return np.repeat(Q[:1], X.shape[0], axis=0)
-    (n, m), c = X.shape, Q.shape[1]
-    d = basis_dim(order - 1, m)
-    R = Q[1:].reshape(m, d, c).transpose(1, 0, 2).reshape(d, m * c)
-    H, qmap = _horner_basis(X, order)
-    if qmap is not None:
-        folded = R[qmap.first]
-        folded[qmap.copy_of] += R[qmap.copies]
-        R = folded
-    return Q[0] + np.einsum("ni,nic->nc", X, (H @ R).reshape(n, m, c))
+    return apply_monomials(X, fold_monomials(Q, order, X.shape[1]), order)
 
 
 def basis_adjoint(X: np.ndarray, W: np.ndarray, order: int) -> np.ndarray:
     """expand_matrix(X, order).T @ W for an N x c matrix W; D(order) x c.
 
-    Stacks W's column sums on the rows of H^T (x_i * W), taken over all
-    features i at once, with H = expand_matrix(X, order - 1). On the
-    order-2 basis the product runs on the distinct monomials, and each
-    result row is written to every copy of its monomial.
+    One row per monomial slot, by the Horner step of `apply_monomials`
+    transposed, written to every copy of the monomial: the copies' rows
+    are equal bit for bit.
     """
-    _check_count(order, "order", 0, MAX_ORDER)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     W = np.asarray(W, dtype=float)
-    if order == 0:
-        return W.sum(axis=0, keepdims=True)
-    (n, m), c = X.shape, W.shape[1]
-    d = basis_dim(order - 1, m)
-    H, qmap = _horner_basis(X, order)
-    XW = (X[:, :, None] * W[:, None, :]).reshape(n, m * c)
-    lower = H.T @ XW
-    if qmap is not None:
-        lower = lower[qmap.of_column]
-    lower = lower.reshape(d, m, c).transpose(1, 0, 2).reshape(m * d, c)
-    return np.concatenate([W.sum(axis=0, keepdims=True), lower])
+    XT = np.ascontiguousarray(X.T)
+    mmap = monomial_map(order, XT.shape[0])
+    H, M, split = _horner_rows(XT, order, W.shape[1])
+    out = np.empty((mmap.prefix[0], W.shape[1]))
+    out[:M.shape[0]] = M @ W
+    for i in range(split):
+        lo, hi = mmap.prefix[i + 1], mmap.prefix[i]
+        np.matmul(H[:hi - lo], X[:, i:i + 1] * W, out=out[lo:hi])
+    return out[mmap.slot]
 
 
 def basis_labels(order: int, n_features: int) -> list[str]:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import MAX_ORDER, basis_labels, expand_basis
+from .basis import MAX_ORDER, basis_labels, expand_basis, monomial_map
 from .data import Dataset, _check_count, normalize, stratified_folds
 from .distill import DistillConfig, distill_batch, teacher_logits
 from .rules import (PARTITION, PARTITION_LABELS, TSKModel, build_rule_base,
@@ -382,6 +382,11 @@ def rule_readout(model, sample: np.ndarray) -> str:
     labels = basis_labels(model.order, rb.n_features)
     bx = expand_basis(x, model.order)
     blocks = model.coeffs.reshape(rb.n_rules, len(labels), -1)
+    # one term per distinct monomial, in the basis order of its first copy,
+    # whose label lists the factors in ascending order
+    mmap = monomial_map(model.order, rb.n_features)
+    first = mmap.by_slot[mmap.starts]
+    terms = [(s, labels[first[s]]) for s in np.argsort(first)]
     lines = []
     for k, block in enumerate(blocks):
         lines.append(f"Rule {k + 1}:")
@@ -390,8 +395,8 @@ def rule_readout(model, sample: np.ndarray) -> str:
             lines.append(f"  feature {i + 1} is {_linguistic(rb.centers[k, i])}")
         lines.append("THEN:")
         for c, q in enumerate(block.T):
-            expr = " + ".join(f"{a:.4f}*{label}"
-                              for a, label in zip(q, labels))
+            coef = model.monomial_coeffs[:, k * block.shape[1] + c]
+            expr = " + ".join(f"{coef[s]:.4f}*{label}" for s, label in terms)
             lines.append(f"  output {c + 1} = {expr} = {float(bx @ q):.4f}")
     lines.append(f"Predicted class: {pred:g}")
     return "\n".join(lines)

@@ -6,11 +6,12 @@ antecedent can be read back as a linguistic label.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import basis_apply, basis_dim, stack_design_matrix
+from .basis import apply_monomials, basis_dim, fold_monomials
 from .data import _check_count, _check_finite
 
 PARTITION = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
@@ -159,19 +160,27 @@ class TSKModel:
     def n_classes(self) -> int:
         return self.class_labels.size
 
+    @functools.cached_property
+    def monomial_coeffs(self) -> np.ndarray:
+        """coeffs summed over the copies of each monomial
+        (`basis.fold_monomials`): one row per monomial slot, column k*c + j
+        for rule k's output j. Computed at the first prediction and kept,
+        as the model is frozen: its coeffs must not change in place."""
+        k, c = self.rule_base.n_rules, self.coeffs.shape[1]
+        Q = self.coeffs.reshape(k, -1, c).transpose(1, 0, 2).reshape(-1, k * c)
+        return fold_monomials(Q, self.order, self.rule_base.n_features)
+
 
 def predict_outputs(model: TSKModel, X: np.ndarray) -> np.ndarray:
-    """N x c outputs sum_k f_k(x) * b(x) . q_k: order <= 1 through the design
-    matrix, higher orders through one Horner step (`basis_apply` on the
-    D x K*c matrix), building neither the design matrix nor the basis."""
+    """N x c outputs sum_k f_k(x) * b(x) . q_k at any order: one Horner
+    step on the distinct monomials (`basis.apply_monomials`) gives every
+    rule's outputs, and one contraction weights them by firing strength.
+    Neither the design matrix nor the basis is built."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     F = firing_strengths(model.rule_base, X)
-    if model.order <= 1:
-        return stack_design_matrix(F, X, model.order) @ model.coeffs
     k, c = model.rule_base.n_rules, model.coeffs.shape[1]
-    Q = model.coeffs.reshape(k, -1, c).transpose(1, 0, 2).reshape(-1, k * c)
-    out = basis_apply(X, Q, model.order).reshape(-1, k, c)
-    return (out * F[:, :, None]).sum(axis=1)
+    out = apply_monomials(X, model.monomial_coeffs, model.order)
+    return np.einsum("nk,nkc->nc", F, out.reshape(-1, k, c))
 
 
 def predict_class(model: TSKModel, X: np.ndarray) -> np.ndarray:

@@ -18,11 +18,11 @@ that buffer in place, so the fit holds one N x N array (8*N^2 bytes) plus
 a _BLOCK_ROWS x N block. When N >= K*D it solves the K*D x K*D primal
 system on Xg, factoring its Gram matrix in place too.
 
-The dual fit never builds B: it takes one Horner step on the order-(n-1)
-basis (`basis.basis_adjoint` for B^T W), as prediction does for B Q. At
-order 3 that step runs on the order-2 basis's distinct monomials, holding
-105 + 104 doubles per row against D = 2,380 at m = 13, K = 8, with 1.7x
-fewer multiply-adds than on its 183 redundant columns.
+The dual fit never builds B: it takes one Horner step on the distinct
+order-(n-1) monomials (`basis.basis_adjoint` for B^T W), as prediction
+does for B Q, and writes each monomial's row to all of its copies in q.
+At order 3 and m = 13 that is 559 multiply-adds per row and rule against
+the basis's D = 2,380, holding the 105 quadratic monomials per row.
 """
 from __future__ import annotations
 

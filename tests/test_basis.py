@@ -1,4 +1,6 @@
 """Consequent basis expansion and the stacked design matrix."""
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,7 @@ from hypothesis import strategies as st
 
 from fuzzykd.basis import (basis_adjoint, basis_apply, basis_dim,
                            basis_labels, expand_basis, expand_matrix,
-                           quadratic_map, quadratic_monomials,
-                           stack_design_matrix)
+                           monomial_map, stack_design_matrix, _horner_rows)
 from fuzzykd.rules import build_rule_base, firing_strengths
 from fuzzykd.teacher import fit_teacher, predict_teacher
 
@@ -92,58 +93,101 @@ class TestHornerProducts:
             basis_adjoint(np.ones((2, 1)), np.ones((2, 1)), -1)
 
 
-def sorted_factors(label: str) -> tuple[str, ...]:
-    return tuple(sorted(f for f in label.split("*") if f != "1"))
+def factor_indices(label: str) -> tuple[int, ...]:
+    """The ascending feature indices of a basis label: x2*x1 -> (0, 1)."""
+    return tuple(sorted(int(f[1:]) - 1 for f in label.split("*") if f != "1"))
 
 
-class TestQuadraticMap:
-    """The order-2 basis's columns against its distinct monomials."""
+def slot_monomials(order: int, m: int) -> dict[int, set]:
+    """The factor indices of the basis columns in each slot of the map."""
+    monomials = {}
+    for label, slot in zip(basis_labels(order, m),
+                           monomial_map(order, m).slot):
+        monomials.setdefault(int(slot), set()).add(factor_indices(label))
+    return monomials
+
+
+class TestMonomialMap:
+    """The min-index monomial map against the labels of the basis."""
 
     @pytest.mark.parametrize("m", [1, 2, 4, 7, 13])
-    def test_copies_share_sorted_factors(self, m):
-        qmap = quadratic_map(m)
-        labels = basis_labels(2, m)
-        assert qmap.of_column.size == len(labels) == basis_dim(2, m)
-        counts = np.bincount(qmap.of_column)
-        assert counts.size == 1 + m + m * (m + 1) // 2
-        assert counts.min() == 1 and counts.max() <= 2
-        factors = {}
-        for label, mono in zip(labels, qmap.of_column):
-            factors.setdefault(mono, set()).add(sorted_factors(label))
-        assert all(len(f) == 1 for f in factors.values())
-        assert len({f.pop() for f in factors.values()}) == counts.size
-        np.testing.assert_array_equal(qmap.of_column[qmap.first],
-                                      np.arange(counts.size))
-        np.testing.assert_array_equal(qmap.of_column[qmap.copies],
-                                      qmap.copy_of)
-        assert qmap.first.size + qmap.copies.size == len(labels)
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_one_slot_per_distinct_monomial(self, order, m):
+        mmap = monomial_map(order, m)
+        monomials = slot_monomials(order, m)
+        # every slot holds one monomial, and no two slots the same one
+        assert all(len(mono) == 1 for mono in monomials.values())
+        distinct = {mono.pop() for mono in monomials.values()}
+        assert len(distinct) == len(monomials) == comb(m + order, order)
+        assert sorted(monomials) == list(range(len(monomials)))
+        assert mmap.prefix[0] == len(monomials)
+        assert () in distinct  # so C(m+n, n) - 1 slots after the constant
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 7, 13])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_prefix_is_the_monomials_with_indices_at_least_i(self, order, m):
+        prefix = monomial_map(order, m).prefix
+        mono = {s: f.pop() for s, f in slot_monomials(order, m).items()}
+        low = {s: f.pop() for s, f in slot_monomials(order - 1, m).items()}
+        assert mono[0] == () and prefix[m] == 1
+        for i in range(m):
+            head = {mono[s] for s in range(prefix[i])}
+            assert head == {u for u in mono.values()
+                            if min(u, default=m) >= i}
+            # group i: x_i times the lower map's slots, in their order
+            for s in range(prefix[i + 1], prefix[i]):
+                assert mono[s] == (i,) + low[s - prefix[i + 1]]
 
     def test_map_is_shared_read_only(self):
-        qmap = quadratic_map(3)
-        assert quadratic_map(3) is qmap
-        with pytest.raises(ValueError):
-            qmap.of_column[0] = 1
+        mmap = monomial_map(3, 4)
+        assert monomial_map(3, 4) is mmap
+        assert isinstance(mmap.prefix, tuple)
+        for a in mmap[1:]:
+            with pytest.raises(ValueError):
+                a[0] = 1
 
     @pytest.mark.parametrize("m", [1, 3, 13])
     def test_monomials_gather_to_the_basis(self, m):
+        # with more columns than any group has slots, the Horner step forms
+        # every monomial once; the map's columns of them are the basis
         X = np.random.default_rng(m).uniform(-2, 2, (9, m))
-        np.testing.assert_array_equal(
-            quadratic_monomials(X)[:, quadratic_map(m).of_column],
-            expand_matrix(X, 2))
+        for order in (2, 3):
+            mmap = monomial_map(order, m)
+            _, M, split = _horner_rows(np.ascontiguousarray(X.T), order,
+                                       mmap.prefix[0])
+            assert split == 0 and M.shape == (mmap.prefix[0], 9)
+            B = expand_matrix(X, order)
+            if order == 2:  # one product per monomial: exact
+                np.testing.assert_array_equal(M.T[:, mmap.slot], B)
+            else:
+                np.testing.assert_allclose(M.T[:, mmap.slot], B, rtol=1e-14)
 
-    @pytest.mark.parametrize("m", [2, 5])
-    def test_adjoint_rows_of_swapped_factors_are_equal(self, m):
-        # x_k*x_i*x_j and x_k*x_j*x_i differ only in the order-2 factor
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_products_with_thirteen_features_match_full_basis(self, order):
+        # m = 13 and K = 8 columns, as a wine teacher's, past the m <= 5
+        # of the property test
+        rng = np.random.default_rng(13 + order)
+        X = rng.uniform(0, 1, (40, 13))
+        B = expand_matrix(X, order)
+        Q = rng.normal(size=(B.shape[1], 8))
+        W = rng.normal(size=(40, 8))
+        np.testing.assert_allclose(basis_apply(X, Q, order), B @ Q,
+                                   rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(basis_adjoint(X, W, order), B.T @ W,
+                                   rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("m", [2, 5, 13])
+    def test_copies_get_bit_equal_adjoint_rows(self, m):
+        # x_i*x_j*x_k appears once per ordering of its factors
         rng = np.random.default_rng(m)
         X, W = rng.uniform(-2, 2, (20, m)), rng.normal(size=(20, 3))
-        got = basis_adjoint(X, W, 3)
         rows = {}
-        for label, row in zip(basis_labels(3, m), got):
-            head, _, tail = label.partition("*")
-            rows.setdefault((head, sorted_factors(tail)), []).append(row)
-        assert max(len(r) for r in rows.values()) == 2
+        for label, row in zip(basis_labels(3, m), basis_adjoint(X, W, 3)):
+            rows.setdefault(factor_indices(label), []).append(row)
+        assert max(len(r) for r in rows.values()) == (6 if m >= 3 else 3)
         for same in rows.values():
-            np.testing.assert_array_equal(same[0], same[-1])
+            for row in same[1:]:
+                np.testing.assert_array_equal(row, same[0])
 
 
 class TestBasisLabels:

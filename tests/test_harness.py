@@ -495,9 +495,11 @@ class TestRuleReadout:
             assert text.strip().endswith(f"Predicted class: {want}")
 
     def test_teacher_readout_has_scalar_consequent(self):
-        # one output per rule, printed in full: all D(3, 2) = 15 terms,
-        # and the value b(x) . q_k with the basis built here from its
-        # recursion b_0 = [1], b_n = [1, x (x) b_{n-1}]
+        # one output per rule, printed in monomial form: one term per
+        # distinct monomial, C(5, 3) = 10 of the D(3, 2) = 15 basis terms,
+        # with the summed coefficients of its copies and its factors in
+        # ascending order; the value b(x) . q_k with the basis built here
+        # from its recursion b_0 = [1], b_n = [1, x (x) b_{n-1}]
         rng = np.random.default_rng(1)
         rb = build_rule_base(2, 2, seed=1)
         X = rng.uniform(0, 1, (15, 2))
@@ -505,16 +507,26 @@ class TestRuleReadout:
                          np.array([0.0, 1.0]))
         x = np.array([0.3, 0.7])
         b = np.ones(1)
+        labels = ["1"]
         for _ in range(3):
             b = np.concatenate([[1.0], np.outer(x, b).ravel()])
+            labels = ["1"] + [f"x{i}*{u}" for i in (1, 2) for u in labels]
         lines = rule_readout(tm, x).splitlines()
         outputs = [line for line in lines if line.startswith("  output")]
         assert len(outputs) == 2
         for k, line in enumerate(outputs):
             head, expr, value = line.split(" = ")
             assert head == "  output 1"
-            assert len(expr.split(" + ")) == 15
             q = tm.coeffs[:, 0][k * 15:(k + 1) * 15]
+            want = {}
+            for label, a in zip(labels, q):
+                factors = sorted(f for f in label.split("*") if f != "1")
+                key = "*".join(factors) or "1"
+                want[key] = want.get(key, 0.0) + a
+            terms = [t.split("*", 1) for t in expr.split(" + ")]
+            assert [label for _, label in terms] == list(want)
+            for a, label in terms:
+                assert float(a) == pytest.approx(want[label], abs=5.1e-5)
             assert value == f"{float(b @ q):.4f}"
 
     def test_student_readout_text_is_pinned(self):

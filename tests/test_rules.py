@@ -216,7 +216,7 @@ class TestPredictOutputs:
     @pytest.mark.parametrize("c", [1, 3])
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     def test_matches_row_loop(self, order, c):
-        # orders 0-1 go through the design matrix, 2-3 through Horner
+        # every order takes the one Horner step on the distinct monomials
         model, X = random_model(order, c, seed=10 * order + c)
         got = predict_outputs(model, X)
         assert got.shape == (7, c)
@@ -230,7 +230,8 @@ class TestPredictOutputs:
         F = firing_strengths(model.rule_base, X)
         Q = model.coeffs[:, 0].reshape(8, -1).T
         np.testing.assert_array_equal(predict_outputs(model, X)[:, 0],
-                                      (basis_apply(X, Q, 3) * F).sum(axis=1))
+                                      np.einsum("nk,nk->n", F,
+                                                basis_apply(X, Q, 3)))
 
     def test_predict_class_decodes_by_output_count(self):
         model, X = random_model(1, 3, seed=1)

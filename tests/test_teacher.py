@@ -202,9 +202,10 @@ class TestFitTeacher:
 
     def test_dual_fit_and_prediction_skip_design_matrix(self, monkeypatch):
         # neither the design matrix nor the full order-3 basis is built;
-        # each Horner step runs on the quadratic basis's distinct monomials
+        # each Horner step runs on the distinct monomials of the min-index
+        # map, built once per step
         expand = fuzzykd.basis.expand_matrix
-        monomials, built = fuzzykd.basis.quadratic_monomials, []
+        horner_rows, built = fuzzykd.basis._horner_rows, []
 
         def refuse(*args, **kwargs):
             raise AssertionError("design matrix built")
@@ -215,20 +216,20 @@ class TestFitTeacher:
             built.append(f"order-{order} basis")
             return expand(X, order)
 
-        def distinct(X):
-            built.append("quadratic monomials")
-            return monomials(X)
+        def distinct(XT, order, c):
+            built.append(f"order-{order} monomials")
+            return horner_rows(XT, order, c)
 
         monkeypatch.setattr(fuzzykd.teacher, "stack_design_matrix", refuse)
         monkeypatch.setattr(fuzzykd.basis, "expand_matrix", below_order_3)
-        monkeypatch.setattr(fuzzykd.basis, "quadratic_monomials", distinct)
+        monkeypatch.setattr(fuzzykd.basis, "_horner_rows", distinct)
         rng = np.random.default_rng(11)
         rb = build_rule_base(3, 4, seed=11)
         X = rng.uniform(0, 1, (30, 4))  # 30 < 3 * D(3, 4) = 255
         tm = fit_teacher(rb, X, rng.normal(size=30), reg=100.0)
-        assert tm.order == 3 and built == ["quadratic monomials"]
+        assert tm.order == 3 and built == ["order-3 monomials"]
         assert predict_teacher(tm, X).shape == (30,)
-        assert built == ["quadratic monomials"] * 2
+        assert built == ["order-3 monomials"] * 2
 
     @pytest.mark.parametrize("n", [30, 600])  # dual, then primal shape
     def test_lu_fallback_matches_cholesky(self, monkeypatch, n):
