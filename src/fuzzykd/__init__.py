@@ -3,17 +3,15 @@
 from .basis import basis_dim, basis_labels, expand_basis, stack_design_matrix
 from .data import (Dataset, FoldPlan, load_bundled, load_csv, normalize,
                    stratified_folds)
-from .distill import (DistillConfig, SoftLabelSet, dkd_loss, distill,
-                      distill_batch, kd_loss, soft_labels, teacher_logits)
+from .distill import DistillConfig, distill, distill_batch, teacher_logits
 from .harness import (GridSpec, MethodReport, accuracy, format_report,
                       rule_readout, run_method, sweep, weighted_f)
 from .rules import (PARTITION, PARTITION_LABELS, RuleBase, TSKModel,
                     build_rule_base, firing_strengths, predict_class,
                     predict_outputs)
 from .serialize import load_model, save_model
-from .student import (TrainConfig, TrainingDiverged, cross_entropy,
-                      init_student, onehot_encode, predict_student, softmax,
-                      train_student)
+from .student import (TrainConfig, TrainingDiverged, init_student,
+                      onehot_encode, predict_student, train_student)
 from .teacher import fit_teacher, predict_teacher
 
 __version__ = "0.1.0"

@@ -171,12 +171,6 @@ def apply_monomials(X: np.ndarray, C: np.ndarray, order: int) -> np.ndarray:
     return out.T
 
 
-def basis_apply(X: np.ndarray, Q: np.ndarray, order: int) -> np.ndarray:
-    """expand_matrix(X, order) @ Q for a D(order) x c matrix Q; N x c."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    return apply_monomials(X, fold_monomials(Q, order, X.shape[1]), order)
-
-
 def basis_adjoint(X: np.ndarray, W: np.ndarray, order: int) -> np.ndarray:
     """expand_matrix(X, order).T @ W for an N x c matrix W; D(order) x c.
 

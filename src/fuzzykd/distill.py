@@ -2,12 +2,13 @@
 
 The teacher enters as its N x C logits; for the paper's scalar teacher they
 are negative distances between its output and each class encoding
-(teacher_logits). Both sides are softened with the same temperature; the
-KL between them splits exactly into a target/non-target binary KL plus the
-teacher's non-target mass times the KL among non-target classes. The loss
-reweights the two parts and adds the cross-entropy against the ground truth.
-Coupled KD is the same loss with per-sample non-target weights, so one
-closure trains both and DistillConfig alone checks the weights.
+(teacher_logits). Teacher and student logits are softened by one function,
+_soft_labels, at each candidate's temperature; the KL between the two
+splits exactly into a target/non-target binary KL plus the teacher's
+non-target mass times the KL among non-target classes. The loss reweights
+the two parts and adds the cross-entropy against the ground truth. Coupled
+KD is the same loss with per-sample non-target weights, so one closure
+trains both and DistillConfig alone checks the weights.
 """
 from __future__ import annotations
 
@@ -15,11 +16,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import _check_finite, _class_indices
+from .data import _check_finite
 from .rules import TSKModel
 from .student import (EPS, TrainConfig, TrainingDiverged, _finite_logits,
                       _log, _softmax, _sole, _training_data,
-                      gradient_descent_batch, softmax)
+                      gradient_descent_batch)
 
 
 @dataclass(frozen=True)
@@ -50,16 +51,6 @@ class DistillConfig(TrainConfig):
             raise ValueError("at least one loss weight must be non-zero")
 
 
-@dataclass(frozen=True)
-class SoftLabelSet:
-    """Temperature-softmax probabilities and their target/non-target split."""
-
-    probs: np.ndarray         # N x C soft labels u
-    target_index: np.ndarray  # N true-class indices
-    binary: np.ndarray        # N x 2 rows [u_t, 1 - u_t]
-    non_target: np.ndarray    # N x (C-1) distribution among non-target classes
-
-
 def teacher_logits(y_teacher: np.ndarray,
                    class_labels: np.ndarray) -> np.ndarray:
     """N x C logits: negative distance from the teacher output to each label."""
@@ -72,86 +63,57 @@ def teacher_logits(y_teacher: np.ndarray,
     return -np.abs(y[:, None] - class_labels[None, :])
 
 
-def soft_labels(logits: np.ndarray, temperature: float,
-                target: np.ndarray) -> SoftLabelSet:
-    """Temperature softmax plus the decoupled binary / non-target views."""
-    logits = np.atleast_2d(np.asarray(logits, dtype=float))
-    _check_finite(logits, "logits")
-    n, c = logits.shape
-    if c < 2:
-        raise ValueError(f"soft labels need at least 2 classes, got {c}")
-    target = _class_indices(target, c, "target index")
-    if target.size != n:
-        raise ValueError("target must give one class index per row")
-    u = softmax(logits, temperature)
-    rows = np.arange(n)
-    u_t = u[rows, target]
-    binary = np.column_stack([u_t, 1.0 - u_t])
-    mask = np.ones((n, c), dtype=bool)
-    mask[rows, target] = False
-    z_hat = logits[mask].reshape(n, c - 1)
-    non_target = softmax(z_hat, temperature)
-    return SoftLabelSet(u, target, binary, non_target)
+def _column(values) -> np.ndarray:
+    """One value per candidate, B x 1 x 1, to broadcast against b x n x c."""
+    return np.array(values, dtype=float).reshape(-1, 1, 1)
 
 
-def _check_pair(teacher: SoftLabelSet, student: SoftLabelSet) -> None:
-    if teacher.probs.shape != student.probs.shape:
-        raise ValueError("teacher and student soft labels disagree on shape")
-    if not np.array_equal(teacher.target_index, student.target_index):
-        raise ValueError("teacher and student target indices disagree")
+def _target_cells(y_idx: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flat (row, target class) cells of n x c logits, and the rest in
+    row-major order."""
+    target = np.arange(len(y_idx)) * c + y_idx
+    return target, np.delete(np.arange(len(y_idx) * c), target)
 
 
-def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """KL(p || q) along the last axis."""
-    return (p * (_log(p) - _log(q))).sum(axis=-1)
+def _soft_labels(logits, tau, target, others):
+    """(u, u_t, rest) of b x n x c logits at the B x 1 x 1 temperatures tau.
 
-
-def kd_loss(teacher: SoftLabelSet, student: SoftLabelSet) -> float:
-    """Mean KL(u_teacher || u_student) over samples."""
-    _check_pair(teacher, student)
-    return float(_kl_rows(teacher.probs, student.probs).mean())
-
-
-def dkd_loss(teacher: SoftLabelSet,
-             student: SoftLabelSet) -> tuple[float, float]:
-    """Mean target-class KL and mean non-target-class KL.
-
-    The non-target part is exactly 0 for two-class problems, where the
-    non-target distribution is the single point mass.
+    u is their temperature softmax, u_t its target mass (B x n) and rest
+    the softmax of the non-target logits alone (B x n x (c-1)), the
+    distribution among non-target classes; target and others are the
+    _target_cells. With b = 1 the one set of logits is softened at each
+    of the B temperatures.
     """
-    _check_pair(teacher, student)
-    tckl = float(_kl_rows(teacher.binary, student.binary).mean())
-    nckl = float(_kl_rows(teacher.non_target, student.non_target).mean())
-    return tckl, nckl
+    b, n, c = logits.shape
+    u = _softmax(logits, tau)
+    # np.take gathers in C order, where fancy indexing may give F order:
+    # the rows then sum in a batch of B as in a batch of one
+    rest = _softmax(np.take(logits.reshape(b, -1), others, axis=1)
+                    .reshape(b, n, c - 1), tau)
+    return u, np.take(u.reshape(len(u), -1), target, axis=1), rest
 
 
-def _distill_loss_grad(Xh, Y, y_idx, teachers, cfgs):
+def _distill_loss_grad(Xh, Y, y_idx, a, rest, cfgs):
     """zeta*TCKL + lam*NCKL + phi*H over samples, per candidate.
 
-    Candidate b has teacher soft labels teachers[b] and temperature and
-    weights cfgs[b]; its non_target_weight may be per sample. The returned
-    loss_grad(Q, idx) serves gradient_descent_batch: it evaluates the
-    b x D x C points Q of candidates idx along a leading candidate axis,
-    with one gemm per candidate and reductions only along contiguous axes,
-    so each candidate gets the values a batch of one gives it. Per-fit work
-    (flat target/non-target indices, stacked teacher views, their logs and
-    the weights) is done once. TCKL and NCKL are written out here from
-    their formulas: the closure shares no KL code with the kd_loss and
-    dkd_loss oracles that tests check it against. A candidate whose logits
-    overflow gets total inf (see _finite_logits), so its fit diverges.
+    Candidate b's teacher has target mass a[b] (n values) and non-target
+    distribution rest[b] (n x (C-1)) at its temperature, as _soft_labels
+    gives them, and cfgs[b] holds that temperature and the weights; its
+    non_target_weight may be per sample. The returned loss_grad(Q, idx)
+    serves gradient_descent_batch: it evaluates the b x D x C points Q of
+    candidates idx along a leading candidate axis, with one gemm per
+    candidate and reductions only along contiguous axes, so each candidate
+    gets the values a batch of one gives it. The student's logits are
+    softened by the same _soft_labels as the teacher's; per-fit work (the
+    flat target/non-target cells, the teacher views' logs and the weights)
+    is done once. A candidate whose logits overflow gets total inf (see
+    _finite_logits), so its fit diverges.
     """
     n, c = Y.shape
-    target = np.arange(n) * c + y_idx  # flat (row, target class) cells
-    others = np.delete(np.arange(n * c), target)  # the rest, row-major
-
-    def column(values):  # B x 1 x 1, to broadcast against b x n x c
-        return np.array(values, dtype=float).reshape(len(cfgs), 1, 1)
-
-    a = np.stack([t.binary[:, 0] for t in teachers])  # teacher target mass
-    rest = np.stack([t.non_target for t in teachers])
-    per_fit = (column([cfg.temperature for cfg in cfgs]),
-               column([cfg.target_weight for cfg in cfgs]),
-               column([cfg.ce_weight for cfg in cfgs]),
+    target, others = _target_cells(y_idx, c)
+    per_fit = (_column([cfg.temperature for cfg in cfgs]),
+               _column([cfg.target_weight for cfg in cfgs]),
+               _column([cfg.ce_weight for cfg in cfgs]),
                np.stack([np.broadcast_to(np.asarray(cfg.non_target_weight,
                                                     dtype=float), (n,))
                          for cfg in cfgs])[:, :, None],
@@ -162,8 +124,7 @@ def _distill_loss_grad(Xh, Y, y_idx, teachers, cfgs):
         logits, overflow = _finite_logits(Xh, Q)
         tau, zeta, phi, lam, a, not_a, log_a, log_not_a, t_rest, log_t_rest = (
             per_fit if b == len(cfgs) else [arr[idx] for arr in per_fit])
-        u = _softmax(logits, tau)
-        u_t = u.reshape(b, -1)[:, target]
+        u, u_t, s_rest = _soft_labels(logits, tau, target, others)
         tckl = (a * (log_a - _log(u_t)) +
                 not_a * (log_not_a - _log(1.0 - u_t))).sum(axis=1)
         p1 = _softmax(logits, 1.0)
@@ -174,8 +135,6 @@ def _distill_loss_grad(Xh, Y, y_idx, teachers, cfgs):
         g = zeta * (coeff[:, :, None] * (Y - u))
 
         # C = 2: one non-target cell per row, softmax 1, NCKL and grad 0
-        s_rest = _softmax(logits.reshape(b, -1)[:, others]
-                          .reshape(b, n, c - 1), tau)
         nckl_rows = (t_rest * (log_t_rest - _log(s_rest))).sum(axis=-1)
         g.reshape(b, -1)[:, others] += (
             lam * ((s_rest - t_rest) / tau)).reshape(b, -1)
@@ -217,10 +176,12 @@ def distill_batch(logits: np.ndarray, sm: TSKModel, X: np.ndarray,
     """distill from sm once per config, all fits in lock step.
 
     logits holds the teacher's logits on X, one row per row of X and one
-    column per class. The fits share the design matrix of X and the teacher
-    soft labels of each temperature, and one loss/gradient call per round
-    evaluates them all (gradient_descent_batch); the configs must agree on
-    lr, max_epochs and tol. With kd_weights, config i's fit trains the
+    column per class; they must be finite, and there must be at least two
+    classes. Each fit softens them at its own temperature (_soft_labels,
+    as the student's), the fits share the design matrix of X, and one
+    loss/gradient call per round evaluates them all
+    (gradient_descent_batch); the configs must agree on lr, max_epochs and
+    tol. With kd_weights, config i's fit trains the
     coupled loss w*KL + ce_weight*H at w = kd_weights[i], the baseline for
     ablation: per sample, KL(u_T || u_S) = TCKL + (1 - u_t) * NCKL (u_t:
     teacher target mass), so the fit runs at target weight w and per-sample
@@ -241,16 +202,20 @@ def distill_batch(logits: np.ndarray, sm: TSKModel, X: np.ndarray,
         raise ValueError(f"teacher logits have shape {np.shape(logits)}, "
                          f"expected {Y.shape}: one row per sample, one "
                          f"column per class")
-    at_tau = {tau: soft_labels(logits, tau, y_idx)
-              for tau in dict.fromkeys(cfg.temperature for cfg in cfgs)}
-    teachers = [at_tau[cfg.temperature] for cfg in cfgs]
+    logits = np.asarray(logits, dtype=float)
+    _check_finite(logits, "logits")
+    if Y.shape[1] < 2:
+        raise ValueError(f"distillation needs at least 2 classes, got "
+                         f"{Y.shape[1]}")
+    _, a, rest = _soft_labels(logits[None],
+                              _column([cfg.temperature for cfg in cfgs]),
+                              *_target_cells(y_idx, Y.shape[1]))
     if kd_weights is not None:
-        cfgs = [replace(cfg, target_weight=w,
-                        non_target_weight=w * t.binary[:, 1])
-                for cfg, w, t in zip(cfgs, kd_weights, teachers, strict=True)]
+        cfgs = [replace(cfg, target_weight=w, non_target_weight=w * (1.0 - t))
+                for cfg, w, t in zip(cfgs, kd_weights, a, strict=True)]
     Q0 = np.broadcast_to(sm.coeffs, (len(cfgs),) + sm.coeffs.shape)
     outcomes = gradient_descent_batch(
-        Q0, _distill_loss_grad(Xh, Y, y_idx, teachers, cfgs), cfgs[0])
+        Q0, _distill_loss_grad(Xh, Y, y_idx, a, rest, cfgs), cfgs[0])
     return [out if isinstance(out, TrainingDiverged) else
             (replace(sm, coeffs=out[0]), out[1]) for out in outcomes]
 

@@ -139,7 +139,7 @@ class TSKModel:
             _check_reg(self.reg)
         d = self.rule_base.n_rules * basis_dim(self.order,
                                                self.rule_base.n_features)
-        coeffs = np.asarray(self.coeffs, dtype=float)
+        coeffs = np.array(self.coeffs, dtype=float)  # its own, read-only
         if coeffs.ndim != 2 or coeffs.shape[0] != d or coeffs.shape[1] == 0:
             raise ValueError(f"coeffs has shape {coeffs.shape}, expected one "
                              f"or more columns of length K*D = {d}")
@@ -153,6 +153,7 @@ class TSKModel:
         if c >= 2 and not np.array_equal(labels, np.arange(c)):
             raise ValueError(f"a model with {c} outputs has class labels "
                              f"0..{c - 1}, got {labels.tolist()}")
+        coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "class_labels", labels)
 
@@ -164,8 +165,8 @@ class TSKModel:
     def monomial_coeffs(self) -> np.ndarray:
         """coeffs summed over the copies of each monomial
         (`basis.fold_monomials`): one row per monomial slot, column k*c + j
-        for rule k's output j. Computed at the first prediction and kept,
-        as the model is frozen: its coeffs must not change in place."""
+        for rule k's output j. Computed at the first prediction and kept:
+        the model holds its own read-only copy of coeffs."""
         k, c = self.rule_base.n_rules, self.coeffs.shape[1]
         Q = self.coeffs.reshape(k, -1, c).transpose(1, 0, 2).reshape(-1, k * c)
         return fold_monomials(Q, self.order, self.rule_base.n_features)

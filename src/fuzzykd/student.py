@@ -83,13 +83,6 @@ def design_matrix(sm: TSKModel, X: np.ndarray) -> np.ndarray:
     return stack_design_matrix(firing_strengths(sm.rule_base, X), X, sm.order)
 
 
-def softmax(z: np.ndarray, temperature: float = 1.0) -> np.ndarray:
-    """Row-wise temperature softmax with max-shift stabilization."""
-    if not temperature > 0:
-        raise ValueError("temperature must be positive")
-    return _softmax(np.atleast_2d(np.asarray(z, dtype=float)), temperature)
-
-
 def _softmax(z: np.ndarray, temperature) -> np.ndarray:
     """softmax over the last axis, unchecked; temperature may broadcast."""
     z = z / temperature
@@ -100,30 +93,12 @@ def _softmax(z: np.ndarray, temperature) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy(probs: np.ndarray, onehot: np.ndarray) -> float:
-    """Total cross-entropy -sum_n sum_t onehot * log(max(prob, eps))."""
-    probs = np.atleast_2d(np.asarray(probs, dtype=float))
-    onehot = np.atleast_2d(np.asarray(onehot, dtype=float))
-    if probs.shape != onehot.shape:
-        raise ValueError("probs and onehot must have the same shape")
-    if not np.allclose(probs.sum(axis=1), 1.0, atol=1e-6):
-        raise ValueError("probability rows must sum to 1")
-    _check_onehot(onehot)
-    return float(-(onehot * _log(probs)).sum())
-
-
-def _check_onehot(onehot: np.ndarray) -> None:
-    bad = (onehot.sum(axis=1) != 1.0) | ~np.isin(onehot, (0.0, 1.0)).all(axis=1)
-    if bad.any():
-        raise ValueError("onehot rows must be valid one-hot vectors")
-
-
 def _training_data(sm: TSKModel, X: np.ndarray, y_onehot: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Design matrix of X, checked N x C one-hot targets, their indices.
 
-    The training losses skip cross_entropy's per-call checks, so targets
-    are validated here, once per fit.
+    The training losses check nothing per call, so targets are validated
+    here, once per fit.
     """
     Xh = design_matrix(sm, X)
     Y = np.atleast_2d(np.asarray(y_onehot, dtype=float))
@@ -132,7 +107,8 @@ def _training_data(sm: TSKModel, X: np.ndarray, y_onehot: np.ndarray
     if Y.shape[1] != sm.coeffs.shape[1]:
         raise ValueError(f"y_onehot has {Y.shape[1]} columns, expected one "
                          f"per model output ({sm.coeffs.shape[1]})")
-    _check_onehot(Y)
+    if ((Y.sum(axis=1) != 1.0) | ~np.isin(Y, (0.0, 1.0)).all(axis=1)).any():
+        raise ValueError("onehot rows must be valid one-hot vectors")
     return Xh, Y, Y.argmax(axis=1)
 
 

@@ -9,14 +9,16 @@ import numpy as np
 import pytest
 
 from fuzzykd.data import load_bundled
-from fuzzykd.distill import (DistillConfig, _distill_loss_grad, dkd_loss,
-                             kd_loss, soft_labels, teacher_logits, distill)
+from fuzzykd.distill import (DistillConfig, _distill_loss_grad,
+                             teacher_logits, distill)
 from fuzzykd.harness import GridSpec, format_report, run_method
 from fuzzykd.rules import build_rule_base, firing_strengths
 from fuzzykd.basis import stack_design_matrix
-from fuzzykd.student import (cross_entropy, design_matrix, init_student,
-                             onehot_encode, softmax)
+from fuzzykd.student import design_matrix, init_student, onehot_encode
 from fuzzykd.teacher import fit_teacher, predict_teacher
+
+from oracles import (cross_entropy, dkd_loss, kd_loss, soft_labels, softmax,
+                     teacher_views)
 
 
 def verdict(capsys, name, ok, detail):
@@ -91,7 +93,7 @@ def test_gradient_oracle(capsys):
         cfg = DistillConfig(temperature=2.0)
         tsl = soft_labels(teacher_logits(t_out, np.arange(c, dtype=float)),
                           2.0, y)
-        lg = _distill_loss_grad(Xh, Y, y, [tsl], [cfg])
+        lg = _distill_loss_grad(Xh, Y, y, *teacher_views(tsl), [cfg])
         idx = np.zeros(1, dtype=int)  # candidate 0 of a batch of one
         analytic_full = lg(Q[None], idx)[1][0]
         fd_full = fd_gradient(lambda q: lg(q[None], idx)[0][0], Q)

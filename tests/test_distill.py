@@ -9,16 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzykd.data import load_bundled, normalize
-from fuzzykd.distill import (DistillConfig, dkd_loss, distill,
-                             distill_batch, kd_loss, soft_labels,
+from fuzzykd.distill import (DistillConfig, distill, distill_batch,
                              teacher_logits, trace_lines)
 from fuzzykd.rules import TSKModel, build_rule_base
-from fuzzykd.student import (TrainConfig, TrainingDiverged,
-                             cross_entropy, design_matrix, init_student,
-                             onehot_encode, predict_student, softmax,
+from fuzzykd.student import (TrainConfig, TrainingDiverged, design_matrix,
+                             init_student, onehot_encode, predict_student,
                              train_student)
 from fuzzykd.teacher import fit_teacher, predict_teacher
 
+from oracles import (cross_entropy, dkd_loss, kd_loss, soft_labels, softmax,
+                     teacher_views)
 from test_student import fd_gradient, toy_separable
 
 
@@ -102,31 +102,6 @@ class TestSoftLabels:
         np.testing.assert_allclose(
             t.non_target, u_rest / u_rest.sum(axis=1, keepdims=True),
             atol=1e-9)
-
-    def test_non_finite_logits_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            soft_labels(np.array([[np.inf, 0.0]]), 1.0, [0])
-
-    def test_one_column_rejected(self):
-        with pytest.raises(ValueError, match="at least 2 classes, got 1"):
-            soft_labels(np.array([[0.5], [1.0]]), 1.0, [0, 0])
-
-    def test_target_length_checked(self):
-        with pytest.raises(ValueError, match="one class index per row"):
-            soft_labels(np.zeros((3, 2)), 1.0, [0, 1])
-
-    @pytest.mark.parametrize("bad", [-1, 3], ids=["negative", "C"])
-    def test_target_outside_class_range_rejected(self, bad):
-        # -1 would pick the last class and C would be numpy's IndexError
-        with pytest.raises(ValueError, match=f"target index {bad} at row 2 "
-                                             r"is outside 0\.\.2 for 3 "
-                                             "classes"):
-            soft_labels(np.zeros((3, 3)), 1.0, [0, bad, 1])
-
-    def test_fractional_target_rejected(self):
-        # an int cast would truncate it to class 1
-        with pytest.raises(ValueError, match=r"target index 1\.7 at row 1 "):
-            soft_labels(np.zeros((2, 3)), 1.0, [1.7, 0])
 
 
 class TestKdLoss:
@@ -273,7 +248,7 @@ class TestDistill:
                             non_target_weight=2.0 * tsl.binary[:, 1])
                        if coupled else {})
             cfg = DistillConfig(0.01, 30, 1e-5, temperature=2.0, **weights)
-            lg = _distill_loss_grad(Xh, Y, y_idx, [tsl], [cfg])
+            lg = _distill_loss_grad(Xh, Y, y_idx, *teacher_views(tsl), [cfg])
             idx = np.zeros(1, dtype=int)  # candidate 0 of a batch of one
             Q = rng.normal(scale=0.5, size=sm.coeffs.shape)
             _, grads, parts = lg(Q[None], idx)
@@ -284,7 +259,8 @@ class TestDistill:
             if c == 2:  # one non-target class: NCKL adds exactly nothing
                 assert parts["nckl"][0] == 0.0
                 no_nckl = replace(cfg, non_target_weight=0.0)
-                lg0 = _distill_loss_grad(Xh, Y, y_idx, [tsl], [no_nckl])
+                lg0 = _distill_loss_grad(Xh, Y, y_idx, *teacher_views(tsl),
+                                         [no_nckl])
                 np.testing.assert_array_equal(lg0(Q[None], idx)[1][0],
                                               analytic)
 
@@ -313,7 +289,7 @@ class TestDistill:
         ds = load_bundled("iris")
         X = normalize(ds.X)[0]
         rb = build_rule_base(3, 4, seed=0)
-        Q = init_student(rb, 3).coeffs
+        Q = np.zeros(init_student(rb, 3).coeffs.shape)
         Q[:, 0] = -1e308
         sm, Y = TSKModel(rb, Q, 1, np.arange(3.0)), onehot_encode(ds.y, 3)
         logits = design_matrix(sm, X) @ Q
@@ -388,7 +364,6 @@ class TestVanillaKd:
             u_s = softmax(Xh @ Q, tau)
             kl = (tsl.probs * (np.log(np.maximum(tsl.probs, eps)) -
                                np.log(np.maximum(u_s, eps)))).sum()
-            from fuzzykd.student import cross_entropy
             return kl + cross_entropy(softmax(Xh @ Q), Y)
 
         g = fd_gradient(loss, sm.coeffs)
@@ -433,7 +408,7 @@ def eight_configs():
 
 
 class TestDistillBatch:
-    @pytest.mark.parametrize("c", [2, 3, 4])
+    @pytest.mark.parametrize("c", [2, 3, 4, 9, 13])
     @pytest.mark.parametrize("coupled", [False, True])
     def test_each_fit_equals_its_one_config_fit(self, c, coupled):
         rng = np.random.default_rng(c)
@@ -484,6 +459,16 @@ class TestDistillBatch:
                           X, onehot_encode(y, 3), cfgs)
 
 
+SHAPE = ("teacher logits have shape {}: one row per sample, one column per "
+         "class")
+
+
+def inf_at_row_3_column_2(t_out, labels):
+    logits = teacher_logits(t_out, labels)
+    logits[2, 1] = np.inf
+    return logits
+
+
 class TestDistillConfig:
     def test_all_zero_weights_rejected(self):
         with pytest.raises(ValueError, match="non-zero"):
@@ -517,33 +502,42 @@ class TestDistillConfig:
             distill(t_out, init_student(rb, 3), X, onehot_encode(y, 3), cfg,
                     labels)
 
-    @pytest.mark.parametrize("two_classes, n_labels, n_out, batch, shapes", [
-        (False, 4, 24, False, "(24, 4), expected (24, 3)"),
-        (False, 2, 24, False, "(24, 2), expected (24, 3)"),
-        (True, 2, None, False, "(18, 2), expected (18, 3)"),
-        (False, 3, 23, False, "(23, 3), expected (24, 3)"),
-        (False, None, 24, True, "(24,), expected (24, 3)"),
-        (False, 4, 24, True, "(24, 4), expected (24, 3)"),
+    @pytest.mark.parametrize("two_classes, n_labels, n_out, teacher, "
+                             "message", [
+        (False, 4, 24, None, SHAPE.format("(24, 4), expected (24, 3)")),
+        (False, 2, 24, None, SHAPE.format("(24, 2), expected (24, 3)")),
+        (True, 2, None, None, SHAPE.format("(18, 2), expected (18, 3)")),
+        (False, 3, 23, None, SHAPE.format("(23, 3), expected (24, 3)")),
+        (False, None, 24, lambda t, labels: t,  # must not broadcast
+         SHAPE.format("(24,), expected (24, 3)")),
+        (False, 4, 24, teacher_logits,
+         SHAPE.format("(24, 4), expected (24, 3)")),
+        (False, 3, 24, inf_at_row_3_column_2,
+         "non-finite value inf in logits at row 3, column 2"),
+        (False, 1, 24, teacher_logits,
+         "distillation needs at least 2 classes, got 1"),
     ], ids=["4 labels", "2 labels", "2 labels on classes 0 and 1",
             "23 outputs", "scalar outputs to distill_batch",
-            "4 columns to distill_batch"])
+            "4 columns to distill_batch", "inf logit to batch",
+            "one class to batch"])
     def test_mismatched_teacher_input_named(self, two_classes, n_labels,
-                                            n_out, batch, shapes):
+                                            n_out, teacher, message):
+        # teacher None: distill's scalar outputs; else what the function
+        # makes of them goes to distill_batch as the teacher's logits
         rb, X, y, _, t_out = class_setup()
         if two_classes:  # a 3-class student on the rows of two classes
             keep = y < 2
             X, y, t_out = X[keep], y[keep], t_out[keep]
-        sm, Y, t_out = init_student(rb, 3), onehot_encode(y, 3), t_out[:n_out]
+        c = 1 if n_labels == 1 else 3  # one class: a one-output student
+        sm = TSKModel(rb, init_student(rb, 3).coeffs[:, :c], 1,
+                      np.arange(float(c)))
+        Y, t_out = onehot_encode(y % c, c), t_out[:n_out]
         labels = None if n_labels is None else np.arange(n_labels, dtype=float)
-        message = (f"teacher logits have shape {shapes}: one row per sample, "
-                   f"one column per class")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            if not batch:
+            if teacher is None:
                 distill(t_out, sm, X, Y, DistillConfig(), labels)
-            elif labels is None:  # the scalar outputs must not broadcast
-                distill_batch(t_out, sm, X, Y, [DistillConfig()])
             else:
-                distill_batch(teacher_logits(t_out, labels), sm, X, Y,
+                distill_batch(teacher(t_out, labels), sm, X, Y,
                               [DistillConfig()])
 
     def test_non_finite_teacher_output_located(self):

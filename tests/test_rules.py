@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzykd.basis import basis_apply, basis_dim
+from fuzzykd.basis import basis_dim
 from fuzzykd.rules import (PARTITION, PARTITION_LABELS, RuleBase, TSKModel,
                            build_rule_base, firing_strengths,
                            log_memberships, predict_class, predict_outputs)
+
+from oracles import basis_apply
 
 
 class TestRuleBase:
@@ -251,6 +253,19 @@ class TestTSKModel:
                          1, [0, 2])
         assert model.coeffs.dtype == float and model.coeffs.shape == (4, 1)
         assert model.n_classes == 2 and model.reg is None
+
+    def test_coeffs_are_the_models_own_read_only_copy(self):
+        # the fold of coeffs is cached at the first prediction, so a write
+        # through the caller's array must not reach the model
+        Q = np.zeros((8, 3))
+        model = TSKModel(build_rule_base(2, 3, seed=0), Q, 1, np.arange(3.0))
+        X = np.random.default_rng(0).uniform(0, 1, (4, 3))
+        assert not predict_outputs(model, X).any()
+        Q[:, 1] = 5.0
+        assert not model.coeffs.any()
+        assert not predict_outputs(model, X).any()
+        with pytest.raises(ValueError, match="read-only"):
+            model.coeffs[0, 0] = 1.0
 
     @pytest.mark.parametrize("shape", [(4,), (4, 0), (3, 2)],
                              ids=["flat", "no outputs", "short"])

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from fuzzykd.data import normalize
 from fuzzykd.rules import RuleBase, TSKModel, build_rule_base, predict_outputs
 from fuzzykd.student import (TrainConfig, TrainingDiverged,
-                             _lbfgs_direction, cross_entropy, design_matrix,
+                             _lbfgs_direction, design_matrix,
                              gradient_descent_batch, init_student,
-                             onehot_encode, predict_student, softmax,
-                             train_student)
+                             onehot_encode, predict_student, train_student)
 from fuzzykd.teacher import fit_teacher
+
+from oracles import cross_entropy, softmax
 
 
 def toy_separable():
