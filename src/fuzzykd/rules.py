@@ -26,8 +26,8 @@ class RuleBase:
     widths: np.ndarray
 
     def __post_init__(self):
-        centers = np.asarray(self.centers, dtype=float)
-        widths = np.asarray(self.widths, dtype=float)
+        centers = np.array(self.centers, dtype=float)  # its own, read-only
+        widths = np.array(self.widths, dtype=float)
         if centers.ndim != 2 or centers.shape != widths.shape:
             raise ValueError("centers and widths must be matching K x m arrays")
         _check_count(centers.shape[0], "n_rules", 1)
@@ -37,6 +37,8 @@ class RuleBase:
         _check_finite(widths, "widths")
         if not (widths > 0).all():
             raise ValueError("every width must be strictly positive")
+        centers.setflags(write=False)
+        widths.setflags(write=False)
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "widths", widths)
 
@@ -144,7 +146,7 @@ class TSKModel:
             raise ValueError(f"coeffs has shape {coeffs.shape}, expected one "
                              f"or more columns of length K*D = {d}")
         _check_finite(coeffs, "coeffs")
-        labels = np.asarray(self.class_labels, dtype=float).ravel()
+        labels = np.array(self.class_labels, dtype=float).ravel()
         _check_finite(labels[:, None], "class_labels")
         if labels.size == 0 or not (np.diff(labels) > 0).all():
             raise ValueError("class_labels must be non-empty and strictly "
@@ -154,6 +156,7 @@ class TSKModel:
             raise ValueError(f"a model with {c} outputs has class labels "
                              f"0..{c - 1}, got {labels.tolist()}")
         coeffs.setflags(write=False)
+        labels.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "class_labels", labels)
 

@@ -44,6 +44,18 @@ class TestRuleBase:
             RuleBase(np.zeros(shape), np.ones(shape))
 
 
+    def test_arrays_are_the_rule_bases_own_read_only_copies(self):
+        # a write through the caller's arrays would bypass the partition
+        # and width checks made at construction
+        c, w = np.full((2, 3), 0.5), np.full((2, 3), 0.5)
+        rb = RuleBase(c, w)
+        c[0, 0], w[0, 0] = 0.3, -1.0
+        assert (rb.centers == 0.5).all() and (rb.widths == 0.5).all()
+        for arr in (rb.centers, rb.widths):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 0.3
+
+
 class TestBuildRuleBase:
     def test_single_rule_structure(self):
         rb = build_rule_base(1, 3, width=1.0, seed=42)
@@ -266,6 +278,16 @@ class TestTSKModel:
         assert not predict_outputs(model, X).any()
         with pytest.raises(ValueError, match="read-only"):
             model.coeffs[0, 0] = 1.0
+
+    def test_class_labels_are_the_models_own_read_only_copy(self):
+        # reversed after construction, the labels would no longer increase
+        labels = np.array([0.0, 1.0, 2.0])
+        model = TSKModel(build_rule_base(1, 1, seed=0), np.zeros((4, 1)), 3,
+                         labels, 100.0)
+        labels[:] = labels[::-1].copy()
+        assert model.class_labels.tolist() == [0.0, 1.0, 2.0]
+        with pytest.raises(ValueError, match="read-only"):
+            model.class_labels[0] = 5.0
 
     @pytest.mark.parametrize("shape", [(4,), (4, 0), (3, 2)],
                              ids=["flat", "no outputs", "short"])

@@ -5,8 +5,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from fuzzykd.rules import RuleBase, TSKModel, build_rule_base
+from fuzzykd.basis import basis_dim
+from fuzzykd.rules import PARTITION, RuleBase, TSKModel, build_rule_base
 from fuzzykd.serialize import load_model, save_model
 from fuzzykd.student import init_student, predict_student
 from fuzzykd.teacher import fit_teacher, predict_teacher
@@ -86,6 +90,24 @@ def test_unreadable_file_named(tmp_path, text, message):
         load_model(path)
 
 
+def _v1_record(model) -> dict:
+    """A model's version-1 record, written out apart from save_model:
+    coefficients as JSON numbers, a teacher's flat, a student's as rows."""
+    rb = model.rule_base
+    record = {"magic": "fuzzykd-model", "version": 1,
+              "rule_base": {"n_rules": rb.n_rules,
+                            "n_features": rb.n_features,
+                            "centers": rb.centers.tolist(),
+                            "widths": rb.widths.tolist()},
+              "order": model.order}
+    if model.reg is None:
+        return {**record, "kind": "student",
+                "coeffs": model.coeffs.tolist(),
+                "n_classes": model.n_classes}
+    return {**record, "kind": "teacher", "coeffs": model.coeffs[:, 0].tolist(),
+            "reg": model.reg, "class_labels": model.class_labels.tolist()}
+
+
 @pytest.mark.parametrize("edit,message", [
     (lambda r: r.pop("kind"), "model record has no key 'kind'"),
     (lambda r: r.update(rule_base=[]), "malformed model record"),
@@ -114,35 +136,170 @@ def test_unreadable_file_named(tmp_path, text, message):
         "teacher inf coeff", "inf width"])
 def test_malformed_record_named(tmp_path, edit, message):
     path = tmp_path / "model.json"
-    save_model(init_student(build_rule_base(1, 1, seed=0), 2), path)
-    record = json.loads(path.read_text())
+    record = _v1_record(init_student(build_rule_base(1, 1, seed=0), 2))
     edit(record)
     path.write_text(json.dumps(record))
     with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
         load_model(path)
 
 
-def test_version_one_bytes_are_pinned(tmp_path):
-    # key order, the teacher's flat coefficients, the student's nested
-    # K*D x C rows and the float text are all part of version 1
+def _pinned_models() -> tuple[TSKModel, TSKModel]:
     tm = TSKModel(RuleBase(np.array([[0.25]]), np.array([[0.5]])),
                   np.array([[0.5], [-1.25], [0.1], [3e-05]]), 3,
                   np.array([0.0, 1.0, 2.0]), 100.0)
     sm = TSKModel(RuleBase(np.array([[0.75]]), np.array([[0.3]])),
                   np.array([[1.0, -0.5], [0.1, 2.5e-07]]), 1,
                   np.arange(2.0))
-    save_model(tm, tmp_path / "teacher.json")
-    save_model(sm, tmp_path / "student.json")
-    assert (tmp_path / "teacher.json").read_text() == (
+    return tm, sm
+
+
+def _assert_same_model(back: TSKModel, model: TSKModel) -> None:
+    assert back.coeffs.shape == model.coeffs.shape
+    for got, want in ((back.coeffs, model.coeffs),
+                      (back.rule_base.centers, model.rule_base.centers),
+                      (back.rule_base.widths, model.rule_base.widths)):
+        assert got.tobytes() == want.tobytes()
+    assert back.class_labels.tobytes() == model.class_labels.tobytes()
+    assert back.order == model.order and back.reg == model.reg
+
+
+def test_version_one_bytes_are_pinned(tmp_path):
+    # files written before version 2 still load: key order, the teacher's
+    # flat coefficients, the student's nested K*D x C rows and the float
+    # text are all part of version 1
+    tm, sm = _pinned_models()
+    (tmp_path / "teacher.json").write_text(
         '{"magic": "fuzzykd-model", "version": 1, "rule_base": '
         '{"n_rules": 1, "n_features": 1, "centers": [[0.25]], "widths": '
         '[[0.5]]}, "order": 3, "kind": "teacher", "coeffs": [0.5, -1.25, '
         '0.1, 3e-05], "reg": 100.0, "class_labels": [0.0, 1.0, 2.0]}\n')
-    assert (tmp_path / "student.json").read_text() == (
+    (tmp_path / "student.json").write_text(
         '{"magic": "fuzzykd-model", "version": 1, "rule_base": '
         '{"n_rules": 1, "n_features": 1, "centers": [[0.75]], "widths": '
         '[[0.3]]}, "order": 1, "kind": "student", "coeffs": [[1.0, -0.5], '
         '[0.1, 2.5e-07]], "n_classes": 2}\n')
+    _assert_same_model(load_model(tmp_path / "teacher.json"), tm)
+    _assert_same_model(load_model(tmp_path / "student.json"), sm)
+
+
+def test_version_two_bytes_are_pinned(tmp_path):
+    # version 2 is version 1 key for key, but coeffs holds the K*D x C
+    # array's shape and its little-endian float64 bytes in hex
+    tm, sm = _pinned_models()
+    save_model(tm, tmp_path / "teacher.json")
+    save_model(sm, tmp_path / "student.json")
+    assert (tmp_path / "teacher.json").read_text() == (
+        '{"magic": "fuzzykd-model", "version": 2, "rule_base": '
+        '{"n_rules": 1, "n_features": 1, "centers": [[0.25]], "widths": '
+        '[[0.5]]}, "order": 3, "kind": "teacher", "coeffs": {"shape": '
+        '[4, 1], "hex": "000000000000e03f000000000000f4bf9a9999999999b93f'
+        '691d554d1075ff3e"}, "reg": 100.0, "class_labels": [0.0, 1.0, '
+        '2.0]}\n')
+    assert (tmp_path / "student.json").read_text() == (
+        '{"magic": "fuzzykd-model", "version": 2, "rule_base": '
+        '{"n_rules": 1, "n_features": 1, "centers": [[0.75]], "widths": '
+        '[[0.3]]}, "order": 1, "kind": "student", "coeffs": {"shape": '
+        '[2, 2], "hex": "000000000000f03f000000000000e0bf9a9999999999b93f'
+        '8dedb5a0f7c6903e"}, "n_classes": 2}\n')
+    _assert_same_model(load_model(tmp_path / "teacher.json"), tm)
+    _assert_same_model(load_model(tmp_path / "student.json"), sm)
+
+
+# values whose decimal text or sign a lossy encoding would lose
+EDGE_VALUES = (-0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e308,
+               -1e308, 1.7976931348623157e308, 0.1)
+
+
+@st.composite
+def tsk_models(draw):
+    order, k, m = (draw(st.integers(0, 3)), draw(st.integers(1, 3)),
+                   draw(st.integers(1, 4)))
+    teacher = draw(st.booleans())
+    c = 1 if teacher else draw(st.integers(2, 4))
+    coeffs = draw(arrays(np.float64, (k * basis_dim(order, m), c),
+                         elements=st.one_of(
+                             st.sampled_from(EDGE_VALUES),
+                             st.floats(allow_nan=False,
+                                       allow_infinity=False))))
+    centers = draw(arrays(np.float64, (k, m),
+                          elements=st.sampled_from(PARTITION.tolist())))
+    widths = draw(arrays(np.float64, (k, m), elements=st.floats(
+        min_value=5e-324, max_value=1e308)))
+    if not teacher:
+        return TSKModel(RuleBase(centers, widths), coeffs, order,
+                        np.arange(float(c)))
+    labels = sorted(draw(st.sets(st.floats(-1e6, 1e6), min_size=1,
+                                 max_size=4)))
+    reg = draw(st.floats(min_value=5e-324, max_value=1e308))
+    return TSKModel(RuleBase(centers, widths), coeffs, order,
+                    np.array(labels), reg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=tsk_models())
+def test_round_trip_is_bit_exact(tmp_path_factory, model):
+    path = tmp_path_factory.mktemp("round-trip") / "model.json"
+    save_model(model, path)
+    _assert_same_model(load_model(path), model)
+
+
+NAN_BYTES, INF_BYTES = "000000000000f87f", "000000000000f07f"
+
+
+def _set_hex(r: dict, hex_digits: str) -> None:
+    r["coeffs"]["hex"] = hex_digits
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda r: _set_hex(r, "zz" + r["coeffs"]["hex"][2:]),
+     "malformed model record (non-hexadecimal number found"),
+    (lambda r: _set_hex(r, r["coeffs"]["hex"][:-16]),
+     "malformed model record (coeffs hex holds 24 bytes, shape [2, 2] "
+     "needs 32)"),
+    (lambda r: r["coeffs"].update(shape=[1, 2]),
+     "malformed model record (coeffs hex holds 32 bytes, shape [1, 2] "
+     "needs 16)"),
+    (lambda r: r["coeffs"].update(shape=[4]),
+     "malformed model record (coeffs shape must be two integers >= 0, got "
+     "[4])"),
+    (lambda r: r["coeffs"].update(shape=[2, 2.0]),
+     "malformed model record (coeffs shape must be two integers >= 0, got "
+     "[2, 2.0])"),
+    (lambda r: r["coeffs"].update(shape="2x2"),
+     "malformed model record (coeffs shape must be two integers >= 0, got "
+     "2x2)"),
+    (lambda r: r["coeffs"].update(shape=[-2, -2]),
+     "malformed model record (coeffs shape must be two integers >= 0, got "
+     "[-2, -2])"),
+    # a shape that matches the bytes but not the rule base
+    (lambda r: r["coeffs"].update(shape=[4, 1]),
+     "malformed model record (coeffs has shape (4, 1), expected one or "
+     "more columns of length K*D = 2)"),
+    (lambda r: r["coeffs"].pop("hex"), "model record has no key 'hex'"),
+    (lambda r: r.update(coeffs=[[1.0, 0.0], [0.0, 1.0]]),
+     "malformed model record (list indices must be integers"),
+    (lambda r: _set_hex(r, NAN_BYTES + r["coeffs"]["hex"][16:]),
+     "malformed model record (non-finite value nan in coeffs at row 1, "
+     "column 1)"),
+    # the student's order-1 record read as a teacher: 2 coefficients
+    (lambda r: r.update(kind="teacher", reg=1.0, class_labels=[0, 1],
+                        coeffs={"shape": [2, 1],
+                                "hex": "0" * 16 + INF_BYTES}),
+     "malformed model record (non-finite value inf in coeffs at row 2, "
+     "column 1)"),
+], ids=["non-hex digit", "short hex", "shape needs fewer bytes",
+        "one-number shape", "float in shape", "text shape", "negative shape",
+        "shape off the rule base", "no hex", "version-1 coeffs", "nan coeff",
+        "teacher inf coeff"])
+def test_malformed_version_two_record_named(tmp_path, edit, message):
+    path = tmp_path / "model.json"
+    save_model(init_student(build_rule_base(1, 1, seed=0), 2), path)
+    record = json.loads(path.read_text())
+    assert record["version"] == 2
+    edit(record)
+    path.write_text(json.dumps(record))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        load_model(path)
 
 
 @pytest.mark.parametrize("coeffs,labels,reg", [
@@ -154,7 +311,7 @@ def test_model_version_one_cannot_hold_not_saved(tmp_path, coeffs, labels,
     # a teacher record keeps one output column, a student record only a
     # class count: either would lose part of these models
     model = TSKModel(build_rule_base(1, 1, seed=0), coeffs, 1, labels, reg)
-    with pytest.raises(ValueError, match="version 1 cannot hold a model"):
+    with pytest.raises(ValueError, match="version 2 cannot hold a model"):
         save_model(model, tmp_path / "model.json")
     assert not (tmp_path / "model.json").exists()
 
