@@ -3,9 +3,10 @@
 The teacher enters as its N x C logits; for the paper's scalar teacher they
 are negative distances between its output and each class encoding
 (teacher_logits). Teacher and student logits are softened by one function,
-_soft_labels, at each candidate's temperature; the KL between the two
-splits exactly into a target/non-target binary KL plus the teacher's
-non-target mass times the KL among non-target classes. The loss reweights
+_soft_labels, at each candidate's temperature, in one stacked pass with the
+non-target and temperature-1 softmaxes; the KL between the two splits
+exactly into a target/non-target binary KL plus the teacher's non-target
+mass times the KL among non-target classes. The loss reweights
 the two parts and adds the cross-entropy against the ground truth. Coupled
 KD is the same loss with per-sample non-target weights, so one closure
 trains both and DistillConfig alone checks the weights.
@@ -18,8 +19,8 @@ import numpy as np
 
 from .data import _check_finite
 from .rules import TSKModel
-from .student import (EPS, TrainConfig, TrainingDiverged, _finite_logits,
-                      _log, _softmax, _sole, _training_data,
+from .student import (TrainConfig, TrainingDiverged, _finite_logits,
+                      _softmax_lse, _sole, _training_data,
                       gradient_descent_batch)
 
 
@@ -64,86 +65,116 @@ def teacher_logits(y_teacher: np.ndarray,
 
 
 def _column(values) -> np.ndarray:
-    """One value per candidate, B x 1 x 1, to broadcast against b x n x c."""
+    """One value per candidate, B x 1 x 1, to broadcast against b x C x N."""
     return np.array(values, dtype=float).reshape(-1, 1, 1)
 
 
-def _target_cells(y_idx: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
-    """The flat (row, target class) cells of n x c logits, and the rest in
-    row-major order."""
-    target = np.arange(len(y_idx)) * c + y_idx
-    return target, np.delete(np.arange(len(y_idx) * c), target)
+def _target_mask(y_idx: np.ndarray, c: int) -> np.ndarray:
+    """C x N: -inf on each sample's target cell, 0 elsewhere. Added to
+    class-major logits it leaves only the non-target classes."""
+    mask = np.zeros((c, len(y_idx)))
+    mask[y_idx, np.arange(len(y_idx))] = -np.inf
+    return mask
 
 
-def _soft_labels(logits, tau, target, others):
-    """(u, u_t, rest) of b x n x c logits at the B x 1 x 1 temperatures tau.
+def _xlogx(p: np.ndarray) -> np.ndarray:
+    """p log p, 0 where p is 0."""
+    return p * np.log(np.where(p > 0, p, 1.0))
 
-    u is their temperature softmax, u_t its target mass (B x n) and rest
-    the softmax of the non-target logits alone (B x n x (c-1)), the
-    distribution among non-target classes; target and others are the
-    _target_cells. With b = 1 the one set of logits is softened at each
-    of the B temperatures.
+
+def _soft_labels(logits, inv_tau, mask):
+    """Three softmaxes of b x C x N class-major logits in one stacked pass.
+
+    inv_tau holds B reciprocal temperatures, B x 1 x 1. Returns (P, lse):
+    P is B x 3 x C x N, lse their B x 3 x N log-sum-exps (_softmax_lse).
+    Slot 0 is the softmax of s = logits * inv_tau (u), slot 1 the softmax
+    of s over the non-target classes (r, 0 on the target cell of the
+    _target_mask), slot 2 the softmax at temperature 1 (p). With b = 1 the
+    one set of logits is softened at each of the B temperatures.
     """
-    b, n, c = logits.shape
-    u = _softmax(logits, tau)
-    # np.take gathers in C order, where fancy indexing may give F order:
-    # the rows then sum in a batch of B as in a batch of one
-    rest = _softmax(np.take(logits.reshape(b, -1), others, axis=1)
-                    .reshape(b, n, c - 1), tau)
-    return u, np.take(u.reshape(len(u), -1), target, axis=1), rest
+    stack = np.empty((len(inv_tau), 3) + logits.shape[1:])
+    np.multiply(logits, inv_tau, out=stack[:, 0])
+    np.add(stack[:, 0], mask, out=stack[:, 1])
+    stack[:, 2] = logits
+    return _softmax_lse(stack)
 
 
 def _distill_loss_grad(Xh, Y, y_idx, a, rest, cfgs):
     """zeta*TCKL + lam*NCKL + phi*H over samples, per candidate.
 
-    Candidate b's teacher has target mass a[b] (n values) and non-target
-    distribution rest[b] (n x (C-1)) at its temperature, as _soft_labels
-    gives them, and cfgs[b] holds that temperature and the weights; its
-    non_target_weight may be per sample. The returned loss_grad(Q, idx)
-    serves gradient_descent_batch: it evaluates the b x D x C points Q of
-    candidates idx along a leading candidate axis, with one gemm per
-    candidate and reductions only along contiguous axes, so each candidate
-    gets the values a batch of one gives it. The student's logits are
-    softened by the same _soft_labels as the teacher's; per-fit work (the
-    flat target/non-target cells, the teacher views' logs and the weights)
-    is done once. A candidate whose logits overflow gets total inf (see
-    _finite_logits), so its fit diverges.
+    Candidate b's teacher has target mass a[b] (N values) and non-target
+    distribution rest[b] (C x N, class-major, 0 on the target cell) at its
+    temperature, as _soft_labels gives them, and cfgs[b] holds that
+    temperature and the weights; its non_target_weight may be per sample.
+    The returned loss_grad(Q, idx) serves gradient_descent_batch: it
+    evaluates the b x D x C points Q of candidates idx along a leading
+    candidate axis, with one gemm per candidate and reductions that never
+    mix candidates, so each candidate gets the values a batch of one gives
+    it.
+
+    With s = z / tau the student's logits at its temperature, L, L' and L1
+    the log-sum-exps of s, of s over the non-target classes and of z, and
+    t the target class, each sample's terms are
+
+        TCKL = H_T + L - (1 - a) L' - a s_t
+        NCKL = H_R + L' - sum_c rest_c s_c
+        H    = L1 - z_t
+
+    where H_T and H_R are the teacher's binary and non-target negative
+    entropies. Their gradient in z is w . (u, r, p) - K, with w = (zeta /
+    tau, (lam - zeta (1 - a)) / tau, phi) weighting the student's three
+    _soft_labels and K = (zeta a onehot + lam rest) / tau + phi onehot.
+    The teacher's entropies, the linear terms' weights, w and K are folded
+    once per fit, so a call is one stacked softmax pass and a few
+    elementwise ones, with no clamped log. At C = 2 the one non-target
+    class makes NCKL and its gradient exactly 0, so lam drops out. A
+    candidate whose logits overflow gets total inf (see _finite_logits),
+    so its fit diverges.
     """
     n, c = Y.shape
-    target, others = _target_cells(y_idx, c)
-    per_fit = (_column([cfg.temperature for cfg in cfgs]),
-               _column([cfg.target_weight for cfg in cfgs]),
-               _column([cfg.ce_weight for cfg in cfgs]),
-               np.stack([np.broadcast_to(np.asarray(cfg.non_target_weight,
-                                                    dtype=float), (n,))
-                         for cfg in cfgs])[:, :, None],
-               a, 1.0 - a, _log(a), _log(1.0 - a), rest, _log(rest))
+    XhT, onehot = np.ascontiguousarray(Xh.T), np.ascontiguousarray(Y.T)
+    mask = _target_mask(y_idx, c)
+    # s = z * (1 / tau): the linear terms' weights carry the same factor,
+    # so at C = 2 the non-target ones cancel exactly
+    inv_tau = 1.0 / _column([cfg.temperature for cfg in cfgs])
+    zeta = _column([cfg.target_weight for cfg in cfgs])
+    phi = _column([cfg.ce_weight for cfg in cfgs])
+    lam = np.stack([np.broadcast_to(np.asarray(cfg.non_target_weight,
+                                               dtype=float), (n,))
+                    for cfg in cfgs])[:, None, :] * (c > 2)
+    a = np.asarray(a, dtype=float)[:, None, :]
+    not_a = 1.0 - a
+
+    def stack(*terms):  # B x 3 x ... x N, one slot per term
+        return np.stack(np.broadcast_arrays(*terms), axis=1)
+
+    # weights on z of the linear terms a s_t, sum_c rest_c s_c and z_t
+    lin_w = stack(a * onehot * inv_tau, rest * inv_tau, onehot)
+    row_w = stack(zeta, lam, phi)
+    per_fit = (inv_tau, not_a[:, 0], lin_w,
+               stack(_xlogx(a) + _xlogx(not_a),
+                     _xlogx(rest).sum(axis=1, keepdims=True), 0.0)[:, :, 0],
+               row_w[:, :, 0],
+               stack(zeta * inv_tau, (lam - zeta * not_a) * inv_tau,
+                     phi)[:, :, 0],
+               (row_w * lin_w).sum(axis=1))
 
     def loss_grad(Q, idx):
-        b = len(Q)
-        logits, overflow = _finite_logits(Xh, Q)
-        tau, zeta, phi, lam, a, not_a, log_a, log_not_a, t_rest, log_t_rest = (
-            per_fit if b == len(cfgs) else [arr[idx] for arr in per_fit])
-        u, u_t, s_rest = _soft_labels(logits, tau, target, others)
-        tckl = (a * (log_a - _log(u_t)) +
-                not_a * (log_not_a - _log(1.0 - u_t))).sum(axis=1)
-        p1 = _softmax(logits, 1.0)
-        h = -(Y * _log(p1)).reshape(b, -1).sum(axis=1)
-
-        pt = np.minimum(np.maximum(u_t, EPS), 1.0 - EPS)
-        coeff = (-a / pt + not_a / (1.0 - pt)) * pt / tau[:, :, 0]
-        g = zeta * (coeff[:, :, None] * (Y - u))
-
-        # C = 2: one non-target cell per row, softmax 1, NCKL and grad 0
-        nckl_rows = (t_rest * (log_t_rest - _log(s_rest))).sum(axis=-1)
-        g.reshape(b, -1)[:, others] += (
-            lam * ((s_rest - t_rest) / tau)).reshape(b, -1)
-        g += phi * (p1 - Y)
-        total = (zeta[:, 0, 0] * tckl +
-                 (lam[:, :, 0] * nckl_rows).sum(axis=1) + phi[:, 0, 0] * h)
+        logits, overflow = _finite_logits(XhT, Q)
+        inv_tau, not_a, lin_w, ent, row_w, prob_w, K = (
+            per_fit if len(Q) == len(cfgs) else [arr[idx] for arr in per_fit])
+        rows = -np.einsum("bkcn,bcn->bkn", lin_w, logits)
+        P, lse = _soft_labels(logits, inv_tau, mask)
+        rows += lse
+        rows += ent
+        rows[:, 0] -= not_a * lse[:, 1]  # rows: TCKL, NCKL, H per sample
+        total = (row_w * rows).sum(axis=2).sum(axis=1)
         total[overflow] = np.inf
-        return total, np.matmul(Xh.T, g), {
-            "tckl": tckl / n, "nckl": nckl_rows.sum(axis=1) / n, "h": h / n}
+        G = np.einsum("bkn,bkcn->bcn", prob_w, P)
+        G -= K
+        parts = rows.sum(axis=2) / n
+        return total, np.matmul(G, Xh).transpose(0, 2, 1), {
+            "tckl": parts[:, 0], "nckl": parts[:, 1], "h": parts[:, 2]}
 
     return loss_grad
 
@@ -207,9 +238,10 @@ def distill_batch(logits: np.ndarray, sm: TSKModel, X: np.ndarray,
     if Y.shape[1] < 2:
         raise ValueError(f"distillation needs at least 2 classes, got "
                          f"{Y.shape[1]}")
-    _, a, rest = _soft_labels(logits[None],
-                              _column([cfg.temperature for cfg in cfgs]),
-                              *_target_cells(y_idx, Y.shape[1]))
+    P, _ = _soft_labels(logits.T[None],
+                        1.0 / _column([cfg.temperature for cfg in cfgs]),
+                        _target_mask(y_idx, Y.shape[1]))
+    a, rest = (P[:, 0] * Y.T).sum(axis=1), P[:, 1]
     if kd_weights is not None:
         cfgs = [replace(cfg, target_weight=w, non_target_weight=w * (1.0 - t))
                 for cfg, w, t in zip(cfgs, kd_weights, a, strict=True)]

@@ -12,7 +12,7 @@ from .basis import MAX_ORDER, basis_labels, expand_basis, monomial_map
 from .data import Dataset, _check_count, normalize, stratified_folds
 from .distill import DistillConfig, distill_batch, teacher_logits
 from .rules import (PARTITION, PARTITION_LABELS, TSKModel, build_rule_base,
-                    predict_class)
+                    predict_class, predict_classes)
 from .student import (STUDENT_ORDER, TrainConfig, TrainingDiverged,
                       init_student, onehot_encode, train_student)
 from .teacher import TEACHER_ORDER, fit_teacher, predict_teacher
@@ -244,9 +244,14 @@ def _cross_validate(method: str, points: list[dict], grid: GridSpec,
                                       grid, Xtr, ytr, n_classes,
                                       _rb_seed(seed, fold, student_side=False),
                                       _rb_seed(seed, fold, student_side=True))
-            for i, outcome in zip(members, outcomes):
-                preds[i] = (outcome if isinstance(outcome, TrainingDiverged)
-                            else predict_class(outcome[0], Xte))
+            # one rule base per (K, split): its firing strengths on Xte
+            # are computed once for all the fitted points
+            models = [out[0] for out in outcomes
+                      if not isinstance(out, TrainingDiverged)]
+            classes = iter(predict_classes(models, Xte))
+            for i, out in zip(members, outcomes):
+                preds[i] = (out if isinstance(out, TrainingDiverged)
+                            else next(classes))
         yield fold, yte, time.perf_counter() - t0, preds
 
 

@@ -181,7 +181,12 @@ def predict_outputs(model: TSKModel, X: np.ndarray) -> np.ndarray:
     rule's outputs, and one contraction weights them by firing strength.
     Neither the design matrix nor the basis is built."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    F = firing_strengths(model.rule_base, X)
+    return _weighted_outputs(model, X, firing_strengths(model.rule_base, X))
+
+
+def _weighted_outputs(model: TSKModel, X: np.ndarray,
+                      F: np.ndarray) -> np.ndarray:
+    """predict_outputs at the firing strengths F of model's rule base on X."""
     k, c = model.rule_base.n_rules, model.coeffs.shape[1]
     out = apply_monomials(X, model.monomial_coeffs, model.order)
     return np.einsum("nk,nkc->nc", F, out.reshape(-1, k, c))
@@ -189,8 +194,25 @@ def predict_outputs(model: TSKModel, X: np.ndarray) -> np.ndarray:
 
 def predict_class(model: TSKModel, X: np.ndarray) -> np.ndarray:
     """Classes: the argmax of c >= 2 outputs, else the nearest label."""
-    out = predict_outputs(model, X)
-    if out.shape[1] >= 2:
-        return out.argmax(axis=1)
-    nearest = np.abs(out - model.class_labels).argmin(axis=1)
-    return model.class_labels[nearest]
+    return predict_classes([model], X)[0]
+
+
+def predict_classes(models: list[TSKModel], X: np.ndarray) -> list:
+    """predict_class of each model on X. The models must hold one rule base
+    object, whose firing strengths on X are computed once for all of them."""
+    if not models:
+        return []
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    rb = models[0].rule_base
+    if not all(m.rule_base is rb for m in models):
+        raise ValueError("predict_classes needs models on one rule base")
+    F = firing_strengths(rb, X)
+    classes = []
+    for model in models:
+        out = _weighted_outputs(model, X, F)
+        if out.shape[1] >= 2:
+            classes.append(out.argmax(axis=1))
+        else:
+            nearest = np.abs(out - model.class_labels).argmin(axis=1)
+            classes.append(model.class_labels[nearest])
+    return classes

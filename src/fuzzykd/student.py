@@ -7,6 +7,11 @@ backtracking. gradient_descent_batch is the one training loop: it fits a
 stack of candidates in lock step, and a single fit (train_student, distill)
 is a batch of one. The per-epoch trace additionally records the per-sample
 mean of each loss component for scale-free monitoring.
+
+The training losses hold logits class-major, C x N per candidate: one row
+of N samples per class, so a softmax's max and sum over the few classes
+are elementwise passes over contiguous rows (_softmax_lse), and each loss
+is a log-sum-exp minus linear terms, with no clamped log.
 """
 from __future__ import annotations
 
@@ -21,15 +26,10 @@ from .data import _check_count, _class_indices
 from .rules import RuleBase, TSKModel, firing_strengths
 from .rules import predict_class as predict_student
 
-EPS = 1e-12
 STUDENT_ORDER = 1
 LBFGS_MEMORY = 10  # curvature pairs kept by the quasi-Newton update
 ARMIJO_C1 = 1e-4   # sufficient-decrease constant of the line search
 BACKTRACK = 0.5    # step shrink factor after a rejected trial
-
-
-def _log(p: np.ndarray) -> np.ndarray:
-    return np.log(np.maximum(p, EPS))
 
 
 class TrainingDiverged(RuntimeError):
@@ -83,14 +83,25 @@ def design_matrix(sm: TSKModel, X: np.ndarray) -> np.ndarray:
     return stack_design_matrix(firing_strengths(sm.rule_base, X), X, sm.order)
 
 
-def _softmax(z: np.ndarray, temperature) -> np.ndarray:
-    """softmax over the last axis, unchecked; temperature may broadcast."""
-    z = z / temperature
-    # max over a column-major copy: numpy reduces across a few class
-    # columns about ten times faster in that layout, copy included
-    z = z - np.asfortranarray(z).max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+def _softmax_lse(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax over the class axis of class-major logits, in place, and
+    their log-sum-exp.
+
+    V is ... x C x N, one column of C logits per sample; it is overwritten
+    by the probabilities. Returns them and the ... x N log-sum-exps. A -inf
+    cell gets probability 0 and drops out of the log-sum-exp. The max and
+    the sum run over the class axis as C - 1 elementwise passes over
+    contiguous rows of N samples, so a column's result does not depend on
+    what else is stacked beside it.
+    """
+    mx = V.max(axis=-2, keepdims=True)
+    V -= mx
+    np.exp(V, out=V)
+    lse = V.sum(axis=-2, keepdims=True)
+    V /= lse
+    np.log(lse, out=lse)
+    lse += mx
+    return V, lse[..., 0, :]
 
 
 def _training_data(sm: TSKModel, X: np.ndarray, y_onehot: np.ndarray
@@ -112,16 +123,23 @@ def _training_data(sm: TSKModel, X: np.ndarray, y_onehot: np.ndarray
     return Xh, Y, Y.argmax(axis=1)
 
 
-def _finite_logits(Xh: np.ndarray, Q: np.ndarray
+def _finite_logits(XhT: np.ndarray, Q: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Logits Xh Q of the b candidates Q, and the mask of those overflowed.
+    """b x C x N class-major logits Q^T Xh^T of the b candidates Q
+    (b x D x C), and the mask of those with a non-finite logit.
 
-    An overflowed candidate's logits are set to 0; the training losses give
-    it total inf, so its fit ends with TrainingDiverged.
+    XhT is the transposed design matrix. np.matmul takes one gemm per
+    candidate, so a candidate's logits do not depend on the batch. A
+    non-finite point or an overflowing product gives non-finite logits;
+    such a candidate's logits are set to 0 and the training losses give it
+    total inf, so its fit ends with TrainingDiverged. Its product's
+    floating-point warnings say nothing more and are not raised.
     """
-    logits = np.matmul(Xh, Q)
-    overflow = ~np.isfinite(logits).reshape(len(Q), -1).all(axis=1)
-    logits[overflow] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = np.matmul(Q.transpose(0, 2, 1), XhT)
+    overflow = ~np.isfinite(logits).all(axis=(1, 2))
+    if overflow.any():
+        logits[overflow] = 0.0
     return logits, overflow
 
 
@@ -152,9 +170,10 @@ def gradient_descent_batch(Q0, loss_grad, cfg: TrainConfig) -> list:
     (accepted step), so its totals never increase. A fit stops when an
     epoch after the first lowers the total by cfg.tol or less, or after
     cfg.max_epochs trial steps (see TrainConfig); a line search cut short
-    by that cap keeps the last accepted point. A non-finite trial point or
-    total (as overflowing logits give) ends the fit with
-    TrainingDiverged(epoch); other errors propagate.
+    by that cap keeps the last accepted point. A non-finite total ends the
+    fit with TrainingDiverged(epoch); other errors propagate. Trial points
+    are not checked: loss_grad must give a non-finite total at a
+    non-finite point, as the training losses do through _finite_logits.
 
     Returns, per candidate, (Q, trace) or the TrainingDiverged that ended
     its fit, stored without its traceback so that no frame cycle keeps the
@@ -171,9 +190,7 @@ def gradient_descent_batch(Q0, loss_grad, cfg: TrainConfig) -> list:
         still, points = [], []
         for j, i in enumerate(running):
             try:
-                points.append(fits[i].send(
-                    (totals[j], grads[j],
-                     {key: values[j] for key, values in parts.items()})))
+                points.append(fits[i].send((totals[j], grads[j], parts, j)))
                 still.append(i)
             except StopIteration as done:
                 outcomes[i] = done.value
@@ -194,11 +211,13 @@ def _sole(outcomes: list):
 def _lbfgs(Q0, cfg: TrainConfig):
     """One candidate's gradient_descent_batch loop as a generator.
 
-    Yields each point to evaluate, Q0 first, and is sent loss_grad's
-    (total, grad, parts) at that point; returns (Q, trace).
+    Yields each point to evaluate, Q0 first, and is sent (total, grad,
+    parts, j): loss_grad's total and grad at that point, and the round's
+    parts, whose j-th values are this point's; they are read only if the
+    point is accepted. Returns (Q, trace).
     """
     Q = np.array(Q0, dtype=float)
-    total, grad, _ = yield Q
+    total, grad, _, _ = yield Q
     if not np.isfinite(total):
         raise TrainingDiverged(1)
     pairs: deque = deque(maxlen=LBFGS_MEMORY)
@@ -212,9 +231,7 @@ def _lbfgs(Q0, cfg: TrainConfig):
         step = 1.0 if pairs else cfg.lr
         while True:
             trial = Q + step * direction.reshape(Q.shape)
-            if not np.isfinite(trial).all():
-                raise TrainingDiverged(epoch)
-            t_total, t_grad, parts = yield trial
+            t_total, t_grad, parts, j = yield trial
             if not np.isfinite(t_total):
                 raise TrainingDiverged(epoch)
             trials += 1
@@ -227,7 +244,8 @@ def _lbfgs(Q0, cfg: TrainConfig):
         sy = ddot(s, y)
         if sy > 1e-10 * ddot(y, y):  # keep the inverse Hessian positive
             pairs.append((s, y, 1.0 / sy))
-        trace.append({"epoch": epoch, "total": t_total, **parts})
+        trace.append({"epoch": epoch, "total": t_total,
+                      **{key: values[j] for key, values in parts.items()}})
         improvement = total - t_total
         Q, total, grad = trial, t_total, t_grad
         if epoch >= 2 and improvement <= cfg.tol:
@@ -258,20 +276,24 @@ def train_student(sm: TSKModel, X: np.ndarray, y_onehot: np.ndarray,
                   cfg: TrainConfig) -> tuple[TSKModel, list[dict]]:
     """Train on the total softmax cross-entropy (see gradient_descent_batch).
 
-    Returns the trained model and the per-epoch loss trace; each entry has
-    the epoch index, the optimized total and the per-sample mean
+    Each sample's cross-entropy is the log-sum-exp of its logits minus its
+    target logit (_softmax_lse), as in distill's loss, so a distill fit at
+    weights zeta = lam = 0, phi = 1 equals this one bit for bit. Returns
+    the trained model and the per-epoch loss trace; each entry has the
+    epoch index, the optimized total and the per-sample mean
     cross-entropy "h".
     """
     Xh, Y, _ = _training_data(sm, X, y_onehot)
+    XhT, Yc = np.ascontiguousarray(Xh.T), np.ascontiguousarray(Y.T)
     n = Xh.shape[0]
 
     def loss_grad(Q, idx):
-        b = len(Q)
-        logits, overflow = _finite_logits(Xh, Q)
-        p = _softmax(logits, 1.0)
-        h = -(Y * _log(p)).reshape(b, -1).sum(axis=1)
+        logits, overflow = _finite_logits(XhT, Q)
+        z_y = np.einsum("cn,bcn->bn", Yc, logits)
+        p, lse = _softmax_lse(logits[:, None])
+        h = (lse[:, 0] - z_y).sum(axis=1)
         h[overflow] = np.inf
-        return h, np.matmul(Xh.T, p - Y), {"h": h / n}
+        return h, np.matmul(p[:, 0] - Yc, Xh).transpose(0, 2, 1), {"h": h / n}
 
     Q, trace = _sole(gradient_descent_batch(sm.coeffs[None], loss_grad, cfg))
     return replace(sm, coeffs=Q), trace

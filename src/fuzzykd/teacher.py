@@ -60,12 +60,56 @@ def _spd_solve(build, b: np.ndarray) -> np.ndarray:
     That triangle is the upper one of the Fortran-ordered G.T, so Cholesky
     factors G.T in place, with no copy. A failed factorization has
     overwritten G, so the pivoted symmetric (LDL^T) fallback rebuilds it.
+    scipy does not scan G and b for inf or nan (fit_teacher's _check_gram
+    does so in O(N)); a non-finite value in them leaves the solution
+    non-finite, which is rejected here, in O(len(b)).
     """
     try:
-        c, low = scipy.linalg.cho_factor(build().T, overwrite_a=True)
-        return scipy.linalg.cho_solve((c, low), b)
+        c, low = scipy.linalg.cho_factor(build().T, overwrite_a=True,
+                                         check_finite=False)
+        x = scipy.linalg.cho_solve((c, low), b, check_finite=False)
     except scipy.linalg.LinAlgError:
-        return scipy.linalg.solve(build(), b, lower=True, assume_a="sym")
+        x = scipy.linalg.solve(build(), b, lower=True, assume_a="sym",
+                               check_finite=False)
+    if not np.isfinite(x).all():
+        raise ValueError("the ridge system's solution is not finite: the "
+                         "system holds an inf or nan, or overflows")
+    return x
+
+
+def _check_gram(F: np.ndarray, X: np.ndarray, ridge: float, order: int,
+                primal: bool) -> None:
+    """Reject the first training row at which the ridge system overflows.
+
+    Row n of the design matrix has squared norm |F_n|^2 P(|x_n|^2) (the
+    kernel identity above), which is also entry n of the dual Gram
+    matrix's diagonal; no entry of that matrix exceeds its largest diagonal
+    entry. The primal Gram matrix's K*D diagonal entries sum to the sum of
+    these norms, so its largest entry is at least that sum over K*D. So in
+    O(N) the dual system is finite exactly when these N values are, and the
+    primal one is not finite once their running sum over K*D overflows; a
+    primal system short of that is left to _spd_solve, which rejects a
+    non-finite solution. A nan or inf in X never gets here
+    (log_memberships).
+    """
+    # on the primal path each row adds its norm over K*D to the mean of
+    # the Gram matrix's diagonal entries
+    unit = 1.0 / (F.shape[1] * basis_dim(order, X.shape[1])) if primal else 1.0
+    with np.errstate(over="ignore"):
+        s = (X * X).sum(axis=1)
+        norms = np.full_like(s, unit)
+        for _ in range(order):
+            norms = norms * s + unit
+        norms *= (F * F).sum(axis=1)
+        if primal:
+            norms = np.cumsum(norms)
+        norms += ridge
+    if not np.isfinite(norms).all():
+        row = int(np.argmin(np.isfinite(norms))) + 1
+        raise ValueError(f"training row {row} overflows the order-{order} "
+                         f"teacher's ridge system: its "
+                         f"{'primal' if primal else 'dual'} Gram matrix is "
+                         f"not finite; scale the features down")
 
 
 def _kernel_solve(F: np.ndarray, X: np.ndarray, y: np.ndarray, ridge: float,
@@ -121,7 +165,9 @@ def fit_teacher(rb: RuleBase, X: np.ndarray, y_enc: np.ndarray, reg: float,
     if class_labels is None:
         class_labels = np.unique(y_enc)
     F = firing_strengths(rb, X)
-    if X.shape[0] >= rb.n_rules * basis_dim(order, X.shape[1]):
+    primal = X.shape[0] >= rb.n_rules * basis_dim(order, X.shape[1])
+    _check_gram(F, X, 1.0 / reg, order, primal)
+    if primal:
         q = ridge_solve(stack_design_matrix(F, X, order), y_enc, 1.0 / reg)
     else:
         alpha = _kernel_solve(F, X, y_enc, 1.0 / reg, order)

@@ -2,7 +2,8 @@
 
 Plain numpy written from the formulas: its own softmax, log, soft-label
 views and KL losses, sharing no code with the training closures they
-check. Only public fuzzykd functions are used.
+check. Only public fuzzykd functions are used; the 50-digit oracles are in
+mp_oracles.
 """
 from dataclasses import dataclass
 
@@ -98,11 +99,24 @@ def dkd_loss(teacher: SoftLabelSet,
     return tckl, nckl
 
 
+def class_major_rest(non_target: np.ndarray,
+                     target_index: np.ndarray) -> np.ndarray:
+    """N x (C-1) non-target distributions laid out class-major, C x N, with
+    0 on each sample's target cell."""
+    n, c = non_target.shape[0], non_target.shape[1] + 1
+    rest = np.zeros((n, c))
+    cells = np.ones((n, c), dtype=bool)
+    cells[np.arange(n), target_index] = False
+    rest[cells] = non_target.ravel()
+    return rest.T
+
+
 def teacher_views(tsl: SoftLabelSet) -> tuple[np.ndarray, np.ndarray]:
     """The (a, rest) of one candidate that _distill_loss_grad takes: the
-    teacher's target mass (1 x N) and non-target distribution
-    (1 x N x (C-1))."""
-    return tsl.binary[None, :, 0], tsl.non_target[None]
+    teacher's target mass (1 x N) and its non-target distribution laid out
+    class-major, 0 on the target cell (1 x C x N)."""
+    return (tsl.binary[None, :, 0],
+            class_major_rest(tsl.non_target, tsl.target_index)[None])
 
 
 def basis_apply(X: np.ndarray, Q: np.ndarray, order: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 """Soft labels, decoupled KL losses and the distillation training loop."""
+import itertools
 import re
 from dataclasses import replace
 from functools import partial
@@ -17,8 +18,8 @@ from fuzzykd.student import (TrainConfig, TrainingDiverged, design_matrix,
                              train_student)
 from fuzzykd.teacher import fit_teacher, predict_teacher
 
-from oracles import (cross_entropy, dkd_loss, kd_loss, soft_labels, softmax,
-                     teacher_views)
+from oracles import (class_major_rest, cross_entropy, dkd_loss, kd_loss,
+                     soft_labels, softmax, teacher_views)
 from test_student import fd_gradient, toy_separable
 
 
@@ -232,26 +233,27 @@ class TestDistill:
         sm, _ = distill(t_out, sm, X, Y, cfg, np.array([0.0, 1.0]))
         assert (predict_student(sm, X) == y).all()
 
-    @pytest.mark.parametrize("coupled", [False, True], ids=["dkd", "kd"])
+    @pytest.mark.parametrize("weights", ["dkd", "kd", "per-sample"])
     @pytest.mark.parametrize("c", [2, 3, 5])
-    def test_full_loss_gradient_matches_finite_differences(self, c, coupled):
+    def test_full_loss_gradient_matches_finite_differences(self, c, weights):
         from fuzzykd.distill import _distill_loss_grad
         from fuzzykd.student import _training_data
         rng = np.random.default_rng(10)
-        for seed in range(6):
+        for seed, tau in itertools.product(range(6), (1.0, 2.0, 5.0, 100.0)):
             rb, X, y, labels, t_out = class_setup(seed=seed, n=12, c=c)
             sm = init_student(rb, c)
             Xh, Y, y_idx = _training_data(sm, X, onehot_encode(y, c))
-            tsl = soft_labels(teacher_logits(t_out, labels), 2.0, y_idx)
+            tsl = soft_labels(teacher_logits(t_out, labels), tau, y_idx)
             # coupled KD at kd_weight 2: the weights distill_batch uses
-            weights = (dict(target_weight=2.0,
-                            non_target_weight=2.0 * tsl.binary[:, 1])
-                       if coupled else {})
-            cfg = DistillConfig(0.01, 30, 1e-5, temperature=2.0, **weights)
+            lam = {"dkd": 2.0, "per-sample": rng.uniform(0.0, 3.0, 12),
+                   "kd": 2.0 * tsl.binary[:, 1]}[weights]
+            cfg = DistillConfig(0.01, 30, 1e-5, temperature=tau,
+                                target_weight=2.0 if weights == "kd" else 1.0,
+                                non_target_weight=lam)
             lg = _distill_loss_grad(Xh, Y, y_idx, *teacher_views(tsl), [cfg])
             idx = np.zeros(1, dtype=int)  # candidate 0 of a batch of one
             Q = rng.normal(scale=0.5, size=sm.coeffs.shape)
-            _, grads, parts = lg(Q[None], idx)
+            totals, grads, parts = lg(Q[None], idx)
             analytic = grads[0]
             fd = fd_gradient(lambda q: lg(q[None], idx)[0][0], Q)
             denom = np.maximum(np.abs(fd), 1.0)
@@ -261,13 +263,53 @@ class TestDistill:
                 no_nckl = replace(cfg, non_target_weight=0.0)
                 lg0 = _distill_loss_grad(Xh, Y, y_idx, *teacher_views(tsl),
                                          [no_nckl])
-                np.testing.assert_array_equal(lg0(Q[None], idx)[1][0],
-                                              analytic)
+                totals0, grads0, _ = lg0(Q[None], idx)
+                np.testing.assert_array_equal(grads0[0], analytic)
+                assert totals0[0] == totals[0]
+
+    @pytest.mark.parametrize("c", [2, 4])
+    @pytest.mark.parametrize("tau", [1.0, 100.0])
+    @pytest.mark.parametrize("coupled", [False, True], ids=["dkd", "kd"])
+    def test_closure_matches_mpmath_at_saturating_logits(self, coupled, tau,
+                                                         c):
+        # logits up to |z| = 40 on both sides: at tau = 1 the student's and
+        # the teacher's target or non-target masses fall to e^-80, far
+        # below any clamp. The oracle computes every term from its
+        # definition at 50 digits and differentiates it numerically.
+        pytest.importorskip("mpmath")
+        from mp_oracles import mp_distill_loss, mp_teacher_views
+
+        from fuzzykd.distill import _distill_loss_grad
+        rng = np.random.default_rng(17 + c)
+        n = 8
+        y = np.arange(n) % c
+        Z, T = rng.uniform(-40, 40, (2, n, c))
+        for logits, row, sign in ((Z, 0, -1), (Z, 1, 1), (T, 2, 1),
+                                  (T, 3, -1)):
+            logits[row] = -40.0 * sign
+            logits[row, y[row]] = 40.0 * sign
+        a, rest = mp_teacher_views(T, y, tau)
+        w, phi = 1.5, 0.7
+        lam = w * (1.0 - a) if coupled else rng.uniform(0.5, 3.0, n)
+        cfg = DistillConfig(temperature=tau, target_weight=w,
+                            non_target_weight=lam, ce_weight=phi)
+        # Xh = I: the logits are Q itself, and the gradient in Q is theirs
+        lg = _distill_loss_grad(np.eye(n), onehot_encode(y, c), y, a[None],
+                                class_major_rest(rest, y)[None], [cfg])
+        totals, grads, parts = lg(Z[None], np.zeros(1, dtype=int))
+        want, want_grad, want_parts = mp_distill_loss(Z, y, a, rest, tau, w,
+                                                      lam, phi, coupled)
+        assert totals[0] == pytest.approx(want, rel=1e-12)
+        np.testing.assert_allclose(grads[0], want_grad, rtol=0, atol=1e-12)
+        np.testing.assert_allclose([parts[k][0] for k in ("tckl", "nckl",
+                                                          "h")],
+                                   want_parts, rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("fit", [distill,
                                      partial(distill, kd_weight=1.0)],
                              ids=["distill", "distill-kd"])
     @pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_logits_diverge_at_epoch_one(self, fit):
         rb, X, y, labels, t_out = class_setup()
         sm = TSKModel(rb, np.full(init_student(rb, 3).coeffs.shape, 1e308),
@@ -283,9 +325,10 @@ class TestDistill:
                                     DistillConfig())],
         ids=["train_student", "distill"])
     @pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_class_logits_diverge_in_both_losses(self, fit):
         # class 0's logits overflow to -inf while the others stay finite;
-        # the clamped log alone would keep the cross-entropy finite
+        # the rows of other classes alone would keep the loss finite
         ds = load_bundled("iris")
         X = normalize(ds.X)[0]
         rb = build_rule_base(3, 4, seed=0)

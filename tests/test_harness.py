@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import fuzzykd.harness as harness
+import fuzzykd.rules as rules
 from fuzzykd.data import Dataset, load_bundled, normalize
 from fuzzykd.harness import (GridSpec, accuracy, format_report,
                              rule_readout, run_method, sweep, weighted_f)
@@ -299,6 +300,43 @@ class TestInnerSearch:
         X, y, c = self.wine_split()
         harness._select_params("distill-dkd", cands, grid, X, y, c, 0, 0)
         assert sorted(calls) == [2, 2, 2, 3, 3, 3]
+
+    def test_firing_strengths_once_per_rule_count_and_split(self,
+                                                           monkeypatch):
+        # the points of one K share the split's student rule base, so its
+        # test rows' firing strengths are computed once for all of them
+        fits, fit_candidates = [], harness.fit_candidates
+        firing, calls = rules.firing_strengths, []
+
+        def spy_fit(method, group, *args):
+            fits.append(fit_candidates(method, group, *args))
+            return fits[-1]
+
+        def counting(rb, X):
+            calls.append(rb.n_rules)
+            return firing(rb, X)
+
+        monkeypatch.setattr(harness, "fit_candidates", spy_fit)
+        monkeypatch.setattr(rules, "firing_strengths", counting)
+        grid = GridSpec.coarse(rule_counts=(2, 3), temperatures=(1, 2),
+                               non_target_weights=(1, 2), ce_weights=(1, 2),
+                               max_epochs=5)
+        cands = harness.candidates("distill-dkd", grid)
+        X, y, c = self.wine_split()
+        splits = [(0, X[::2], y[::2], X[1::2], y[1::2]),
+                  (1, X[1::2], y[1::2], X[::2], y[::2])]
+        out = list(harness._cross_validate("distill-dkd", cands, grid,
+                                           splits, c, 0))
+        # per (K, split): the teacher's outputs on the training rows and
+        # the students' classes on the test rows, not one per point (32)
+        assert sorted(calls) == [2, 2, 2, 2, 3, 3, 3, 3]
+        # each point's classes are its own model's, bit for bit
+        models = [outcome[0] for group in fits for outcome in group]
+        preds = [pred for _, _, _, split in out for pred in split]
+        assert len(models) == len(preds) == 32
+        for model, pred, Xte in zip(models, preds,
+                                    [X[1::2]] * 16 + [X[::2]] * 16):
+            assert np.array_equal(pred, predict_class(model, Xte))
 
     @pytest.mark.parametrize("method", ["distill-dkd", "distill-kd"])
     def test_split_without_a_class_distills_every_class(self, method):

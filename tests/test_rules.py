@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from fuzzykd.basis import basis_dim
 from fuzzykd.rules import (PARTITION, PARTITION_LABELS, RuleBase, TSKModel,
                            build_rule_base, firing_strengths,
-                           log_memberships, predict_class, predict_outputs)
+                           log_memberships, predict_class, predict_classes,
+                           predict_outputs)
 
 from oracles import basis_apply
 
@@ -257,6 +258,23 @@ class TestPredictOutputs:
                          np.array([0.0, 2.0, 5.0]))
         np.testing.assert_array_equal(predict_class(const, [[0.1], [0.9]]),
                                       [2, 2])
+
+
+    def test_predict_classes_share_one_rule_base(self):
+        # models on one rule base object predict as one at a time; a model
+        # on another one, even an equal copy, is refused
+        model, X = random_model(1, 3, seed=2)
+        twin = TSKModel(model.rule_base, model.coeffs[:, ::-1], 1,
+                        np.arange(3.0))
+        for got, one in zip(predict_classes([model, twin], X),
+                            (model, twin)):
+            np.testing.assert_array_equal(got, predict_class(one, X))
+        assert predict_classes([], X) == []
+        copy = TSKModel(RuleBase(model.rule_base.centers,
+                                 model.rule_base.widths),
+                        model.coeffs, 1, np.arange(3.0))
+        with pytest.raises(ValueError, match="one rule base"):
+            predict_classes([model, copy], X)
 
 
 class TestTSKModel:

@@ -179,6 +179,7 @@ class TestTrainStudent:
                                  TrainConfig(lr=0.01, max_epochs=30, tol=1e9))
         assert len(trace) == 2
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_raises_with_epoch(self):
         rb, X, y = toy_separable()
         sm = init_student(rb, 2)

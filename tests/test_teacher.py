@@ -49,6 +49,16 @@ class TestRidgeSolve:
         primal = brute_force_ridge(A, y, 0.01)
         np.testing.assert_allclose(wide, primal, atol=1e-7)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["A", "y"])
+    def test_non_finite_system_rejected(self, where, bad):
+        rng = np.random.default_rng(5)
+        A, y = rng.normal(size=(20, 5)), rng.normal(size=20)
+        (A if where == "A" else y)[3] = bad
+        with np.errstate(all="ignore"), pytest.raises(
+                ValueError, match="ridge system's solution is not finite"):
+            ridge_solve(A, y, 0.01)
+
 
 class TestFitTeacher:
     def test_single_sample_order_zero(self):
@@ -146,6 +156,57 @@ class TestFitTeacher:
                                              f"y_enc at row {n - 3}, "
                                              "column 1"):
             fit_teacher(rb, rng.uniform(0, 1, (n, 3)), y, reg=100.0)
+
+    @pytest.mark.parametrize("k,path", [(8, "dual"), (1, "primal")])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_row_located_before_the_gram(self, monkeypatch, k,
+                                                     path):
+        # K*D = K * D(3, 2) = 10 K: 40 rows take the dual path at K = 8 and
+        # the primal one at K = 1. A row whose order-3 kernel overflows is
+        # named before any Gram matrix is built or scanned, and without a
+        # floating-point warning
+        def refuse(*args, **kwargs):
+            raise AssertionError("Gram matrix factored")
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", refuse)
+        rng = np.random.default_rng(16)
+        rb = build_rule_base(k, 2, seed=16)
+        X, y = rng.uniform(0, 1, (40, 2)), rng.integers(0, 3, 40) * 1.0
+        one_row = X.copy()
+        one_row[4] *= 1e110
+        for bad, row in ((X * 1e110, 1), (one_row, 5)):
+            with pytest.raises(ValueError, match=f"^training row {row} "
+                                                 f"overflows the order-3 "
+                                                 f"teacher's ridge system: "
+                                                 f"its {path} Gram"):
+                fit_teacher(rb, bad, y, reg=100.0)
+
+    def test_primal_gram_overflow_is_the_mean_diagonal(self):
+        # every row's squared design norm P(|x|^2) is about 1.3e308, finite;
+        # the primal Gram matrix's K*D = 15 diagonal entries sum them, so
+        # their mean, a floor under the largest entry, overflows at row 21
+        rb = build_rule_base(1, 2, seed=0)
+        X = np.full((40, 2), 1.6e51)
+        with pytest.raises(ValueError, match="^training row 21 overflows .* "
+                                             "primal Gram"):
+            fit_teacher(rb, X, np.zeros(40), reg=100.0)
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_primal_gram_between_the_bounds(self):
+        # at 1.2e51 the rows' squared norms sum past the largest float, but
+        # no Gram entry does: the system is finite and is solved. At 1.6e51
+        # the largest entry overflows while the mean diagonal entry does
+        # not: the solve's finiteness check rejects it
+        rb = build_rule_base(1, 2, seed=0)
+        X = np.random.default_rng(3).uniform(0.5, 1.0, (40, 2))
+        y = np.arange(40) % 3 * 1.0
+        with np.errstate(over="ignore"):  # P(s) > s^3 per row
+            assert np.isinf((((X * 1.2e51) ** 2).sum(axis=1) ** 3).sum())
+        assert np.isfinite(fit_teacher(rb, X * 1.2e51, y, reg=100.0)
+                           .coeffs).all()
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ValueError, match="ridge system's solution is not finite"):
+            fit_teacher(rb, X * 1.6e51, y, reg=100.0)
 
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     def test_dual_shapes_match_design_matrix_oracle(self, order):
