@@ -39,6 +39,10 @@ class TrainingDiverged(RuntimeError):
         super().__init__(f"training loss became non-finite at epoch {epoch}")
         self.epoch = epoch
 
+    def __reduce__(self):
+        # rebuilt from the epoch, not from args, which hold the message
+        return type(self), (self.epoch,)
+
 
 @dataclass(frozen=True)
 class TrainConfig:

@@ -1,5 +1,10 @@
 """Cross-validated evaluation harness, metrics, sweeps and rule readout."""
+import multiprocessing
+import os
+import subprocess
+import sys
 import time
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -183,11 +188,23 @@ class TestRunMethod:
                                non_target_weights=(1,), ce_weights=(1, 1e308),
                                folds=2)
         with np.errstate(over="ignore"):
-            rep = run_method("distill-dkd", load_bundled("iris"), grid, 0)
+            # the spy sees the inner fits only if they run in this process
+            rep = run_method("distill-dkd", load_bundled("iris"), grid, 0,
+                             jobs=1)
         assert diverged == [1e308] * 6  # every inner fit, in both folds
         assert [r.params["phi"] for r in rep.records] == [1, 1]
         assert rep.n_failed() == 0
 
+    @pytest.mark.usefixtures("warnings_fail")
+    def test_diverging_candidate_loses_in_worker_processes(self):
+        grid = GridSpec.coarse(rule_counts=(3,), temperatures=(2,),
+                               non_target_weights=(1,), ce_weights=(1, 1e308),
+                               folds=2)
+        with np.errstate(over="ignore"):
+            rep = run_method("distill-dkd", load_bundled("iris"), grid, 0,
+                             jobs=2)
+        assert [r.params["phi"] for r in rep.records] == [1, 1]
+        assert rep.n_failed() == 0
 
     @pytest.mark.parametrize("alias,method", [
         ("teacher-only", "tsk-order-3-llm"),
@@ -384,6 +401,115 @@ class TestInnerSearch:
                           for _, yte, _, preds in inner], axis=0)
         assert scores[0] == 0.0 and scores[1] > 0.5
         assert picked is good
+
+
+@pytest.fixture()
+def warnings_fail():
+    """Warnings are errors, in this process and in the forked workers.
+
+    Python 3.12 drops a fork-with-threads DeprecationWarning that the error
+    filter turns into an exception, so this process records its
+    DeprecationWarnings instead, and any one fails the test.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("error")
+        warnings.simplefilter("always", DeprecationWarning)
+        yield
+    assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.usefixtures("warnings_fail")
+class TestParallelSearch:
+    GRIDS = {"distill-dkd": GridSpec.coarse(
+                 rule_counts=(2, 3), temperatures=(1, 2),
+                 non_target_weights=(1,), ce_weights=(1, 2), max_epochs=20),
+             "student-only": GridSpec(rule_counts=(1, 2, 3), max_epochs=20)}
+
+    @pytest.mark.parametrize("folds", [2, 3])
+    @pytest.mark.parametrize("name", ["iris", "wine"])
+    @pytest.mark.parametrize("method", ["distill-dkd", "student-only"])
+    def test_reports_byte_identical_at_one_and_two_jobs(self, method, name,
+                                                        folds):
+        grid = replace(self.GRIDS[method], folds=folds)
+        ds = load_bundled(name)
+        a, b = (format_report([run_method(method, ds, grid, 5, name,
+                                          jobs=jobs)], include_time=False)
+                for jobs in (1, 2))
+        assert a == b
+        assert multiprocessing.active_children() == []
+
+    def test_worker_error_raised_as_in_one_process(self):
+        grid = GridSpec.coarse(rule_counts=(2, 3), temperatures=(1, -2),
+                               non_target_weights=(1,), ce_weights=(1,),
+                               folds=3)
+        ds = load_bundled("wine")
+        errors = []
+        for jobs in (1, 2):
+            with pytest.raises(ValueError) as err:
+                run_method("distill-dkd", ds, grid, 0, jobs=jobs)
+            errors.append(str(err.value))
+            assert multiprocessing.active_children() == []
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("temperature must be positive")
+
+    @pytest.mark.parametrize("jobs", [0, -1, 1.5])
+    def test_bad_jobs_rejected_before_any_fit(self, jobs, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit_candidates called")
+
+        monkeypatch.setattr(harness, "fit_candidates", no_fit)
+        with pytest.raises(ValueError, match=f"jobs must be an integer >= 1, "
+                                             f"got {jobs}"):
+            run_method("student-only", toy_dataset(),
+                       GridSpec(rule_counts=(1, 2), folds=2), 0, jobs=jobs)
+
+    def test_worker_count(self, monkeypatch):
+        # a large jobs is only computed with: no process is started
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 64)
+        workers = harness._search_workers
+        assert workers(10_000, 10, 8) == 10
+        assert workers(10_000, 100, 8) == 64
+        assert workers(3, 10, 8) == 3
+        assert workers(None, 10, 8) == 10
+        assert workers(None, 100, 8) == 64
+        assert workers(10_000, 10, 1) == 1  # no search to share
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+        assert workers(None, 10, 8) == workers(10_000, 10, 8) == 1
+
+    def test_usable_cpus(self, monkeypatch):
+        assert harness._usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert harness._usable_cpus() == os.cpu_count()
+
+    @pytest.mark.parametrize("fallback", ["no fork", "daemonic caller"])
+    def test_search_stays_in_process_without_a_pool(self, fallback,
+                                                   monkeypatch):
+        if fallback == "no fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+            monkeypatch.setattr(multiprocessing, "current_process",
+                                lambda: SimpleNamespace(daemon=True))
+        fit_candidates, calls = harness.fit_candidates, []
+
+        def spy(*args):
+            calls.append(args[1])
+            return fit_candidates(*args)
+
+        monkeypatch.setattr(harness, "fit_candidates", spy)
+        grid = GridSpec(rule_counts=(1, 2), max_epochs=5, folds=2)
+        run_method("student-only", toy_dataset(), grid, 0, jobs=2)
+        # per outer fold 2 K x 3 inner folds, then the final fit
+        assert len(calls) == 14
+
+    def test_import_leaves_the_pool_modules_out(self):
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        code = ("import sys, fuzzykd; print(sorted(m for m in ("
+                "'multiprocessing', 'concurrent.futures.process') "
+                "if m in sys.modules))")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "[]\n"
 
 
 class TestSweep:

@@ -1,4 +1,6 @@
 """Gradient-trained first-order student."""
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -187,6 +189,13 @@ class TestTrainStudent:
             train_student(sm, X, onehot_encode(y, 2),
                           TrainConfig(lr=float("inf"), max_epochs=30))
         assert err.value.epoch >= 1
+
+    def test_divergence_survives_pickling(self):
+        # a worker process's exception crosses back by pickle
+        err = pickle.loads(pickle.dumps(TrainingDiverged(3)))
+        assert isinstance(err, TrainingDiverged)
+        assert str(err) == "training loss became non-finite at epoch 3"
+        assert err.epoch == 3
 
     def test_trace_totals_decrease_on_toy_set(self):
         rb, X, y = toy_separable()
