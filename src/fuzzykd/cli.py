@@ -120,11 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_report(p)
     p.add_argument("--grid", choices=("full", "coarse"), default="coarse")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes for the outer folds' inner "
-                        "searches (default: the usable CPUs; 1 keeps the "
-                        "run in one process); the report is the same at "
-                        "every N")
 
     p = sub.add_parser("sweep", help="vary one distillation parameter")
     _add_common(p)
@@ -225,8 +220,7 @@ def _cmd_gridsearch(args) -> None:
 def _report(args, grid: GridSpec) -> None:
     rep = run_method(args.method, _load(args), grid, args.seed,
                      dataset_name=os.path.basename(args.data),
-                     global_normalize=args.global_normalize,
-                     jobs=getattr(args, "jobs", None))
+                     global_normalize=args.global_normalize)
     _emit(format_report([rep], include_time=not args.no_time), args.out)
     if rep.n_failed() == len(rep.records):  # the report has no result
         raise RuntimeError(f"all {len(rep.records)} outer folds failed")

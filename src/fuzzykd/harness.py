@@ -6,8 +6,6 @@ import math
 import os
 import sys
 import time
-from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -293,8 +291,8 @@ def _select_params(method, candidates, grid, Xtr, ytr, n_classes, seed, fold):
 
 
 def run_method(method: str, ds: Dataset, grid: GridSpec, seed: int,
-               dataset_name: str = "data", global_normalize: bool = False,
-               jobs: int | None = None) -> MethodReport:
+               dataset_name: str = "data",
+               global_normalize: bool = False) -> MethodReport:
     """Outer CV evaluation of one method; one record per fold.
 
     A fold selects its candidate (_select_params), then fits and predicts
@@ -304,36 +302,33 @@ def run_method(method: str, ds: Dataset, grid: GridSpec, seed: int,
     or the inner search.
 
     With more than one candidate, the outer folds' inner searches run in
-    parallel in min(jobs, folds, usable CPUs) forked worker processes
-    (_search_workers); jobs None, the default, means the usable CPUs. Only
-    the chosen candidate comes back, and each fold's final fit runs here,
-    in fold order, while later folds still search. A search is a pure
-    function of its fold, so reports without time fields are byte-identical
-    at every jobs; jobs=1 keeps the run in this process. Whole folds,
-    evaluate (a one-candidate grid) and sweep stay serial.
+    parallel, in min(folds, usable CPUs) forked worker processes
+    (_search_workers), and only the chosen candidates come back. Every
+    search ends before the first final fit, so the final fits run and are
+    timed here with no search beside them. A search is a pure function of
+    its fold, so reports without time fields are byte-identical at every
+    worker count; restricting the process's CPU affinity to one CPU (e.g.
+    taskset -c 0) keeps the run in this process. Whole folds, evaluate (a
+    one-candidate grid) and sweep stay serial.
     """
-    if jobs is not None:
-        _check_count(jobs, "jobs", 1)
     points = candidates(method, grid)
     report = MethodReport(method, dataset_name, seed)
-    # splits searched but not yet fitted: one in this process, where a
-    # fold's split is made when it is searched; every fold's for a pool
-    unfitted = deque()
 
-    def searches():
-        for split in _outer_folds(ds, grid, seed, global_normalize):
-            unfitted.append(split)
-            fold, Xtr, ytr = split[:3]
-            yield method, points, grid, Xtr, ytr, ds.n_classes, seed, fold
+    def search(split):
+        fold, Xtr, ytr = split[:3]
+        return method, points, grid, Xtr, ytr, ds.n_classes, seed, fold
 
-    workers = _search_workers(jobs, grid.folds, len(points))
-    with _fold_starmap(workers) as starmap:
-        for params in starmap(_select_params, searches()):
-            split = unfitted.popleft()
-            for _, yte, seconds, (pred,) in _cross_validate(
-                    method, [params], grid, [split], ds.n_classes, seed):
-                report.records.append(
-                    _record(split[0], params, pred, yte, seconds))
+    splits = _outer_folds(ds, grid, seed, global_normalize)
+    workers = _search_workers(grid.folds, len(points))
+    if workers == 1:  # a fold's split is made when it is searched
+        chosen = ((split, _select_params(*search(split))) for split in splits)
+    else:
+        splits = list(splits)
+        chosen = zip(splits, _search_in_workers(workers, map(search, splits)))
+    for split, params in chosen:
+        for fold, yte, seconds, (pred,) in _cross_validate(
+                method, [params], grid, [split], ds.n_classes, seed):
+            report.records.append(_record(fold, params, pred, yte, seconds))
     return report
 
 
@@ -346,42 +341,46 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _search_workers(jobs: int | None, folds: int, n_candidates: int) -> int:
-    """Processes for the outer folds' inner searches: min(jobs, folds,
-    usable CPUs), jobs None meaning the usable CPUs; 1 for a one-candidate
-    grid, which has no search."""
-    if n_candidates == 1:
+# fit_candidates' code as defined above, to tell a replaced fit_candidates
+_FIT_CANDIDATES_CODE = fit_candidates.__code__
+
+
+def _search_workers(folds: int, n_candidates: int) -> int:
+    """Processes for the outer folds' inner searches: min(folds, usable
+    CPUs), or 1, this process, where a pool has nothing to share or must
+    not be used.
+
+    That is a one-candidate grid, which has no search; a platform without
+    fork; a daemonic process, which may not start children; and a process
+    whose fit_candidates was replaced, whose wrapper would see nothing of
+    what a worker fits.
+    """
+    # a daemonic process was started by multiprocessing, so has imported it
+    mp = sys.modules.get("multiprocessing")
+    if (n_candidates == 1 or not hasattr(os, "fork")
+            or (mp is not None and mp.current_process().daemon)
+            or getattr(fit_candidates, "__code__",
+                       None) is not _FIT_CANDIDATES_CODE):
         return 1
-    cpus = _usable_cpus()
-    return min(cpus if jobs is None else jobs, folds, cpus)
+    return min(folds, _usable_cpus())
 
 
-@contextmanager
-def _fold_starmap(workers: int):
-    """A starmap whose results come in order: itertools.starmap in this
-    process, or with two or more workers the map of a pool of that many
-    forked processes, shut down when the block ends.
+def _search_in_workers(workers: int, searches) -> list[dict]:
+    """_select_params of each search's arguments, in order, from a pool of
+    that many forked processes, shut down before it returns.
 
     Forked, not spawned: a spawned worker imports numpy, scipy and fuzzykd
     afresh, and a pool of two took 0.45 s to start and stop against 10 ms
     forked (2-vCPU Xeon VM). The pool forks its workers before it starts
-    its own threads.
-    One worker, a platform without fork and a daemonic caller, which may
-    not start children, keep the loop here and import nothing of the
-    pool: multiprocessing and concurrent.futures.process add about 5 ms to
-    import fuzzykd, so they are imported here and only for a pool.
+    its own threads. multiprocessing and concurrent.futures.process add
+    about 5 ms to import fuzzykd, so they are imported here, for a pool
+    only.
     """
-    # a daemonic process was started by multiprocessing, so has imported it
-    mp = sys.modules.get("multiprocessing")
-    if (workers == 1 or not hasattr(os, "fork")
-            or (mp is not None and mp.current_process().daemon)):
-        yield itertools.starmap
-        return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(
             workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        yield lambda fn, rows: pool.map(fn, *zip(*rows))
+        return list(pool.map(_select_params, *zip(*searches)))
 
 
 def _outer_folds(ds: Dataset, grid: GridSpec, seed: int,

@@ -303,29 +303,16 @@ def test_gridsearch_small(tmp_path):
     assert "aggregate" in out.read_text()
 
 
-def test_gridsearch_jobs_zero_exits_2_before_fitting(iris_csv, capsys,
-                                                     monkeypatch):
-    def no_fit(*args, **kwargs):
-        raise AssertionError("fit_candidates called")
-
-    monkeypatch.setattr(harness, "fit_candidates", no_fit)
-    rc = main(["gridsearch", "--data", iris_csv, "--method", "student-only",
-               "--folds", "3", "--no-time", "--jobs", "0"])
-    assert rc == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("fuzzykd: error: jobs must be an integer >= 1, "
-                            "got 0\n")
-
-
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_gridsearch_report_same_at_every_jobs(iris_csv, capsys, jobs):
+def test_gridsearch_report_same_in_one_process_and_two(iris_csv, capsys,
+                                                      monkeypatch):
     argv = ["gridsearch", "--data", iris_csv, "--method", "student-only",
             "--folds", "2", "--no-time"]
-    assert main(argv) == 0
-    default = capsys.readouterr().out
-    assert main(argv + ["--jobs", jobs]) == 0
-    assert capsys.readouterr().out == default
+    outputs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_more_folds_than_rows_located(tmp_path, capsys):

@@ -1,4 +1,5 @@
 """Cross-validated evaluation harness, metrics, sweeps and rule readout."""
+import functools
 import multiprocessing
 import os
 import subprocess
@@ -188,21 +189,19 @@ class TestRunMethod:
                                non_target_weights=(1,), ce_weights=(1, 1e308),
                                folds=2)
         with np.errstate(over="ignore"):
-            # the spy sees the inner fits only if they run in this process
-            rep = run_method("distill-dkd", load_bundled("iris"), grid, 0,
-                             jobs=1)
+            rep = run_method("distill-dkd", load_bundled("iris"), grid, 0)
         assert diverged == [1e308] * 6  # every inner fit, in both folds
         assert [r.params["phi"] for r in rep.records] == [1, 1]
         assert rep.n_failed() == 0
 
     @pytest.mark.usefixtures("warnings_fail")
-    def test_diverging_candidate_loses_in_worker_processes(self):
+    def test_diverging_candidate_loses_in_worker_processes(self, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
         grid = GridSpec.coarse(rule_counts=(3,), temperatures=(2,),
                                non_target_weights=(1,), ce_weights=(1, 1e308),
                                folds=2)
         with np.errstate(over="ignore"):
-            rep = run_method("distill-dkd", load_bundled("iris"), grid, 0,
-                             jobs=2)
+            rep = run_method("distill-dkd", load_bundled("iris"), grid, 0)
         assert [r.params["phi"] for r in rep.records] == [1, 1]
         assert rep.n_failed() == 0
 
@@ -425,56 +424,74 @@ class TestParallelSearch:
                  non_target_weights=(1,), ce_weights=(1, 2), max_epochs=20),
              "student-only": GridSpec(rule_counts=(1, 2, 3), max_epochs=20)}
 
+    @staticmethod
+    def cpus(monkeypatch, n):
+        # the usable CPUs as the pool's size sees them
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: n)
+
     @pytest.mark.parametrize("folds", [2, 3])
     @pytest.mark.parametrize("name", ["iris", "wine"])
     @pytest.mark.parametrize("method", ["distill-dkd", "student-only"])
-    def test_reports_byte_identical_at_one_and_two_jobs(self, method, name,
-                                                        folds):
+    def test_reports_byte_identical_in_one_and_two_processes(
+            self, method, name, folds, monkeypatch):
         grid = replace(self.GRIDS[method], folds=folds)
         ds = load_bundled(name)
-        a, b = (format_report([run_method(method, ds, grid, 5, name,
-                                          jobs=jobs)], include_time=False)
-                for jobs in (1, 2))
-        assert a == b
+        reports = []
+        for cpus in (1, 2):
+            self.cpus(monkeypatch, cpus)
+            reports.append(format_report([run_method(method, ds, grid, 5,
+                                                     name)],
+                                         include_time=False))
+        assert reports[0] == reports[1]
         assert multiprocessing.active_children() == []
 
-    def test_worker_error_raised_as_in_one_process(self):
+    def test_worker_error_raised_as_in_one_process(self, monkeypatch):
         grid = GridSpec.coarse(rule_counts=(2, 3), temperatures=(1, -2),
                                non_target_weights=(1,), ce_weights=(1,),
                                folds=3)
         ds = load_bundled("wine")
         errors = []
-        for jobs in (1, 2):
+        for cpus in (1, 2):
+            self.cpus(monkeypatch, cpus)
             with pytest.raises(ValueError) as err:
-                run_method("distill-dkd", ds, grid, 0, jobs=jobs)
+                run_method("distill-dkd", ds, grid, 0)
             errors.append(str(err.value))
             assert multiprocessing.active_children() == []
         assert errors[0] == errors[1]
         assert errors[0].startswith("temperature must be positive")
 
-    @pytest.mark.parametrize("jobs", [0, -1, 1.5])
-    def test_bad_jobs_rejected_before_any_fit(self, jobs, monkeypatch):
-        def no_fit(*args, **kwargs):
-            raise AssertionError("fit_candidates called")
+    def test_final_fits_start_after_every_search(self, monkeypatch):
+        # a final fit's time shares no CPU with a search: the searches
+        # (in the workers) have all ended before this process fits
+        self.cpus(monkeypatch, 2)
+        events = []
+        select, cross_validate = (harness._search_in_workers,
+                                  harness._cross_validate)
 
-        monkeypatch.setattr(harness, "fit_candidates", no_fit)
-        with pytest.raises(ValueError, match=f"jobs must be an integer >= 1, "
-                                             f"got {jobs}"):
-            run_method("student-only", toy_dataset(),
-                       GridSpec(rule_counts=(1, 2), folds=2), 0, jobs=jobs)
+        def searched(*args):
+            chosen = select(*args)
+            events.append("searched")
+            return chosen
+
+        def fitted(*args):
+            events.append("fit")
+            return cross_validate(*args)
+
+        monkeypatch.setattr(harness, "_search_in_workers", searched)
+        monkeypatch.setattr(harness, "_cross_validate", fitted)
+        run_method("student-only", toy_dataset(),
+                   GridSpec(rule_counts=(1, 2), max_epochs=5, folds=3), 0)
+        assert events == ["searched"] + ["fit"] * 3
 
     def test_worker_count(self, monkeypatch):
-        # a large jobs is only computed with: no process is started
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: 64)
+        # only computed with: no process is started
         workers = harness._search_workers
-        assert workers(10_000, 10, 8) == 10
-        assert workers(10_000, 100, 8) == 64
-        assert workers(3, 10, 8) == 3
-        assert workers(None, 10, 8) == 10
-        assert workers(None, 100, 8) == 64
-        assert workers(10_000, 10, 1) == 1  # no search to share
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
-        assert workers(None, 10, 8) == workers(10_000, 10, 8) == 1
+        self.cpus(monkeypatch, 64)
+        assert workers(10, 8) == 10
+        assert workers(100, 8) == 64
+        assert workers(10, 1) == 1  # no search to share
+        self.cpus(monkeypatch, 1)
+        assert workers(10, 8) == 1
 
     def test_usable_cpus(self, monkeypatch):
         assert harness._usable_cpus() == len(os.sched_getaffinity(0))
@@ -482,22 +499,31 @@ class TestParallelSearch:
         assert harness._usable_cpus() == os.cpu_count()
 
     @pytest.mark.parametrize("fallback", ["no fork", "daemonic caller"])
-    def test_search_stays_in_process_without_a_pool(self, fallback,
-                                                   monkeypatch):
+    def test_no_pool_without_fork_or_in_a_daemon(self, fallback,
+                                                 monkeypatch):
+        self.cpus(monkeypatch, 2)
+        assert harness._search_workers(2, 8) == 2
         if fallback == "no fork":
             monkeypatch.delattr(os, "fork")
         else:
             monkeypatch.setattr(multiprocessing, "current_process",
                                 lambda: SimpleNamespace(daemon=True))
+        assert harness._search_workers(2, 8) == 1
+
+    def test_replaced_fit_candidates_sees_the_search(self, monkeypatch):
+        # a tracer or a spy that wraps fit_candidates records in this
+        # process, so the search stays here for it
+        self.cpus(monkeypatch, 2)
         fit_candidates, calls = harness.fit_candidates, []
 
+        @functools.wraps(fit_candidates)
         def spy(*args):
             calls.append(args[1])
             return fit_candidates(*args)
 
         monkeypatch.setattr(harness, "fit_candidates", spy)
         grid = GridSpec(rule_counts=(1, 2), max_epochs=5, folds=2)
-        run_method("student-only", toy_dataset(), grid, 0, jobs=2)
+        run_method("student-only", toy_dataset(), grid, 0)
         # per outer fold 2 K x 3 inner folds, then the final fit
         assert len(calls) == 14
 
