@@ -19,17 +19,17 @@ from .student import (STUDENT_ORDER, TrainConfig, TrainingDiverged,
                       init_student, onehot_encode, train_student)
 from .teacher import TEACHER_ORDER, fit_teacher, predict_teacher
 
-# method -> (fit, order). Fits: "llm" closed-form teacher, "gd" student by
-# gradient training, "kd"/"dkd" teacher distilled into a student.
-_METHODS = {"teacher-only": ("llm", TEACHER_ORDER),
-            "student-only": ("gd", STUDENT_ORDER),
-            "distill-kd": ("kd", STUDENT_ORDER),
-            "distill-dkd": ("dkd", STUDENT_ORDER),
-            **{f"tsk-order-{order}-{fit}": (fit, order)
-               for order in range(MAX_ORDER + 1) for fit in ("llm", "gd")}}
-# fit -> the candidate keys its grid search enumerates
-_SEARCHED = {"llm": ("K",), "gd": ("K",), "kd": ("K", "tau", "lam", "phi"),
-             "dkd": ("K", "tau", "zeta", "lam", "phi")}
+# method -> (teacher order or None, student loss or None, student order,
+# searched keys). Loss "ce" fits the labels; "kd"/"dkd" distil the teacher.
+_METHODS = {"teacher-only": (TEACHER_ORDER, None, None, ("K",)),
+            "student-only": (None, "ce", STUDENT_ORDER, ("K",)),
+            "distill-kd": (TEACHER_ORDER, "kd", STUDENT_ORDER,
+                           ("K", "tau", "lam", "phi")),
+            "distill-dkd": (TEACHER_ORDER, "dkd", STUDENT_ORDER,
+                            ("K", "tau", "zeta", "lam", "phi")),
+            **{f"tsk-order-{n}-{fit}": row for n in range(MAX_ORDER + 1)
+               for fit, row in (("llm", (n, None, None, ("K",))),
+                                ("gd", (None, "ce", n, ("K",))))}}
 # candidate key -> (GridSpec field of its candidates, DistillConfig field)
 _KEYS = {"K": ("rule_counts", None),
          "tau": ("temperatures", "temperature"),
@@ -168,14 +168,17 @@ def _rb_seed(seed: int, fold: int, student_side: bool) -> int:
     return (seed * 1_000_003 + fold * 101 + (0 if student_side else 7)) % 2**31
 
 
-def _parse_method(method: str) -> tuple[str, int]:
+def _row(method: str) -> tuple:
     if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}")
+        raise ValueError(f"unknown method {method!r}; the methods are "
+                         f"{', '.join(sorted(_METHODS))}")
     return _METHODS[method]
 
 
 def candidates(method: str, grid: GridSpec) -> list[dict]:
-    keys = _SEARCHED[_parse_method(method)[0]]
+    """The method's grid-search candidates: one dict per combination of
+    the GridSpec values of the searched keys in its row of _METHODS."""
+    keys = _row(method)[3]
     values = [getattr(grid, _KEYS[key][0]) for key in keys]
     return [dict(zip(keys, combo)) for combo in itertools.product(*values)]
 
@@ -185,21 +188,21 @@ def fit_candidates(method: str, group: list[dict], grid: GridSpec, X, y,
                    student_seed: int) -> list:
     """Fit one method's model on (X, y) for each candidate of one K.
 
-    grid supplies the fixed constants. A student's training settings are
-    checked for every candidate before the first fit, so a bad setting
-    costs no rule base or teacher fit. The rule bases are drawn with
-    teacher_seed and student_seed. The candidates share the rule bases, the
-    teacher fit and its logits, and the student's design matrix, and the
-    distilled students train together (distill_batch). Returns, per
-    candidate, (model, loss trace), the trace empty for a teacher, or the
-    TrainingDiverged that ended its fit. The harness fits through
-    _cross_validate; the CLI calls this directly for its one candidate.
+    The method's row of _METHODS says what is fit: a teacher of its order,
+    which is the model when the row has no student loss, and a student of
+    its order, trained on the labels ("ce") or on the teacher's logits
+    ("kd", "dkd") by distill_batch. grid supplies the fixed constants; a
+    student's settings are checked for every candidate before the first
+    fit. The candidates share the rule bases (drawn with teacher_seed and
+    student_seed), the teacher fit and its logits and the student's design
+    matrix. Returns, per candidate, (model, loss trace), the trace empty
+    for a teacher, or the TrainingDiverged that ended its fit.
     """
-    fit, order = _parse_method(method)
+    teacher_order, loss, order, _ = _row(method)
     if len({params["K"] for params in group}) != 1:
         raise ValueError("the candidates must share one rule count K")
-    config = TrainConfig if fit == "gd" else DistillConfig
-    cfgs = [] if fit == "llm" else [
+    config = TrainConfig if loss == "ce" else DistillConfig
+    cfgs = [] if loss is None else [
         config(grid.lr, grid.max_epochs, grid.tol,
                **{_KEYS[key][1]: v for key, v in params.items() if key != "K"})
         for params in group]
@@ -208,20 +211,20 @@ def fit_candidates(method: str, group: list[dict], grid: GridSpec, X, y,
     def rule_base(seed):
         return build_rule_base(group[0]["K"], X.shape[1], grid.width, seed)
 
-    if fit == "llm":  # K is a teacher's only key: the fits are all the same
-        return [(fit_teacher(rule_base(teacher_seed), X, y.astype(float),
-                             grid.reg, class_labels, order), [])] * len(group)
+    if teacher_order is not None:
+        tm = fit_teacher(rule_base(teacher_seed), X, y.astype(float),
+                         grid.reg, class_labels, teacher_order)
+        if loss is None:  # K is a teacher's only key: one fit serves all
+            return [(tm, [])] * len(group)
     sm = init_student(rule_base(student_seed), n_classes, order)
     Y = onehot_encode(y, n_classes)
-    if fit == "gd":
+    if loss == "ce":
         try:
             fitted = train_student(sm, X, Y, cfgs[0])
         except TrainingDiverged as exc:
             fitted = exc
         return [fitted] * len(group)
-    tm = fit_teacher(rule_base(teacher_seed), X, y.astype(float), grid.reg,
-                     class_labels)
-    kd_weights = [params["lam"] for params in group] if fit == "kd" else None
+    kd_weights = [params["lam"] for params in group] if loss == "kd" else None
     return distill_batch(teacher_logits(predict_teacher(tm, X), class_labels),
                          sm, X, Y, cfgs, kd_weights)
 

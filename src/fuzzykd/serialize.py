@@ -28,12 +28,19 @@ def _rule_base_record(rb: RuleBase) -> dict:
             "centers": rb.centers.tolist(), "widths": rb.widths.tolist()}
 
 
+def _check_outputs(model: TSKModel, version: int) -> TSKModel:
+    """The model, if a file holds it: a teacher (reg set) has one output, a
+    student (reg None) two or more. save_model and load_model both check."""
+    if (model.reg is None) == (model.coeffs.shape[1] == 1):
+        raise ValueError(f"version {version} cannot hold a model with reg="
+                         f"{model.reg} and {model.coeffs.shape[1]} outputs")
+    return model
+
+
 def save_model(model, path) -> None:
     if not isinstance(model, TSKModel):
         raise TypeError(f"cannot serialize {type(model).__name__}")
-    if (model.reg is None) == (model.coeffs.shape[1] == 1):
-        raise ValueError(f"version {VERSION} cannot hold a model with reg="
-                         f"{model.reg} and {model.coeffs.shape[1]} outputs")
+    _check_outputs(model, VERSION)
     coeffs = {"shape": list(model.coeffs.shape),
               "hex": np.asarray(model.coeffs, "<f8").tobytes().hex()}
     if model.reg is None:
@@ -87,15 +94,15 @@ def load_model(path) -> TSKModel:
         rb = RuleBase(np.array(record["rule_base"]["centers"]),
                       np.array(record["rule_base"]["widths"]))
         if kind == "teacher":
-            return TSKModel(rb, _decode_coeffs(record, version),
-                            record["order"],
-                            np.array(record["class_labels"]), record["reg"])
+            return _check_outputs(TSKModel(
+                rb, _decode_coeffs(record, version), record["order"],
+                np.array(record["class_labels"]), record["reg"]), version)
         if kind == "student":
             # a float count would pass np.arange: check it first
             _check_count(record["n_classes"], "n_classes", 2)
-            return TSKModel(rb, _decode_coeffs(record, version),
-                            record["order"],
-                            np.arange(record["n_classes"], dtype=float))
+            return _check_outputs(TSKModel(
+                rb, _decode_coeffs(record, version), record["order"],
+                np.arange(record["n_classes"], dtype=float)), version)
     except KeyError as exc:
         raise ValueError(f"{path}: model record has no key {exc}") from None
     except (TypeError, ValueError) as exc:

@@ -276,6 +276,15 @@ def test_label_column_out_of_range_exits_nonzero(iris_csv, capsys):
     assert "label column 5 is out of range for 5 columns" in err
 
 
+def test_unknown_method_lists_the_methods(iris_csv, capsys):
+    rc = main(["evaluate", "--data", iris_csv, "--method", "foo"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fuzzykd: error: unknown method 'foo'; the methods "
+                          "are distill-dkd, distill-kd, student-only, ")
+    assert err.endswith(", tsk-order-3-gd, tsk-order-3-llm\n")
+
+
 def test_unparseable_csv_exits_2(tmp_path, capsys):
     path = tmp_path / "big.csv"
     path.write_text("1,2,0\n3,\"" + "x" * 131_073 + "\",1\n")

@@ -1,9 +1,9 @@
 """Golden reports: the grid search's `--no-time` output is pinned.
 
 Each report is run_method on a bundled dataset with a two-K coarse grid
-(16 distill-dkd or 16 distill-kd candidates, or the 2 student-only or
-teacher-only ones, 3 outer folds, so every outer fold runs the inner
-search), formatted without wall times. The distill text was recorded at
+(16 distill-dkd or 16 distill-kd candidates, or the 2 K values of a
+method with no other searched key, 3 outer folds, so every outer fold
+runs the inner search), formatted without wall times. The distill text was recorded at
 commit cc7a0c1, where each candidate was fit on its own, so it does not
 come from the lock-step engine it checks. The student-only text was
 recorded at commit eba8639, where a one-candidate fit ran through its own
@@ -14,7 +14,10 @@ their own fit-and-predict step, before the three shared one. The two-class
 reports (iris-2: iris classes 1 and 2, relabelled 0/1) were recorded at
 commit cadb0ed, where the decoupled loss still skipped its non-target term
 by a two-class branch, before that term ran the same path at every class
-count.
+count. The eight tsk-order-N-llm and tsk-order-N-gd reports on iris were
+recorded at commit 6933019, where fit_candidates still branched on four
+fit names (llm, gd, kd, dkd) and wrote the teacher fit twice, before a
+method became one row of a table.
 """
 from dataclasses import replace
 
@@ -147,6 +150,86 @@ GOLDEN = {
         "aggregate dataset=wine method=teacher-only seed=2 "
         "acc_mean=0.943879473 acc_std=0.035107134 wf_mean=0.943702993 "
         "wf_std=0.035307435 rules_mean=8.0000 failed=0\n"),
+    ("tsk-order-0-gd", "iris"): (
+        "fold dataset=iris method=tsk-order-0-gd seed=2 fold=0 params=K:4 "
+        "acc=0.980000000 wf=0.979963134 rules=4\n"
+        "fold dataset=iris method=tsk-order-0-gd seed=2 fold=1 params=K:4 "
+        "acc=0.920000000 wf=0.920000000 rules=4\n"
+        "fold dataset=iris method=tsk-order-0-gd seed=2 fold=2 params=K:4 "
+        "acc=0.980000000 wf=0.979982684 rules=4\n"
+        "aggregate dataset=iris method=tsk-order-0-gd seed=2 "
+        "acc_mean=0.960000000 acc_std=0.034641016 wf_mean=0.959981939 "
+        "wf_std=0.034625376 rules_mean=4.0000 failed=0\n"),
+    ("tsk-order-0-llm", "iris"): (
+        "fold dataset=iris method=tsk-order-0-llm seed=2 fold=0 params=K:8 "
+        "acc=0.940000000 wf=0.939328984 rules=8\n"
+        "fold dataset=iris method=tsk-order-0-llm seed=2 fold=1 params=K:4 "
+        "acc=0.920000000 wf=0.919555556 rules=4\n"
+        "fold dataset=iris method=tsk-order-0-llm seed=2 fold=2 params=K:8 "
+        "acc=0.980000000 wf=0.979982684 rules=8\n"
+        "aggregate dataset=iris method=tsk-order-0-llm seed=2 "
+        "acc_mean=0.946666667 acc_std=0.030550505 wf_mean=0.946289075 "
+        "wf_std=0.030808953 rules_mean=6.6667 failed=0\n"),
+    ("tsk-order-1-gd", "iris"): (
+        "fold dataset=iris method=tsk-order-1-gd seed=2 fold=0 params=K:4 "
+        "acc=0.960000000 wf=0.959777778 rules=4\n"
+        "fold dataset=iris method=tsk-order-1-gd seed=2 fold=1 params=K:4 "
+        "acc=0.940000000 wf=0.939889401 rules=4\n"
+        "fold dataset=iris method=tsk-order-1-gd seed=2 fold=2 params=K:4 "
+        "acc=1.000000000 wf=1.000000000 rules=4\n"
+        "aggregate dataset=iris method=tsk-order-1-gd seed=2 "
+        "acc_mean=0.966666667 acc_std=0.030550505 wf_mean=0.966555726 "
+        "wf_std=0.030623136 rules_mean=4.0000 failed=0\n"),
+    ("tsk-order-1-llm", "iris"): (
+        "fold dataset=iris method=tsk-order-1-llm seed=2 fold=0 params=K:4 "
+        "acc=0.980000000 wf=0.980000000 rules=4\n"
+        "fold dataset=iris method=tsk-order-1-llm seed=2 fold=1 params=K:4 "
+        "acc=0.940000000 wf=0.939889401 rules=4\n"
+        "fold dataset=iris method=tsk-order-1-llm seed=2 fold=2 params=K:4 "
+        "acc=1.000000000 wf=1.000000000 rules=4\n"
+        "aggregate dataset=iris method=tsk-order-1-llm seed=2 "
+        "acc_mean=0.973333333 acc_std=0.030550505 wf_mean=0.973296467 "
+        "wf_std=0.030610849 rules_mean=4.0000 failed=0\n"),
+    ("tsk-order-2-gd", "iris"): (
+        "fold dataset=iris method=tsk-order-2-gd seed=2 fold=0 params=K:4 "
+        "acc=0.960000000 wf=0.959777778 rules=4\n"
+        "fold dataset=iris method=tsk-order-2-gd seed=2 fold=1 params=K:4 "
+        "acc=0.940000000 wf=0.939889401 rules=4\n"
+        "fold dataset=iris method=tsk-order-2-gd seed=2 fold=2 params=K:4 "
+        "acc=1.000000000 wf=1.000000000 rules=4\n"
+        "aggregate dataset=iris method=tsk-order-2-gd seed=2 "
+        "acc_mean=0.966666667 acc_std=0.030550505 wf_mean=0.966555726 "
+        "wf_std=0.030623136 rules_mean=4.0000 failed=0\n"),
+    ("tsk-order-2-llm", "iris"): (
+        "fold dataset=iris method=tsk-order-2-llm seed=2 fold=0 params=K:4 "
+        "acc=0.980000000 wf=0.980000000 rules=4\n"
+        "fold dataset=iris method=tsk-order-2-llm seed=2 fold=1 params=K:4 "
+        "acc=0.940000000 wf=0.939889401 rules=4\n"
+        "fold dataset=iris method=tsk-order-2-llm seed=2 fold=2 params=K:8 "
+        "acc=1.000000000 wf=1.000000000 rules=8\n"
+        "aggregate dataset=iris method=tsk-order-2-llm seed=2 "
+        "acc_mean=0.973333333 acc_std=0.030550505 wf_mean=0.973296467 "
+        "wf_std=0.030610849 rules_mean=5.3333 failed=0\n"),
+    ("tsk-order-3-gd", "iris"): (
+        "fold dataset=iris method=tsk-order-3-gd seed=2 fold=0 params=K:4 "
+        "acc=0.960000000 wf=0.959777778 rules=4\n"
+        "fold dataset=iris method=tsk-order-3-gd seed=2 fold=1 params=K:4 "
+        "acc=0.940000000 wf=0.939889401 rules=4\n"
+        "fold dataset=iris method=tsk-order-3-gd seed=2 fold=2 params=K:4 "
+        "acc=0.980000000 wf=0.979963134 rules=4\n"
+        "aggregate dataset=iris method=tsk-order-3-gd seed=2 "
+        "acc_mean=0.960000000 acc_std=0.020000000 wf_mean=0.959876771 "
+        "wf_std=0.020037050 rules_mean=4.0000 failed=0\n"),
+    ("tsk-order-3-llm", "iris"): (
+        "fold dataset=iris method=tsk-order-3-llm seed=2 fold=0 params=K:4 "
+        "acc=0.980000000 wf=0.980000000 rules=4\n"
+        "fold dataset=iris method=tsk-order-3-llm seed=2 fold=1 params=K:4 "
+        "acc=0.960000000 wf=0.959777778 rules=4\n"
+        "fold dataset=iris method=tsk-order-3-llm seed=2 fold=2 params=K:4 "
+        "acc=1.000000000 wf=1.000000000 rules=4\n"
+        "aggregate dataset=iris method=tsk-order-3-llm seed=2 "
+        "acc_mean=0.980000000 acc_std=0.020000000 wf_mean=0.979925926 "
+        "wf_std=0.020111213 rules_mean=4.0000 failed=0\n"),
 }
 
 # sweep("lambda") on wine at K 4 over the default six lambda candidates,

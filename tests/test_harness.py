@@ -124,8 +124,27 @@ class TestRunMethod:
         assert rep.n_failed() == 0
 
     def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="unknown method"):
+        known = ("distill-dkd, distill-kd, student-only, teacher-only, "
+                 "tsk-order-0-gd, tsk-order-0-llm, tsk-order-1-gd, "
+                 "tsk-order-1-llm, tsk-order-2-gd, tsk-order-2-llm, "
+                 "tsk-order-3-gd, tsk-order-3-llm")
+        with pytest.raises(ValueError) as exc:
             run_method("distill-xyz", toy_dataset(), GridSpec.fixed(), 0)
+        assert str(exc.value) == ("unknown method 'distill-xyz'; the "
+                                  f"methods are {known}")
+
+    @pytest.mark.parametrize("alias, method", [
+        ("teacher-only", "tsk-order-3-llm"),
+        ("student-only", "tsk-order-1-gd")])
+    def test_alias_reports_match(self, alias, method):
+        # the README names these pairs as one method under two names
+        ds = load_bundled("iris")
+        grid = GridSpec.coarse(rule_counts=(2, 3), folds=3, max_epochs=10)
+        reports = [format_report([run_method(m, ds, grid, 1, "iris")],
+                                 include_time=False) for m in (alias, method)]
+        assert reports[0].count(f" method={alias} ") == 4
+        assert reports[0].replace(f" method={alias} ",
+                                  f" method={method} ") == reports[1]
 
     def test_aggregates_match_raw_records(self):
         ds = toy_dataset(seed=5)

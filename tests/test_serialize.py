@@ -287,10 +287,18 @@ def _set_hex(r: dict, hex_digits: str) -> None:
                                 "hex": "0" * 16 + INF_BYTES}),
      "malformed model record (non-finite value inf in coeffs at row 2, "
      "column 1)"),
+    # records save_model refuses to write: the two-class student read as a
+    # teacher, and a student of one output column
+    (lambda r: r.update(kind="teacher", reg=100.0, class_labels=[0, 1]),
+     "malformed model record (version 2 cannot hold a model with reg=100.0 "
+     "and 2 outputs)"),
+    (lambda r: r["coeffs"].update(shape=[2, 1], hex=r["coeffs"]["hex"][:32]),
+     "malformed model record (version 2 cannot hold a model with reg=None "
+     "and 1 outputs)"),
 ], ids=["non-hex digit", "short hex", "shape needs fewer bytes",
         "one-number shape", "float in shape", "text shape", "negative shape",
         "shape off the rule base", "no hex", "version-1 coeffs", "nan coeff",
-        "teacher inf coeff"])
+        "teacher inf coeff", "teacher of 2 outputs", "student of 1 output"])
 def test_malformed_version_two_record_named(tmp_path, edit, message):
     path = tmp_path / "model.json"
     save_model(init_student(build_rule_base(1, 1, seed=0), 2), path)
