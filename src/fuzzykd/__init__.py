@@ -3,7 +3,8 @@
 from .basis import basis_dim, basis_labels, expand_basis, stack_design_matrix
 from .data import (Dataset, FoldPlan, load_bundled, load_csv, normalize,
                    stratified_folds)
-from .distill import DistillConfig, distill, distill_batch, teacher_logits
+from .distill import (DistillConfig, distill, distill_batch, teacher_logits,
+                      train_student)
 from .harness import (GridSpec, MethodReport, accuracy, format_report,
                       rule_readout, run_method, sweep, weighted_f)
 from .rules import (PARTITION, PARTITION_LABELS, RuleBase, TSKModel,
@@ -11,7 +12,7 @@ from .rules import (PARTITION, PARTITION_LABELS, RuleBase, TSKModel,
                     predict_outputs)
 from .serialize import load_model, save_model
 from .student import (TrainConfig, TrainingDiverged, init_student,
-                      onehot_encode, predict_student, train_student)
+                      onehot_encode, predict_student)
 from .teacher import fit_teacher, predict_teacher
 
 __version__ = "0.1.0"

@@ -18,8 +18,9 @@ import numpy as np
 from .basis import MAX_ORDER
 from .data import load_csv, normalize
 from .distill import trace_lines
-from .harness import (SWEEP_PARAMETERS, GridSpec, candidates, fit_candidates,
-                      format_report, run_method, rule_readout, sweep)
+from .harness import (_METHODS, SWEEP_PARAMETERS, GridSpec, candidates,
+                      fit_candidates, format_report, run_method, rule_readout,
+                      sweep)
 from .serialize import load_model, save_model
 from .student import STUDENT_ORDER, _sole
 from .teacher import TEACHER_ORDER, predict_teacher
@@ -72,8 +73,7 @@ def _add_distill(p):
 
 def _add_report(p):
     p.add_argument("--method", default="distill-dkd",
-                   help="teacher-only, student-only, distill-kd, "
-                        "distill-dkd, tsk-order-N-llm or tsk-order-N-gd")
+                   help="one of " + ", ".join(sorted(_METHODS)))
     _flag(p, "folds", int, _FIXED.folds)
     p.add_argument("--global-normalize", action="store_true")
     p.add_argument("--no-time", action="store_true",

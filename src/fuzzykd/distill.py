@@ -7,9 +7,10 @@ _soft_labels, at each candidate's temperature, in one stacked pass with the
 non-target and temperature-1 softmaxes; the KL between the two splits
 exactly into a target/non-target binary KL plus the teacher's non-target
 mass times the KL among non-target classes. The loss reweights
-the two parts and adds the cross-entropy against the ground truth. Coupled
-KD is the same loss with per-sample non-target weights, so one closure
-trains both and DistillConfig alone checks the weights.
+the two parts and adds the cross-entropy against the ground truth. One
+closure trains every student: coupled KD is the loss at per-sample
+non-target weights, the plain student (train_student) at zeta = lam = 0,
+phi = 1, and DistillConfig alone checks the weights.
 """
 from __future__ import annotations
 
@@ -50,6 +51,10 @@ class DistillConfig(TrainConfig):
                 raise ValueError(f"{name} must be finite and non-negative")
         if self.target_weight == 0 and self.ce_weight == 0 and not lam.any():
             raise ValueError("at least one loss weight must be non-zero")
+
+
+# DistillConfig weights of the plain cross-entropy loss
+_CE_ONLY = {"target_weight": 0.0, "non_target_weight": 0.0, "ce_weight": 1.0}
 
 
 def teacher_logits(y_teacher: np.ndarray,
@@ -199,6 +204,23 @@ def distill(teacher_out: np.ndarray, sm: TSKModel, X: np.ndarray,
     return _sole(distill_batch(teacher_logits(teacher_out, labels), sm,
                                X, y_onehot, [cfg],
                                None if kd_weight is None else [kd_weight]))
+
+
+def train_student(sm: TSKModel, X: np.ndarray, y_onehot: np.ndarray,
+                  cfg: TrainConfig) -> tuple[TSKModel, list[dict]]:
+    """Train on the total softmax cross-entropy (see gradient_descent_batch).
+
+    The one-config case of distill_batch at weights zeta = lam = 0, phi = 1
+    (cfg gives lr, max_epochs and tol), with the labels as the teacher's
+    logits: at zero weight they change no bit of the fit. Returns the
+    trained model and the per-epoch loss trace; each entry has the epoch
+    index, the optimized total and the per-sample mean cross-entropy "h".
+    """
+    Y = np.atleast_2d(y_onehot)
+    cfg = DistillConfig(cfg.lr, cfg.max_epochs, cfg.tol, **_CE_ONLY)
+    sm, trace = _sole(distill_batch(Y, sm, X, Y, [cfg]))
+    return sm, [{key: row[key] for key in ("epoch", "total", "h")}
+                for row in trace]
 
 
 def distill_batch(logits: np.ndarray, sm: TSKModel, X: np.ndarray,

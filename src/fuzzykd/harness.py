@@ -12,11 +12,11 @@ import numpy as np
 
 from .basis import MAX_ORDER, basis_labels, expand_basis, monomial_map
 from .data import Dataset, _check_count, normalize, stratified_folds
-from .distill import DistillConfig, distill_batch, teacher_logits
+from .distill import _CE_ONLY, DistillConfig, distill_batch, teacher_logits
 from .rules import (PARTITION, PARTITION_LABELS, TSKModel, build_rule_base,
                     predict_class, predict_classes)
 from .student import (STUDENT_ORDER, TrainConfig, TrainingDiverged,
-                      init_student, onehot_encode, train_student)
+                      init_student, onehot_encode)
 from .teacher import TEACHER_ORDER, fit_teacher, predict_teacher
 
 # method -> (teacher order or None, student loss or None, student order,
@@ -190,21 +190,22 @@ def fit_candidates(method: str, group: list[dict], grid: GridSpec, X, y,
 
     The method's row of _METHODS says what is fit: a teacher of its order,
     which is the model when the row has no student loss, and a student of
-    its order, trained on the labels ("ce") or on the teacher's logits
-    ("kd", "dkd") by distill_batch. grid supplies the fixed constants; a
-    student's settings are checked for every candidate before the first
-    fit. The candidates share the rule bases (drawn with teacher_seed and
-    student_seed), the teacher fit and its logits and the student's design
-    matrix. Returns, per candidate, (model, loss trace), the trace empty
-    for a teacher, or the TrainingDiverged that ended its fit.
+    its order, trained by distill_batch on the teacher's logits ("kd",
+    "dkd") or on the labels ("ce", at train_student's weights and logits).
+    grid supplies the fixed constants; a student's settings are checked for
+    every candidate before the first fit. The candidates share the rule
+    bases (drawn with teacher_seed and student_seed), the teacher fit and
+    its logits and the student's design matrix. Returns, per candidate,
+    (model, loss trace), the trace empty for a teacher, or the
+    TrainingDiverged that ended its fit.
     """
     teacher_order, loss, order, _ = _row(method)
     if len({params["K"] for params in group}) != 1:
         raise ValueError("the candidates must share one rule count K")
-    config = TrainConfig if loss == "ce" else DistillConfig
+    fixed = _CE_ONLY if loss == "ce" else {}
     cfgs = [] if loss is None else [
-        config(grid.lr, grid.max_epochs, grid.tol,
-               **{_KEYS[key][1]: v for key, v in params.items() if key != "K"})
+        DistillConfig(grid.lr, grid.max_epochs, grid.tol, **fixed, **{
+            _KEYS[key][1]: v for key, v in params.items() if key != "K"})
         for params in group]
     class_labels = np.arange(n_classes, dtype=float)
 
@@ -218,15 +219,10 @@ def fit_candidates(method: str, group: list[dict], grid: GridSpec, X, y,
             return [(tm, [])] * len(group)
     sm = init_student(rule_base(student_seed), n_classes, order)
     Y = onehot_encode(y, n_classes)
-    if loss == "ce":
-        try:
-            fitted = train_student(sm, X, Y, cfgs[0])
-        except TrainingDiverged as exc:
-            fitted = exc
-        return [fitted] * len(group)
+    logits = (Y if loss == "ce" else
+              teacher_logits(predict_teacher(tm, X), class_labels))
     kd_weights = [params["lam"] for params in group] if loss == "kd" else None
-    return distill_batch(teacher_logits(predict_teacher(tm, X), class_labels),
-                         sm, X, Y, cfgs, kd_weights)
+    return distill_batch(logits, sm, X, Y, cfgs, kd_weights)
 
 
 def _cross_validate(method: str, points: list[dict], grid: GridSpec,
@@ -279,11 +275,17 @@ def _select_params(method, candidates, grid, Xtr, ytr, n_classes, seed, fold):
     The inner fits use the outer fold's rule bases. A fit that diverged
     scores 0 on its inner fold; only accuracy is computed. Candidates are
     enumerated smallest-K-then-smallest-temperature first, and the first
-    of equal scores wins, so ties resolve toward the simpler model.
+    of equal scores wins, so ties resolve toward the simpler model. A
+    split too small for three folds is an error that names the outer fold.
     """
     if len(candidates) == 1:
         return candidates[0]
-    inner = stratified_folds(ytr, 3, seed=seed * 7919 + fold)
+    try:
+        inner = stratified_folds(ytr, 3, seed=seed * 7919 + fold)
+    except ValueError as exc:
+        raise ValueError(f"outer fold {fold}: the inner 3-fold search cannot "
+                         f"split its {len(ytr)} training rows into 3 "
+                         f"folds") from exc
     splits = ((fold, Xtr[tr], ytr[tr], Xtr[te], ytr[te])
               for tr, te in map(inner.split, range(inner.k)))
     accs = [[0.0 if isinstance(pred, TrainingDiverged)

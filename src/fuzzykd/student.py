@@ -1,22 +1,22 @@
 """Low-order TSK student: linear consequents trained by a quasi-Newton loop.
 
 The student maps the order-1 firing-weighted stacked design row x_h to C
-logits z = Q^T x_h and is trained full-batch on the softmax cross-entropy
-summed over samples, by limited-memory BFGS steps with Armijo
-backtracking. gradient_descent_batch is the one training loop: it fits a
-stack of candidates in lock step, and a single fit (train_student, distill)
-is a batch of one. The per-epoch trace additionally records the per-sample
-mean of each loss component for scale-free monitoring.
+logits z = Q^T x_h and is trained full-batch on a loss summed over
+samples, by limited-memory BFGS steps with Armijo backtracking.
+gradient_descent_batch is the one training loop: it fits a stack of
+candidates in lock step, and a single fit is a batch of one. The one loss
+is distill's decoupled loss; the plain cross-entropy fit (train_student)
+is its case zeta = lam = 0, phi = 1, so both live in distill.py.
 
-The training losses hold logits class-major, C x N per candidate: one row
-of N samples per class, so a softmax's max and sum over the few classes
-are elementwise passes over contiguous rows (_softmax_lse), and each loss
+The loss holds logits class-major, C x N per candidate: one row of N
+samples per class, so a softmax's max and sum over the few classes are
+elementwise passes over contiguous rows (_softmax_lse), and each loss term
 is a log-sum-exp minus linear terms, with no clamped log.
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import daxpy, ddot
@@ -112,7 +112,7 @@ def _training_data(sm: TSKModel, X: np.ndarray, y_onehot: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Design matrix of X, checked N x C one-hot targets, their indices.
 
-    The training losses check nothing per call, so targets are validated
+    The training loss checks nothing per call, so targets are validated
     here, once per fit.
     """
     Xh = design_matrix(sm, X)
@@ -135,7 +135,7 @@ def _finite_logits(XhT: np.ndarray, Q: np.ndarray
     XhT is the transposed design matrix. np.matmul takes one gemm per
     candidate, so a candidate's logits do not depend on the batch. A
     non-finite point or an overflowing product gives non-finite logits;
-    such a candidate's logits are set to 0 and the training losses give it
+    such a candidate's logits are set to 0 and the training loss gives it
     total inf, so its fit ends with TrainingDiverged. Its product's
     floating-point warnings say nothing more and are not raised.
     """
@@ -177,7 +177,7 @@ def gradient_descent_batch(Q0, loss_grad, cfg: TrainConfig) -> list:
     by that cap keeps the last accepted point. A non-finite total ends the
     fit with TrainingDiverged(epoch); other errors propagate. Trial points
     are not checked: loss_grad must give a non-finite total at a
-    non-finite point, as the training losses do through _finite_logits.
+    non-finite point, as the training loss does through _finite_logits.
 
     Returns, per candidate, (Q, trace) or the TrainingDiverged that ended
     its fit, stored without its traceback so that no frame cycle keeps the
@@ -274,30 +274,3 @@ def _lbfgs_direction(g, pairs):
     for (s, y, rho), a in zip(pairs, reversed(alphas)):
         daxpy(s, q, a=a - rho * ddot(y, q))
     return -q
-
-
-def train_student(sm: TSKModel, X: np.ndarray, y_onehot: np.ndarray,
-                  cfg: TrainConfig) -> tuple[TSKModel, list[dict]]:
-    """Train on the total softmax cross-entropy (see gradient_descent_batch).
-
-    Each sample's cross-entropy is the log-sum-exp of its logits minus its
-    target logit (_softmax_lse), as in distill's loss, so a distill fit at
-    weights zeta = lam = 0, phi = 1 equals this one bit for bit. Returns
-    the trained model and the per-epoch loss trace; each entry has the
-    epoch index, the optimized total and the per-sample mean
-    cross-entropy "h".
-    """
-    Xh, Y, _ = _training_data(sm, X, y_onehot)
-    XhT, Yc = np.ascontiguousarray(Xh.T), np.ascontiguousarray(Y.T)
-    n = Xh.shape[0]
-
-    def loss_grad(Q, idx):
-        logits, overflow = _finite_logits(XhT, Q)
-        z_y = np.einsum("cn,bcn->bn", Yc, logits)
-        p, lse = _softmax_lse(logits[:, None])
-        h = (lse[:, 0] - z_y).sum(axis=1)
-        h[overflow] = np.inf
-        return h, np.matmul(p[:, 0] - Yc, Xh).transpose(0, 2, 1), {"h": h / n}
-
-    Q, trace = _sole(gradient_descent_batch(sm.coeffs[None], loss_grad, cfg))
-    return replace(sm, coeffs=Q), trace

@@ -285,6 +285,15 @@ def test_unknown_method_lists_the_methods(iris_csv, capsys):
     assert err.endswith(", tsk-order-3-gd, tsk-order-3-llm\n")
 
 
+@pytest.mark.parametrize("command", ["evaluate", "gridsearch"])
+def test_method_help_lists_the_methods(command):
+    # the help string itself: argparse wraps the printed text at hyphens
+    (sub,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    (action,) = [a for a in sub.choices[command]._actions
+                 if a.dest == "method"]
+    assert action.help == "one of " + ", ".join(sorted(harness._METHODS))
+
+
 def test_unparseable_csv_exits_2(tmp_path, capsys):
     path = tmp_path / "big.csv"
     path.write_text("1,2,0\n3,\"" + "x" * 131_073 + "\",1\n")
@@ -322,6 +331,21 @@ def test_gridsearch_report_same_in_one_process_and_two(iris_csv, capsys,
         assert main(argv) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+def test_too_small_inner_search_located(tmp_path, capsys, monkeypatch):
+    # outer fold 0 of 2 trains on 2 rows, too few for the inner 3 folds; in
+    # one process, fold 1's coarse search is not run
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    path = tmp_path / "five.csv"
+    path.write_text("0.1,0.2,a\n0.3,0.1,a\n0.5,0.9,b\n0.7,0.8,b\n"
+                    "0.2,0.5,c\n")
+    rc = main(["gridsearch", "--data", str(path), "--method", "distill-dkd",
+               "--folds", "2", "--no-time"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "fuzzykd: error: outer fold 0: the inner 3-fold search cannot split "
+        "its 2 training rows into 3 folds\n")
 
 
 def test_more_folds_than_rows_located(tmp_path, capsys):

@@ -11,11 +11,10 @@ from hypothesis import strategies as st
 
 from fuzzykd.data import load_bundled, normalize
 from fuzzykd.distill import (DistillConfig, distill, distill_batch,
-                             teacher_logits, trace_lines)
+                             teacher_logits, trace_lines, train_student)
 from fuzzykd.rules import TSKModel, build_rule_base
 from fuzzykd.student import (TrainConfig, TrainingDiverged, design_matrix,
-                             init_student, onehot_encode, predict_student,
-                             train_student)
+                             init_student, onehot_encode, predict_student)
 from fuzzykd.teacher import fit_teacher, predict_teacher
 
 from oracles import (class_major_rest, cross_entropy, dkd_loss, kd_loss,
@@ -192,6 +191,8 @@ def class_setup(seed=9, n=24, c=3):
 
 class TestDistill:
     def test_pure_ce_matches_train_student(self):
+        # train_student is this closure at these weights, with the labels
+        # as the teacher's logits: the teacher's own change no bit
         rb, X, y, labels, t_out = class_setup()
         sm = init_student(rb, 3)
         Y = onehot_encode(y, 3)
@@ -376,6 +377,8 @@ class TestDistill:
 
 class TestVanillaKd:
     def test_zero_weight_reduces_to_train_student(self):
+        # the same closure at train_student's weights: w = 0 must leave
+        # no trace of the teacher's logits or its target mass
         rb, X, y, labels, t_out = class_setup()
         sm = init_student(rb, 3)
         Y = onehot_encode(y, 3)

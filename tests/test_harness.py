@@ -19,8 +19,7 @@ from fuzzykd.harness import (GridSpec, accuracy, format_report,
                              rule_readout, run_method, sweep, weighted_f)
 from fuzzykd.rules import RuleBase, TSKModel, build_rule_base, predict_class
 from fuzzykd.student import (TrainingDiverged, init_student,
-                             onehot_encode, predict_student, train_student,
-                             TrainConfig)
+                             onehot_encode, predict_student, TrainConfig)
 from fuzzykd.teacher import fit_teacher
 
 
@@ -145,6 +144,24 @@ class TestRunMethod:
         assert reports[0].count(f" method={alias} ") == 4
         assert reports[0].replace(f" method={alias} ",
                                   f" method={method} ") == reports[1]
+
+    @pytest.mark.parametrize("method", sorted(harness._METHODS))
+    def test_row_fits_the_named_model(self, method):
+        # the golden reports of tsk-order-1-gd and tsk-order-2-gd on iris
+        # are equal, so only the model tells a row's order
+        named = {"teacher-only": 3, "student-only": 1, "distill-kd": 1,
+                 "distill-dkd": 1}
+        order = (named[method] if method in named
+                 else int(method.split("-")[2]))
+        teacher = method == "teacher-only" or method.endswith("-llm")
+        ds = toy_dataset(n_per_class=10)
+        grid = GridSpec.fixed(n_rules=2, max_epochs=5)
+        ((model, trace),) = harness.fit_candidates(
+            method, harness.candidates(method, grid)[:1], grid, ds.X, ds.y,
+            ds.n_classes, 0, 1)
+        assert model.order == order
+        assert model.reg == (grid.reg if teacher else None)
+        assert (trace == []) == teacher
 
     def test_aggregates_match_raw_records(self):
         ds = toy_dataset(seed=5)
@@ -419,6 +436,23 @@ class TestInnerSearch:
                           for _, yte, _, preds in inner], axis=0)
         assert scores[0] == 0.0 and scores[1] > 0.5
         assert picked is good
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_too_small_split_names_the_outer_fold(self, cpus, monkeypatch):
+        # outer fold 0 of 2 trains on 2 of these 5 rows
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        ds = Dataset(np.array([[0.1, 0.2], [0.3, 0.1], [0.5, 0.9],
+                               [0.7, 0.8], [0.2, 0.5]]),
+                     np.array([0, 0, 1, 1, 2]), 3)
+        grid = GridSpec.coarse(rule_counts=(1, 2), temperatures=(1,),
+                               non_target_weights=(1,), ce_weights=(1,),
+                               folds=2, max_epochs=5)
+        with pytest.raises(ValueError, match=r"^outer fold 0: the inner "
+                                             r"3-fold search cannot split "
+                                             r"its 2 training rows into 3 "
+                                             r"folds$"):
+            run_method("distill-dkd", ds, grid, 0)
+        assert multiprocessing.active_children() == []
 
 
 @pytest.fixture()
