@@ -38,12 +38,6 @@ def basis_dim(order: int, n_features: int) -> int:
     return d
 
 
-def expand_basis(x: np.ndarray, order: int) -> np.ndarray:
-    """Order-n consequent basis vector for a single sample."""
-    x = np.asarray(x, dtype=float).ravel()
-    return expand_matrix(x[None, :], order)[0]
-
-
 def expand_matrix(X: np.ndarray, order: int) -> np.ndarray:
     """Row-wise order-n basis for an N x m matrix; returns N x D(order, m)."""
     _check_count(order, "order", 0, MAX_ORDER)
@@ -189,16 +183,6 @@ def basis_adjoint(X: np.ndarray, W: np.ndarray, order: int) -> np.ndarray:
         lo, hi = mmap.prefix[i + 1], mmap.prefix[i]
         np.matmul(H[:hi - lo], X[:, i:i + 1] * W, out=out[lo:hi])
     return out[mmap.slot]
-
-
-def basis_labels(order: int, n_features: int) -> list[str]:
-    """Human-readable monomial names in basis order, for rule readout."""
-    _check_count(order, "order", 0, MAX_ORDER)
-    labels = ["1"]
-    for _ in range(order):
-        labels = ["1"] + [f"x{i + 1}" if prev == "1" else f"x{i + 1}*{prev}"
-                          for i in range(n_features) for prev in labels]
-    return labels
 
 
 def stack_design_matrix(firing: np.ndarray, X: np.ndarray,

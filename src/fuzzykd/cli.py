@@ -19,8 +19,8 @@ from .basis import MAX_ORDER
 from .data import load_csv, normalize
 from .distill import trace_lines
 from .harness import (_METHODS, SWEEP_PARAMETERS, GridSpec, candidates,
-                      fit_candidates, format_report, run_method, rule_readout,
-                      sweep)
+                      fit_candidates, format_report, run_method, sweep)
+from .rules import rule_readout
 from .serialize import load_model, save_model
 from .student import STUDENT_ORDER, _sole
 from .teacher import TEACHER_ORDER, predict_teacher

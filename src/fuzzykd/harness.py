@@ -1,4 +1,4 @@
-"""Cross-validated evaluation, grid search, parameter sweeps and rule readout."""
+"""Cross-validated evaluation, grid search and parameter sweeps."""
 from __future__ import annotations
 
 import itertools
@@ -10,11 +10,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import MAX_ORDER, basis_labels, expand_basis, monomial_map
+from .basis import MAX_ORDER
 from .data import Dataset, _check_count, normalize, stratified_folds
 from .distill import _CE_ONLY, DistillConfig, distill_batch, teacher_logits
-from .rules import (PARTITION, PARTITION_LABELS, TSKModel, build_rule_base,
-                    predict_class, predict_classes)
+from .rules import build_rule_base, predict_classes
 from .student import (STUDENT_ORDER, TrainConfig, TrainingDiverged,
                       init_student, onehot_encode)
 from .teacher import TEACHER_ORDER, fit_teacher, predict_teacher
@@ -268,24 +267,27 @@ def _record(fold: int, params: dict, pred, yte,
     return record
 
 
-def _select_params(method, candidates, grid, Xtr, ytr, n_classes, seed, fold):
-    """The candidate of highest mean inner 3-fold CV accuracy on the
-    training split.
-
-    The inner fits use the outer fold's rule bases. A fit that diverged
-    scores 0 on its inner fold; only accuracy is computed. Candidates are
-    enumerated smallest-K-then-smallest-temperature first, and the first
-    of equal scores wins, so ties resolve toward the simpler model. A
-    split too small for three folds is an error that names the outer fold.
-    """
-    if len(candidates) == 1:
-        return candidates[0]
+def _inner_folds(ytr, seed: int, fold: int):
+    """The inner 3-fold plan of an outer fold's training labels. A split
+    too small for three folds is an error that names the outer fold."""
     try:
-        inner = stratified_folds(ytr, 3, seed=seed * 7919 + fold)
+        return stratified_folds(ytr, 3, seed=seed * 7919 + fold)
     except ValueError as exc:
         raise ValueError(f"outer fold {fold}: the inner 3-fold search cannot "
                          f"split its {len(ytr)} training rows into 3 "
                          f"folds") from exc
+
+
+def _select_params(method, candidates, grid, Xtr, ytr, inner, n_classes,
+                   seed, fold):
+    """The candidate of highest mean inner CV accuracy on the training
+    split, over its inner fold plan (_inner_folds).
+
+    The inner fits use the outer fold's rule bases. A fit that diverged
+    scores 0 on its inner fold; only accuracy is computed. Candidates are
+    enumerated smallest-K-then-smallest-temperature first, and the first
+    of equal scores wins, so ties resolve toward the simpler model.
+    """
     splits = ((fold, Xtr[tr], ytr[tr], Xtr[te], ytr[te])
               for tr, te in map(inner.split, range(inner.k)))
     accs = [[0.0 if isinstance(pred, TrainingDiverged)
@@ -306,30 +308,31 @@ def run_method(method: str, ds: Dataset, grid: GridSpec, seed: int,
     time covers the final fit and prediction, not data handling, scoring
     or the inner search.
 
-    With more than one candidate, the outer folds' inner searches run in
-    parallel, in min(folds, usable CPUs) forked worker processes
-    (_search_workers), and only the chosen candidates come back. Every
-    search ends before the first final fit, so the final fits run and are
-    timed here with no search beside them. A search is a pure function of
-    its fold, so reports without time fields are byte-identical at every
-    worker count; restricting the process's CPU affinity to one CPU (e.g.
-    taskset -c 0) keeps the run in this process. Whole folds, evaluate (a
-    one-candidate grid) and sweep stay serial.
+    With more than one candidate, every outer fold's inner plan is made
+    and checked, in fold order, before any search starts, so a fold too
+    small to search fails at once. The searches then run in parallel, in
+    min(folds, usable CPUs) forked worker processes (_search_workers), and
+    only the chosen candidates come back. Every search ends before the
+    first final fit, so the final fits run and are timed here with no
+    search beside them. A search is a pure function of its fold, so
+    reports without time fields are byte-identical at every worker count;
+    restricting the process's CPU affinity to one CPU (e.g. taskset -c 0)
+    keeps the run in this process. Whole folds, evaluate (a one-candidate
+    grid, which has no search) and sweep stay serial.
     """
     points = candidates(method, grid)
     report = MethodReport(method, dataset_name, seed)
-
-    def search(split):
-        fold, Xtr, ytr = split[:3]
-        return method, points, grid, Xtr, ytr, ds.n_classes, seed, fold
-
     splits = _outer_folds(ds, grid, seed, global_normalize)
-    workers = _search_workers(grid.folds, len(points))
-    if workers == 1:  # a fold's split is made when it is searched
-        chosen = ((split, _select_params(*search(split))) for split in splits)
+    if len(points) == 1:  # a fold's split is made when it is fit
+        chosen = ((split, points[0]) for split in splits)
     else:
         splits = list(splits)
-        chosen = zip(splits, _search_in_workers(workers, map(search, splits)))
+        searches = [(method, points, grid, Xtr, ytr,
+                     _inner_folds(ytr, seed, fold), ds.n_classes, seed, fold)
+                    for fold, Xtr, ytr, _, _ in splits]
+        workers = _search_workers(grid.folds, len(points))
+        chosen = zip(splits, map(_select_params, *zip(*searches))
+                     if workers == 1 else _search_in_workers(workers, searches))
     for split, params in chosen:
         for fold, yte, seconds, (pred,) in _cross_validate(
                 method, [params], grid, [split], ds.n_classes, seed):
@@ -445,43 +448,6 @@ def sweep(parameter: str, ds: Dataset, grid: GridSpec,
              "mean_accuracy": rep.mean_accuracy(),
              "std_accuracy": rep.std_accuracy()}
             for value, rep in zip(values, reports)]
-
-
-def _linguistic(center: float) -> str:
-    return PARTITION_LABELS[int(np.argmin(np.abs(PARTITION - center)))]
-
-
-def rule_readout(model, sample: np.ndarray) -> str:
-    """Linguistic IF/THEN dump of every rule, evaluated at one sample."""
-    if not isinstance(model, TSKModel):
-        raise TypeError(f"cannot explain {type(model).__name__}")
-    x = np.asarray(sample, dtype=float).ravel()
-    rb = model.rule_base
-    if x.size != rb.n_features:
-        raise ValueError("sample length must match the model's feature count")
-    # predicting first rejects a non-finite sample before any rule output
-    pred = predict_class(model, x[None, :])[0]
-    labels = basis_labels(model.order, rb.n_features)
-    bx = expand_basis(x, model.order)
-    blocks = model.coeffs.reshape(rb.n_rules, len(labels), -1)
-    # one term per distinct monomial, in the basis order of its first copy,
-    # whose label lists the factors in ascending order
-    mmap = monomial_map(model.order, rb.n_features)
-    first = mmap.by_slot[mmap.starts]
-    terms = [(s, labels[first[s]]) for s in np.argsort(first)]
-    lines = []
-    for k, block in enumerate(blocks):
-        lines.append(f"Rule {k + 1}:")
-        lines.append("IF:")
-        for i in range(rb.n_features):
-            lines.append(f"  feature {i + 1} is {_linguistic(rb.centers[k, i])}")
-        lines.append("THEN:")
-        for c, q in enumerate(block.T):
-            coef = model.monomial_coeffs[:, k * block.shape[1] + c]
-            expr = " + ".join(f"{coef[s]:.4f}*{label}" for s, label in terms)
-            lines.append(f"  output {c + 1} = {expr} = {float(bx @ q):.4f}")
-    lines.append(f"Predicted class: {pred:g}")
-    return "\n".join(lines)
 
 
 def format_report(reports: list[MethodReport],

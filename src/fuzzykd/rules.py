@@ -1,4 +1,5 @@
-"""Fuzzy rule bases, normalized firing strengths and the TSK model.
+"""Fuzzy rule bases, normalized firing strengths, the TSK model and its
+rule readout.
 
 A rule base holds, for each of K rules, a Gaussian center and kernel width
 per feature. Centers live on a fixed 5-point partition of [0, 1] so each
@@ -11,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import apply_monomials, basis_dim, fold_monomials
+from .basis import (_monomial_factors, apply_monomials, basis_dim,
+                    fold_monomials)
 from .data import _check_count, _check_finite
 
 PARTITION = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
@@ -216,3 +218,42 @@ def predict_classes(models: list[TSKModel], X: np.ndarray) -> list:
             nearest = np.abs(out - model.class_labels).argmin(axis=1)
             classes.append(model.class_labels[nearest])
     return classes
+
+
+def _linguistic(center: float) -> str:
+    return PARTITION_LABELS[int(np.argmin(np.abs(PARTITION - center)))]
+
+
+def rule_readout(model, sample: np.ndarray) -> str:
+    """Linguistic IF/THEN dump of every rule, evaluated at one sample.
+
+    A THEN part is read as prediction reads it, from
+    `TSKModel.monomial_coeffs`: one term per distinct monomial, in the
+    order of the ascending factor tuples (the basis order of each
+    monomial's first copy), and its value from one Horner step.
+    """
+    if not isinstance(model, TSKModel):
+        raise TypeError(f"cannot explain {type(model).__name__}")
+    x = np.asarray(sample, dtype=float).ravel()
+    rb = model.rule_base
+    if x.size != rb.n_features:
+        raise ValueError("sample length must match the model's feature count")
+    # predicting first rejects a non-finite sample before any rule output
+    pred = predict_class(model, x[None, :])[0]
+    C, c = model.monomial_coeffs, model.coeffs.shape[1]
+    values = apply_monomials(x[None, :], C, model.order)[0]
+    factors = _monomial_factors(model.order, rb.n_features)
+    terms = [(s, "*".join(f"x{i + 1}" for i in factors[s]) or "1")
+             for s in sorted(range(len(factors)), key=factors.__getitem__)]
+    lines = []
+    for k in range(rb.n_rules):
+        lines += [f"Rule {k + 1}:", "IF:"]
+        lines += [f"  feature {i + 1} is {_linguistic(center)}"
+                  for i, center in enumerate(rb.centers[k])]
+        lines.append("THEN:")
+        for j in range(c):
+            col = k * c + j
+            expr = " + ".join(f"{C[s, col]:.4f}*{label}" for s, label in terms)
+            lines.append(f"  output {j + 1} = {expr} = {values[col]:.4f}")
+    lines.append(f"Predicted class: {pred:g}")
+    return "\n".join(lines)

@@ -234,7 +234,11 @@ def _lbfgs(Q0, cfg: TrainConfig):
         slope = ddot(g, direction)
         step = 1.0 if pairs else cfg.lr
         while True:
-            trial = Q + step * direction.reshape(Q.shape)
+            # a non-finite point (lr = inf times a zero gradient entry)
+            # diverges at this epoch through the loss, so its floating-point
+            # warnings say nothing more (see _finite_logits)
+            with np.errstate(invalid="ignore", over="ignore"):
+                trial = Q + step * direction.reshape(Q.shape)
             t_total, t_grad, parts, j = yield trial
             if not np.isfinite(t_total):
                 raise TrainingDiverged(epoch)

@@ -119,6 +119,17 @@ def teacher_views(tsl: SoftLabelSet) -> tuple[np.ndarray, np.ndarray]:
             class_major_rest(tsl.non_target, tsl.target_index)[None])
 
 
+def basis_labels(order: int, n_features: int) -> list[str]:
+    """Names of the order-n basis's columns, in its order, from its
+    recursion b_0 = [1], b_n = [1, x_1 b_{n-1}, ..., x_m b_{n-1}]: x2*x1
+    is x_2 times the x1 column of b_{n-1}."""
+    labels = ["1"]
+    for _ in range(order):
+        labels = ["1"] + [f"x{i + 1}" if prev == "1" else f"x{i + 1}*{prev}"
+                          for i in range(n_features) for prev in labels]
+    return labels
+
+
 def basis_apply(X: np.ndarray, Q: np.ndarray, order: int) -> np.ndarray:
     """expand_matrix(X, order) @ Q through the monomial fold and one Horner
     step, as a model's prediction takes it; N x c."""

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzykd.basis import (basis_adjoint, basis_dim,
-                           basis_labels, expand_basis, expand_matrix,
+from fuzzykd.basis import (basis_adjoint, basis_dim, expand_matrix,
                            monomial_map, stack_design_matrix, _horner_rows)
 from fuzzykd.rules import build_rule_base, firing_strengths
 from fuzzykd.teacher import fit_teacher, predict_teacher
 
-from oracles import basis_apply
+from oracles import basis_apply, basis_labels
 
 
 class TestBasisDim:
@@ -37,36 +36,41 @@ class TestBasisDim:
 
 
 class TestExpandBasis:
+    """The order-n basis of one sample: expand_matrix on one row."""
+
     def test_order_zero_is_constant(self):
-        np.testing.assert_array_equal(expand_basis([3.0, 4.0], 0), [1.0])
+        np.testing.assert_array_equal(expand_matrix([[3.0, 4.0]], 0), [[1.0]])
 
     def test_order_one_prepends_one(self):
-        np.testing.assert_array_equal(expand_basis([2.0], 1), [1.0, 2.0])
+        np.testing.assert_array_equal(expand_matrix([[2.0]], 1), [[1.0, 2.0]])
 
     def test_order_two_scalar(self):
-        np.testing.assert_array_equal(expand_basis([2.0], 2), [1.0, 2.0, 4.0])
+        np.testing.assert_array_equal(expand_matrix([[2.0]], 2),
+                                      [[1.0, 2.0, 4.0]])
 
     def test_order_two_pair_with_redundant_cross_term(self):
         a, b = 1.7, -0.3
-        expected = [1, a, a * a, a * b, b, a * b, b * b]
-        np.testing.assert_allclose(expand_basis([a, b], 2), expected)
+        expected = [[1, a, a * a, a * b, b, a * b, b * b]]
+        np.testing.assert_allclose(expand_matrix([[a, b]], 2), expected)
 
     def test_order_out_of_range(self):
         with pytest.raises(ValueError, match="order"):
-            expand_basis([1.0], 4)
+            expand_matrix([[1.0]], 4)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 10), st.integers(0, 3), st.integers(0, 1000))
     def test_length_matches_dim(self, m, order, seed):
         x = np.random.default_rng(seed).normal(size=m)
-        assert expand_basis(x, order).size == basis_dim(order, m)
+        B = expand_matrix(x[None, :], order)
+        assert B.shape == (1, basis_dim(order, m))
 
     def test_matrix_matches_per_row(self):
         X = np.random.default_rng(0).normal(size=(6, 3))
         for order in range(4):
             B = expand_matrix(X, order)
             for i in range(6):
-                np.testing.assert_allclose(B[i], expand_basis(X[i], order))
+                np.testing.assert_allclose(B[i],
+                                           expand_matrix(X[i:i + 1], order)[0])
 
 
 class TestHornerProducts:
@@ -193,13 +197,15 @@ class TestMonomialMap:
 
 
 class TestBasisLabels:
+    """The label oracle the monomial-map tests read, against the basis."""
+
     def test_order_one_names(self):
         assert basis_labels(1, 2) == ["1", "x1", "x2"]
 
     def test_labels_align_with_values(self):
         x = np.array([2.0, 3.0])
         labels = basis_labels(2, 2)
-        values = expand_basis(x, 2)
+        values = expand_matrix(x[None, :], 2)[0]
         env = {"x1": 2.0, "x2": 3.0}
         for label, value in zip(labels, values):
             factors = [1.0 if f == "1" else env[f] for f in label.split("*")]
@@ -230,7 +236,7 @@ class TestStackDesignMatrix:
         stacked = stack_design_matrix(fm, X, 2)
         for n, hot in enumerate([0, 2, 1, 2]):
             block = stacked[n, hot * d:(hot + 1) * d]
-            np.testing.assert_allclose(block, expand_basis(X[n], 2))
+            np.testing.assert_allclose(block, expand_matrix(X[n:n + 1], 2)[0])
             rest = np.delete(stacked[n], np.arange(hot * d, (hot + 1) * d))
             assert (rest == 0).all()
 

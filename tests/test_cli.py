@@ -348,6 +348,21 @@ def test_too_small_inner_search_located(tmp_path, capsys, monkeypatch):
         "its 2 training rows into 3 folds\n")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_infinite_lr_at_a_zero_gradient_is_one_error_line(tmp_path, capsys):
+    # one order-0 rule on balanced classes: the first gradient is 0, and
+    # the first trial point, inf times 0, diverges at epoch 1
+    path = tmp_path / "six.csv"
+    path.write_text("0.1,0.2,a\n0.3,0.1,a\n0.5,0.9,b\n0.7,0.8,b\n"
+                    "0.2,0.5,a\n0.9,0.6,b\n")
+    rc = main(["train-student", "--data", str(path), "--order", "0",
+               "--rules", "1", "--lr", "inf",
+               "--out", str(tmp_path / "student.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == ("fuzzykd: error: training loss became "
+                                       "non-finite at epoch 1\n")
+
+
 def test_more_folds_than_rows_located(tmp_path, capsys):
     path = tmp_path / "six.csv"
     path.write_text("0.1,0.2,0\n0.2,0.1,0\n0.3,0.3,0\n"

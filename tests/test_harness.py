@@ -15,12 +15,16 @@ import pytest
 import fuzzykd.harness as harness
 import fuzzykd.rules as rules
 from fuzzykd.data import Dataset, load_bundled, normalize
-from fuzzykd.harness import (GridSpec, accuracy, format_report,
-                             rule_readout, run_method, sweep, weighted_f)
-from fuzzykd.rules import RuleBase, TSKModel, build_rule_base, predict_class
+from fuzzykd.basis import basis_dim
+from fuzzykd.harness import (GridSpec, accuracy, format_report, run_method,
+                             sweep, weighted_f)
+from fuzzykd.rules import (RuleBase, TSKModel, build_rule_base, predict_class,
+                           rule_readout)
 from fuzzykd.student import (TrainingDiverged, init_student,
                              onehot_encode, predict_student, TrainConfig)
 from fuzzykd.teacher import fit_teacher
+
+from oracles import basis_labels
 
 
 def toy_dataset(n_per_class=20, seed=0):
@@ -350,7 +354,8 @@ class TestInnerSearch:
         cands = harness.candidates("distill-dkd", grid)
         assert len(cands) == 16
         X, y, c = self.wine_split()
-        harness._select_params("distill-dkd", cands, grid, X, y, c, 0, 0)
+        harness._select_params("distill-dkd", cands, grid, X, y,
+                               harness._inner_folds(y, 0, 0), c, 0, 0)
         assert sorted(calls) == [2, 2, 2, 3, 3, 3]
 
     def test_firing_strengths_once_per_rule_count_and_split(self,
@@ -428,7 +433,9 @@ class TestInnerSearch:
         monkeypatch.setattr(harness, "_cross_validate", spy)
         with np.errstate(all="ignore"):
             picked = harness._select_params("distill-dkd", [bad, good],
-                                            grid, X, y, c, 0, 0)
+                                            grid, X, y,
+                                            harness._inner_folds(y, 0, 0),
+                                            c, 0, 0)
         assert len(inner) == 3
         # per inner fold, a diverged fit's accuracy counts as 0
         scores = np.mean([[0.0 if isinstance(pred, TrainingDiverged)
@@ -439,8 +446,14 @@ class TestInnerSearch:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_too_small_split_names_the_outer_fold(self, cpus, monkeypatch):
-        # outer fold 0 of 2 trains on 2 of these 5 rows
+        # outer fold 0 of 2 trains on 2 of these 5 rows; every fold's inner
+        # split is checked before any search, so no pool is started to
+        # wait on the other folds' searches
+        def no_pool(*args):
+            raise AssertionError("_search_in_workers called")
+
         monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(harness, "_search_in_workers", no_pool)
         ds = Dataset(np.array([[0.1, 0.2], [0.3, 0.1], [0.5, 0.9],
                                [0.7, 0.8], [0.2, 0.5]]),
                      np.array([0, 0, 1, 1, 2]), 3)
@@ -737,33 +750,32 @@ class TestRuleReadout:
             want = int(predict_student(sm, x[None, :])[0])
             assert text.strip().endswith(f"Predicted class: {want}")
 
-    def test_teacher_readout_has_scalar_consequent(self):
-        # one output per rule, printed in monomial form: one term per
-        # distinct monomial, C(5, 3) = 10 of the D(3, 2) = 15 basis terms,
-        # with the summed coefficients of its copies and its factors in
-        # ascending order; the value b(x) . q_k with the basis built here
-        # from its recursion b_0 = [1], b_n = [1, x (x) b_{n-1}]
-        rng = np.random.default_rng(1)
-        rb = build_rule_base(2, 2, seed=1)
-        X = rng.uniform(0, 1, (15, 2))
-        tm = fit_teacher(rb, X, rng.integers(0, 2, 15).astype(float), 100.0,
-                         np.array([0.0, 1.0]))
-        x = np.array([0.3, 0.7])
+    @staticmethod
+    def check_against_the_basis(model, x):
+        """model's readout at x against its basis, built here from the
+        recursion b_0 = [1], b_n = [1, x (x) b_{n-1}] and named by the
+        label oracle: rule k's output j is printed in monomial form, one
+        term per distinct monomial in the basis order of its first copy,
+        its factors in ascending order and its coefficient the sum of its
+        copies' in rows k*D..k*D+D-1 of column j; its value is b(x) . q."""
         b = np.ones(1)
-        labels = ["1"]
-        for _ in range(3):
+        for _ in range(model.order):
             b = np.concatenate([[1.0], np.outer(x, b).ravel()])
-            labels = ["1"] + [f"x{i}*{u}" for i in (1, 2) for u in labels]
-        lines = rule_readout(tm, x).splitlines()
+        labels = basis_labels(model.order, x.size)
+        d, c = b.size, model.coeffs.shape[1]
+        assert len(labels) == d
+        lines = rule_readout(model, x).splitlines()
         outputs = [line for line in lines if line.startswith("  output")]
-        assert len(outputs) == 2
-        for k, line in enumerate(outputs):
+        assert len(outputs) == model.rule_base.n_rules * c
+        for n, line in enumerate(outputs):
+            k, j = divmod(n, c)
             head, expr, value = line.split(" = ")
-            assert head == "  output 1"
-            q = tm.coeffs[:, 0][k * 15:(k + 1) * 15]
+            assert head == f"  output {j + 1}"
+            q = model.coeffs[k * d:(k + 1) * d, j]
             want = {}
             for label, a in zip(labels, q):
-                factors = sorted(f for f in label.split("*") if f != "1")
+                factors = sorted((f for f in label.split("*") if f != "1"),
+                                 key=lambda f: int(f[1:]))
                 key = "*".join(factors) or "1"
                 want[key] = want.get(key, 0.0) + a
             terms = [t.split("*", 1) for t in expr.split(" + ")]
@@ -771,6 +783,26 @@ class TestRuleReadout:
             for a, label in terms:
                 assert float(a) == pytest.approx(want[label], abs=5.1e-5)
             assert value == f"{float(b @ q):.4f}"
+
+    def test_teacher_readout_has_scalar_consequent(self):
+        # one output per rule, in monomial form: at order 3 on 2 features
+        # C(5, 3) = 10 of the D(3, 2) = 15 basis terms
+        rng = np.random.default_rng(1)
+        for order in range(4):
+            for m in (1, 2, 5):
+                rb = build_rule_base(2, m, seed=1)
+                X = rng.uniform(0, 1, (15, m))
+                tm = fit_teacher(rb, X, rng.integers(0, 2, 15).astype(float),
+                                 100.0, np.array([0.0, 1.0]), order)
+                self.check_against_the_basis(tm, rng.uniform(0, 1, m))
+
+    def test_student_readout_maps_rule_outputs_above_order_one(self):
+        # column k*c + j of the monomial coefficients is rule k's output j
+        rng = np.random.default_rng(3)
+        rb = build_rule_base(2, 3, seed=3)
+        coeffs = rng.uniform(-1, 1, (2 * basis_dim(2, 3), 3))
+        sm = TSKModel(rb, coeffs, 2, np.arange(3.0))
+        self.check_against_the_basis(sm, rng.uniform(0, 1, 3))
 
     def test_student_readout_text_is_pinned(self):
         # a student's readout bytes are fixed; this literal pins them

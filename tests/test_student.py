@@ -192,6 +192,19 @@ class TestTrainStudent:
                           TrainConfig(lr=float("inf"), max_epochs=30))
         assert err.value.epoch >= 1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_infinite_lr_at_a_zero_gradient_diverges_at_epoch_one(self):
+        # balanced classes and one order-0 rule: the first gradient is 0,
+        # so the first trial point, inf times 0, is nan, which ends the fit
+        # with no floating-point warning
+        rb = RuleBase(np.array([[0.5]]), np.full((1, 1), 0.5))
+        X = np.array([[0.1], [0.3], [0.5], [0.7]])
+        sm = init_student(rb, 2, 0)
+        with pytest.raises(TrainingDiverged) as err:
+            train_student(sm, X, onehot_encode(np.array([0, 1, 0, 1]), 2),
+                          TrainConfig(lr=float("inf")))
+        assert err.value.epoch == 1
+
     def test_divergence_survives_pickling(self):
         # a worker process's exception crosses back by pickle
         err = pickle.loads(pickle.dumps(TrainingDiverged(3)))
