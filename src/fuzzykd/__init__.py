@@ -3,8 +3,7 @@
 from .basis import basis_dim, stack_design_matrix
 from .data import (Dataset, FoldPlan, load_bundled, load_csv, normalize,
                    stratified_folds)
-from .distill import (DistillConfig, distill, distill_batch, teacher_logits,
-                      train_student)
+from .distill import DistillConfig, distill, distill_batch, teacher_logits
 from .harness import (GridSpec, MethodReport, accuracy, format_report,
                       run_method, sweep, weighted_f)
 from .rules import (PARTITION, PARTITION_LABELS, RuleBase, TSKModel,

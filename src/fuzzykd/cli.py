@@ -75,7 +75,6 @@ def _add_report(p):
     p.add_argument("--method", default="distill-dkd",
                    help="one of " + ", ".join(sorted(_METHODS)))
     _flag(p, "folds", int, _FIXED.folds)
-    p.add_argument("--global-normalize", action="store_true")
     p.add_argument("--no-time", action="store_true",
                    help="omit wall-time fields (byte-stable reports)")
 
@@ -219,8 +218,7 @@ def _cmd_gridsearch(args) -> None:
 
 def _report(args, grid: GridSpec) -> None:
     rep = run_method(args.method, _load(args), grid, args.seed,
-                     dataset_name=os.path.basename(args.data),
-                     global_normalize=args.global_normalize)
+                     dataset_name=os.path.basename(args.data))
     _emit(format_report([rep], include_time=not args.no_time), args.out)
     if rep.n_failed() == len(rep.records):  # the report has no result
         raise RuntimeError(f"all {len(rep.records)} outer folds failed")

@@ -23,10 +23,10 @@ def _check_finite(X: np.ndarray, name: str = "X") -> None:
 
 
 def _check_count(value, name: str, low: int, high: int | None = None) -> None:
-    """Reject a count setting unless it is an integer in low..high (>= low
-    with no high), naming the setting and its value."""
-    if not (isinstance(value, Integral) and value >= low
-            and (high is None or value <= high)):
+    """Reject a count setting unless it is an integer, not a bool, in
+    low..high (>= low with no high), naming the setting and its value."""
+    if not (isinstance(value, Integral) and not isinstance(value, bool)
+            and value >= low and (high is None or value <= high)):
         span = f">= {low}" if high is None else f"in {low}..{high}"
         raise ValueError(f"{name} must be an integer {span}, got {value}")
 
@@ -201,7 +201,8 @@ class FoldPlan:
     assignments: np.ndarray
 
     def split(self, fold: int) -> tuple[np.ndarray, np.ndarray]:
-        """(train indices, test indices) for one fold."""
+        """(train indices, test indices) for one fold, 0..k-1."""
+        _check_count(fold, "fold", 0, self.k - 1)
         test = np.flatnonzero(self.assignments == fold)
         train = np.flatnonzero(self.assignments != fold)
         return train, test
@@ -209,9 +210,10 @@ class FoldPlan:
 
 def stratified_folds(y: np.ndarray, k: int,
                      seed: int | None = None) -> FoldPlan:
-    """Deterministic stratified fold assignment; per-class counts within 1."""
+    """Deterministic stratified fold assignment, a class per distinct value
+    of y; per-class counts within 1."""
     _check_count(k, "folds", 2)
-    y = np.asarray(y, dtype=int).ravel()
+    y = np.unique(np.asarray(y).ravel(), return_inverse=True)[1]
     if k > y.size:
         raise ValueError(f"cannot split {y.size} samples into {k} folds")
     rng = np.random.default_rng(seed)

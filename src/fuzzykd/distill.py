@@ -9,8 +9,9 @@ exactly into a target/non-target binary KL plus the teacher's non-target
 mass times the KL among non-target classes. The loss reweights
 the two parts and adds the cross-entropy against the ground truth. One
 closure trains every student: coupled KD is the loss at per-sample
-non-target weights, the plain student (train_student) at zeta = lam = 0,
-phi = 1, and DistillConfig alone checks the weights.
+non-target weights, the plain student at zeta = lam = 0, phi = 1 with the
+labels as the teacher's logits, and DistillConfig alone checks the
+weights.
 """
 from __future__ import annotations
 
@@ -186,8 +187,7 @@ def _distill_loss_grad(Xh, Y, y_idx, a, rest, cfgs):
 
 def distill(teacher_out: np.ndarray, sm: TSKModel, X: np.ndarray,
             y_onehot: np.ndarray, cfg: DistillConfig,
-            class_labels: np.ndarray | None = None,
-            kd_weight: float | None = None
+            class_labels: np.ndarray | None = None
             ) -> tuple[TSKModel, list[dict]]:
     """Train the student on the decoupled loss (frozen teacher soft labels).
 
@@ -197,30 +197,11 @@ def distill(teacher_out: np.ndarray, sm: TSKModel, X: np.ndarray,
     current logits every epoch. The optimized total is summed over samples;
     the trace components (tckl, nckl, h) are per-sample means for
     scale-free monitoring. Returns the trained model and a per-epoch trace
-    of (epoch, tckl, nckl, h, total). A float kd_weight trains the coupled
-    loss instead. The one-config case of distill_batch.
+    of (epoch, tckl, nckl, h, total). The one-config case of distill_batch.
     """
     labels = sm.class_labels if class_labels is None else class_labels
     return _sole(distill_batch(teacher_logits(teacher_out, labels), sm,
-                               X, y_onehot, [cfg],
-                               None if kd_weight is None else [kd_weight]))
-
-
-def train_student(sm: TSKModel, X: np.ndarray, y_onehot: np.ndarray,
-                  cfg: TrainConfig) -> tuple[TSKModel, list[dict]]:
-    """Train on the total softmax cross-entropy (see gradient_descent_batch).
-
-    The one-config case of distill_batch at weights zeta = lam = 0, phi = 1
-    (cfg gives lr, max_epochs and tol), with the labels as the teacher's
-    logits: at zero weight they change no bit of the fit. Returns the
-    trained model and the per-epoch loss trace; each entry has the epoch
-    index, the optimized total and the per-sample mean cross-entropy "h".
-    """
-    Y = np.atleast_2d(y_onehot)
-    cfg = DistillConfig(cfg.lr, cfg.max_epochs, cfg.tol, **_CE_ONLY)
-    sm, trace = _sole(distill_batch(Y, sm, X, Y, [cfg]))
-    return sm, [{key: row[key] for key in ("epoch", "total", "h")}
-                for row in trace]
+                               X, y_onehot, [cfg]))
 
 
 def distill_batch(logits: np.ndarray, sm: TSKModel, X: np.ndarray,
@@ -275,12 +256,8 @@ def distill_batch(logits: np.ndarray, sm: TSKModel, X: np.ndarray,
 
 
 def trace_lines(trace: list[dict]) -> list[str]:
-    """One text line per epoch: epoch, tckl/nckl/h where present, total."""
-    lines = []
-    for row in trace:
-        keys = [k for k in ("tckl", "nckl", "h") if k in row]
-        parts = [f"epoch={row['epoch']}"]
-        parts += [f"{k}={row[k]:.12g}" for k in keys]
-        parts.append(f"total={row['total']:.12g}")
-        lines.append(" ".join(parts))
-    return lines
+    """One text line per epoch: epoch, tckl, nckl, h and total."""
+    return [" ".join([f"epoch={row['epoch']}"] +
+                     [f"{k}={row[k]:.12g}"
+                      for k in ("tckl", "nckl", "h", "total")])
+            for row in trace]

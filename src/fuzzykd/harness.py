@@ -190,7 +190,8 @@ def fit_candidates(method: str, group: list[dict], grid: GridSpec, X, y,
     The method's row of _METHODS says what is fit: a teacher of its order,
     which is the model when the row has no student loss, and a student of
     its order, trained by distill_batch on the teacher's logits ("kd",
-    "dkd") or on the labels ("ce", at train_student's weights and logits).
+    "dkd") or on the labels ("ce": the labels as the logits, at the
+    cross-entropy weights _CE_ONLY).
     grid supplies the fixed constants; a student's settings are checked for
     every candidate before the first fit. The candidates share the rule
     bases (drawn with teacher_seed and student_seed), the teacher fit and
@@ -298,8 +299,7 @@ def _select_params(method, candidates, grid, Xtr, ytr, inner, n_classes,
 
 
 def run_method(method: str, ds: Dataset, grid: GridSpec, seed: int,
-               dataset_name: str = "data",
-               global_normalize: bool = False) -> MethodReport:
+               dataset_name: str = "data") -> MethodReport:
     """Outer CV evaluation of one method; one record per fold.
 
     A fold selects its candidate (_select_params), then fits and predicts
@@ -322,7 +322,7 @@ def run_method(method: str, ds: Dataset, grid: GridSpec, seed: int,
     """
     points = candidates(method, grid)
     report = MethodReport(method, dataset_name, seed)
-    splits = _outer_folds(ds, grid, seed, global_normalize)
+    splits = _outer_folds(ds, grid, seed)
     if len(points) == 1:  # a fold's split is made when it is fit
         chosen = ((split, points[0]) for split in splits)
     else:
@@ -330,7 +330,7 @@ def run_method(method: str, ds: Dataset, grid: GridSpec, seed: int,
         searches = [(method, points, grid, Xtr, ytr,
                      _inner_folds(ytr, seed, fold), ds.n_classes, seed, fold)
                     for fold, Xtr, ytr, _, _ in splits]
-        workers = _search_workers(grid.folds, len(points))
+        workers = _search_workers(grid.folds)
         chosen = zip(splits, map(_select_params, *zip(*searches))
                      if workers == 1 else _search_in_workers(workers, searches))
     for split, params in chosen:
@@ -353,19 +353,17 @@ def _usable_cpus() -> int:
 _FIT_CANDIDATES_CODE = fit_candidates.__code__
 
 
-def _search_workers(folds: int, n_candidates: int) -> int:
+def _search_workers(folds: int) -> int:
     """Processes for the outer folds' inner searches: min(folds, usable
-    CPUs), or 1, this process, where a pool has nothing to share or must
-    not be used.
+    CPUs), or 1, this process, where a pool must not be used.
 
-    That is a one-candidate grid, which has no search; a platform without
-    fork; a daemonic process, which may not start children; and a process
-    whose fit_candidates was replaced, whose wrapper would see nothing of
-    what a worker fits.
+    That is a platform without fork; a daemonic process, which may not
+    start children; and a process whose fit_candidates was replaced, whose
+    wrapper would see nothing of what a worker fits.
     """
     # a daemonic process was started by multiprocessing, so has imported it
     mp = sys.modules.get("multiprocessing")
-    if (n_candidates == 1 or not hasattr(os, "fork")
+    if (not hasattr(os, "fork")
             or (mp is not None and mp.current_process().daemon)
             or getattr(fit_candidates, "__code__",
                        None) is not _FIT_CANDIDATES_CODE):
@@ -391,18 +389,13 @@ def _search_in_workers(workers: int, searches) -> list[dict]:
         return list(pool.map(_select_params, *zip(*searches)))
 
 
-def _outer_folds(ds: Dataset, grid: GridSpec, seed: int,
-                 global_normalize: bool = False):
+def _outer_folds(ds: Dataset, grid: GridSpec, seed: int):
     """(fold, Xtr, ytr, Xte, yte) per outer fold, min-max normalized on the
-    fold's training rows, or once on all rows with global_normalize."""
+    fold's training rows."""
     plan = stratified_folds(ds.y, grid.folds, seed)
-    X = normalize(ds.X)[0] if global_normalize else ds.X
     for fold in range(grid.folds):
         tr, te = plan.split(fold)
-        if global_normalize:
-            Xtr, Xte = X[tr], X[te]
-        else:
-            Xtr, Xte, _ = normalize(X[tr], X[te])
+        Xtr, Xte, _ = normalize(ds.X[tr], ds.X[te])
         yield fold, Xtr, ds.y[tr], Xte, ds.y[te]
 
 

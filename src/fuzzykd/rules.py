@@ -159,6 +159,7 @@ class TSKModel:
                              f"0..{c - 1}, got {labels.tolist()}")
         coeffs.setflags(write=False)
         labels.setflags(write=False)
+        object.__setattr__(self, "order", int(self.order))
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "class_labels", labels)
 

@@ -5,8 +5,8 @@ logits z = Q^T x_h and is trained full-batch on a loss summed over
 samples, by limited-memory BFGS steps with Armijo backtracking.
 gradient_descent_batch is the one training loop: it fits a stack of
 candidates in lock step, and a single fit is a batch of one. The one loss
-is distill's decoupled loss; the plain cross-entropy fit (train_student)
-is its case zeta = lam = 0, phi = 1, so both live in distill.py.
+is distill's decoupled loss; the plain cross-entropy fit is its case
+zeta = lam = 0, phi = 1 (distill._CE_ONLY), so both live in distill.py.
 
 The loss holds logits class-major, C x N per candidate: one row of N
 samples per class, so a softmax's max and sum over the few classes are

@@ -10,7 +10,7 @@ import pytest
 
 from fuzzykd.data import load_bundled
 from fuzzykd.distill import (DistillConfig, _distill_loss_grad,
-                             teacher_logits, distill)
+                             distill, distill_batch, teacher_logits)
 from fuzzykd.harness import GridSpec, format_report, run_method
 from fuzzykd.rules import build_rule_base, firing_strengths
 from fuzzykd.basis import stack_design_matrix
@@ -233,7 +233,8 @@ def test_kd_dkd_weight_identity(capsys):
                           non_target_weight=lam_n, ce_weight=0.0)
     cfg_v = DistillConfig(0.01, 20, 0.0, temperature=tau, ce_weight=0.0)
     _, tr_d = distill(t_out, sm, X, Y, cfg_d, labels)
-    _, tr_v = distill(t_out, sm, X, Y, cfg_v, labels, kd_weight=1.0)
+    ((_, tr_v),) = distill_batch(teacher_logits(t_out, labels), sm, X, Y,
+                                 [cfg_v], [1.0])
     worst = max(abs(a["total"] - b["total"]) for a, b in zip(tr_d, tr_v))
     ok = len(tr_d) == len(tr_v) and worst < 1e-9
     verdict(capsys, "kd-dkd-weight-identity", ok,

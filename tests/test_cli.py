@@ -401,14 +401,6 @@ def test_non_finite_setting_exits_2_before_the_teacher_fit(
     assert captured.err.startswith(f"fuzzykd: error: {field} must be")
 
 
-def test_evaluate_global_normalize(iris_csv, capsys):
-    rc = main(["evaluate", "--data", iris_csv, "--method", "student-only",
-               "--rules", "2", "--folds", "2", "--epochs", "5",
-               "--global-normalize", "--no-time"])
-    assert rc == 0
-    assert "aggregate dataset=iris.csv" in capsys.readouterr().out
-
-
 ENV_FLAGS = ("label_col", "seed", "out", "rules", "width", "lr", "epochs",
              "xi", "reg_l", "order", "temp", "zeta", "lambda", "phi", "folds")
 

@@ -249,6 +249,21 @@ class TestStratifiedFolds:
         plan = stratified_folds([0, 0, 0, 1, 1, 1], 6, seed=0)
         assert sorted(plan.assignments) == list(range(6))
 
+    def test_non_integer_labels_are_distinct_classes(self):
+        # cut to integers, 0.2 and 0.7 would both be class 0
+        y = np.array([0.2] * 3 + [0.7] * 3)
+        plan = stratified_folds(y, 3, seed=0)
+        for fold in range(3):
+            _, test = plan.split(fold)
+            assert sorted(y[test]) == [0.2, 0.7]
+
+    @pytest.mark.parametrize("fold", [3, -1, 1.5])
+    def test_fold_outside_the_plan_rejected(self, fold):
+        plan = stratified_folds([0, 0, 0, 1, 1, 1], 3, seed=0)
+        with pytest.raises(ValueError, match=re.escape(
+                f"fold must be an integer in 0..2, got {fold}")):
+            plan.split(fold)
+
 
 class TestBundledDatasets:
     @pytest.mark.parametrize("name,n,m,c", [("iris", 150, 4, 3),

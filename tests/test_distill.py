@@ -2,7 +2,6 @@
 import itertools
 import re
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -11,15 +10,23 @@ from hypothesis import strategies as st
 
 from fuzzykd.data import load_bundled, normalize
 from fuzzykd.distill import (DistillConfig, distill, distill_batch,
-                             teacher_logits, trace_lines, train_student)
+                             teacher_logits, trace_lines)
 from fuzzykd.rules import TSKModel, build_rule_base
-from fuzzykd.student import (TrainConfig, TrainingDiverged, design_matrix,
-                             init_student, onehot_encode, predict_student)
+from fuzzykd.student import (TrainConfig, TrainingDiverged, _sole,
+                             design_matrix, init_student, onehot_encode,
+                             predict_student)
 from fuzzykd.teacher import fit_teacher, predict_teacher
 
 from oracles import (class_major_rest, cross_entropy, dkd_loss, kd_loss,
                      soft_labels, softmax, teacher_views)
-from test_student import fd_gradient, toy_separable
+from test_student import fd_gradient, fit_ce, toy_separable
+
+
+def distill_kd(teacher_out, sm, X, Y, cfg, class_labels, kd_weight=1.0):
+    """distill's fit on the coupled loss at kd_weight (distill_batch's
+    kd_weights)."""
+    return _sole(distill_batch(teacher_logits(teacher_out, class_labels), sm,
+                               X, Y, [cfg], [kd_weight]))
 
 
 def random_pair(rng, n, c, tau):
@@ -191,8 +198,9 @@ def class_setup(seed=9, n=24, c=3):
 
 class TestDistill:
     def test_pure_ce_matches_train_student(self):
-        # train_student is this closure at these weights, with the labels
-        # as the teacher's logits: the teacher's own change no bit
+        # the plain student's fit (fit_ce) is this closure at these
+        # weights, with the labels as the teacher's logits: the teacher's
+        # own change no bit
         rb, X, y, labels, t_out = class_setup()
         sm = init_student(rb, 3)
         Y = onehot_encode(y, 3)
@@ -200,7 +208,7 @@ class TestDistill:
                             target_weight=0.0, non_target_weight=0.0,
                             ce_weight=1.0)
         m1, tr1 = distill(t_out, sm, X, Y, cfg, labels)
-        m2, tr2 = train_student(sm, X, Y, TrainConfig(0.01, 10, 0.0))
+        m2, tr2 = fit_ce(sm, X, Y, TrainConfig(0.01, 10, 0.0))
         np.testing.assert_array_equal(m1.coeffs, m2.coeffs)
         assert [r["total"] for r in tr1] == [r["total"] for r in tr2]
 
@@ -218,7 +226,7 @@ class TestDistill:
                               ce_weight=0.0)
         cfg_v = DistillConfig(0.01, 15, 0.0, temperature=tau, ce_weight=0.0)
         m_d, tr_d = distill(t_out, sm, X, Y, cfg_d, labels)
-        m_v, tr_v = distill(t_out, sm, X, Y, cfg_v, labels, kd_weight=1.0)
+        m_v, tr_v = distill_kd(t_out, sm, X, Y, cfg_v, labels)
         for a, b in zip(tr_d, tr_v):
             assert abs(a["total"] - b["total"]) < 1e-9
         np.testing.assert_allclose(m_d.coeffs, m_v.coeffs, atol=1e-9)
@@ -306,8 +314,7 @@ class TestDistill:
                                                           "h")],
                                    want_parts, rtol=1e-12, atol=1e-15)
 
-    @pytest.mark.parametrize("fit", [distill,
-                                     partial(distill, kd_weight=1.0)],
+    @pytest.mark.parametrize("fit", [distill, distill_kd],
                              ids=["distill", "distill-kd"])
     @pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -321,7 +328,7 @@ class TestDistill:
         assert err.value.epoch == 1
 
     @pytest.mark.parametrize("fit", [
-        lambda sm, X, Y, y: train_student(sm, X, Y, TrainConfig()),
+        lambda sm, X, Y, y: fit_ce(sm, X, Y, TrainConfig()),
         lambda sm, X, Y, y: distill(y.astype(float), sm, X, Y,
                                     DistillConfig())],
         ids=["train_student", "distill"])
@@ -343,8 +350,7 @@ class TestDistill:
             fit(sm, X, Y, ds.y)
         assert err.value.epoch == 1
 
-    @pytest.mark.parametrize("fit", [distill,
-                                     partial(distill, kd_weight=1.0)],
+    @pytest.mark.parametrize("fit", [distill, distill_kd],
                              ids=["distill", "distill-kd"])
     def test_two_class_non_target_term_exactly_zero(self, fit):
         rb, X, y = toy_separable()
@@ -354,8 +360,7 @@ class TestDistill:
                        cfg, class_labels=np.array([0.0, 1.0]))
         assert trace and all(row["nckl"] == 0.0 for row in trace)
 
-    @pytest.mark.parametrize("fit", [distill,
-                                     partial(distill, kd_weight=1.0)],
+    @pytest.mark.parametrize("fit", [distill, distill_kd],
                              ids=["distill", "distill-kd"])
     def test_invalid_targets_rejected_before_training(self, fit):
         rb, X, y, labels, t_out = class_setup()
@@ -377,14 +382,14 @@ class TestDistill:
 
 class TestVanillaKd:
     def test_zero_weight_reduces_to_train_student(self):
-        # the same closure at train_student's weights: w = 0 must leave
+        # the same closure at the plain student's weights: w = 0 must leave
         # no trace of the teacher's logits or its target mass
         rb, X, y, labels, t_out = class_setup()
         sm = init_student(rb, 3)
         Y = onehot_encode(y, 3)
         cfg = DistillConfig(0.01, 10, 0.0, temperature=2.0)
-        m1, _ = distill(t_out, sm, X, Y, cfg, labels, kd_weight=0.0)
-        m2, _ = train_student(sm, X, Y, TrainConfig(0.01, 10, 0.0))
+        m1, _ = distill_kd(t_out, sm, X, Y, cfg, labels, 0.0)
+        m2, _ = fit_ce(sm, X, Y, TrainConfig(0.01, 10, 0.0))
         np.testing.assert_array_equal(m1.coeffs, m2.coeffs)
 
     def test_all_zero_weights_rejected(self):
@@ -392,8 +397,8 @@ class TestVanillaKd:
         rb, X, y, labels, t_out = class_setup()
         cfg = DistillConfig(0.01, 10, 0.0, ce_weight=0.0)
         with pytest.raises(ValueError, match="at least one loss weight"):
-            distill(t_out, init_student(rb, 3), X, onehot_encode(y, 3), cfg,
-                    labels, kd_weight=0.0)
+            distill_kd(t_out, init_student(rb, 3), X, onehot_encode(y, 3),
+                       cfg, labels, 0.0)
 
     def test_one_step_matches_finite_differences(self):
         rb, X, y, labels, t_out = class_setup(n=1)
@@ -401,7 +406,7 @@ class TestVanillaKd:
         Y = onehot_encode(y, 3)
         tau = 2.0
         cfg = DistillConfig(0.01, 1, 0.0, temperature=tau)
-        trained, _ = distill(t_out, sm, X, Y, cfg, labels, kd_weight=1.0)
+        trained, _ = distill_kd(t_out, sm, X, Y, cfg, labels)
         tsl = soft_labels(teacher_logits(t_out, labels), tau, y)
         Xh = design_matrix(sm, X)
         eps = 1e-12
@@ -425,7 +430,7 @@ class TestVanillaKd:
         sm = init_student(rb, 3)
         Y = onehot_encode(y, 3)
         cfg = DistillConfig(0.01, 12, 0.0, temperature=tau, ce_weight=phi)
-        trained, trace = distill(t_out, sm, X, Y, cfg, labels, kd_weight=w)
+        trained, trace = distill_kd(t_out, sm, X, Y, cfg, labels, w)
         Xh = design_matrix(sm, X)
         logits = Xh @ trained.coeffs
         tsl = soft_labels(teacher_logits(t_out, labels), tau, y)
@@ -437,14 +442,14 @@ class TestVanillaKd:
         rb, X, y, labels, t_out = class_setup()
         sm = init_student(rb, 3)
         with pytest.raises(ValueError):
-            distill(t_out, sm, X, onehot_encode(y, 3), DistillConfig(),
-                    kd_weight=-1.0)
+            distill_kd(t_out, sm, X, onehot_encode(y, 3), DistillConfig(),
+                       labels, -1.0)
 
     def test_infinite_weight_rejected(self):
         rb, X, y, labels, t_out = class_setup()
         with pytest.raises(ValueError, match="^target_weight must be"):
-            distill(t_out, init_student(rb, 3), X, onehot_encode(y, 3),
-                    DistillConfig(), labels, kd_weight=np.inf)
+            distill_kd(t_out, init_student(rb, 3), X, onehot_encode(y, 3),
+                       DistillConfig(), labels, np.inf)
 
 
 def eight_configs():
@@ -471,8 +476,8 @@ class TestDistillBatch:
                               kd)
         assert len(batch) == 8
         for i, (cfg, (model, trace)) in enumerate(zip(cfgs, batch)):
-            alone = distill(t_out, sm, X, Y, cfg, labels,
-                            kd[i] if coupled else None)
+            alone = (distill_kd(t_out, sm, X, Y, cfg, labels, kd[i])
+                     if coupled else distill(t_out, sm, X, Y, cfg, labels))
             assert np.array_equal(model.coeffs, alone[0].coeffs)
             assert trace == alone[1]
         # tol stops the fits after different numbers of epochs, so the

@@ -257,14 +257,6 @@ class TestRunMethod:
             assert (ra.params, ra.accuracy, ra.weighted_f, ra.error) == \
                 (rb_.params, rb_.accuracy, rb_.weighted_f, rb_.error)
 
-    def test_global_normalize_runs(self):
-        ds = toy_dataset()
-        rep = run_method("student-only", ds,
-                         GridSpec.fixed(n_rules=2, folds=2), seed=0,
-                         global_normalize=True)
-        assert rep.n_failed() == 0
-        assert rep.mean_accuracy() == 1.0
-
     def test_more_folds_than_samples_stops_before_fitting(self, monkeypatch):
         def no_fit(*args, **kwargs):
             raise AssertionError("fit_candidates called")
@@ -553,11 +545,10 @@ class TestParallelSearch:
         # only computed with: no process is started
         workers = harness._search_workers
         self.cpus(monkeypatch, 64)
-        assert workers(10, 8) == 10
-        assert workers(100, 8) == 64
-        assert workers(10, 1) == 1  # no search to share
+        assert workers(10) == 10
+        assert workers(100) == 64
         self.cpus(monkeypatch, 1)
-        assert workers(10, 8) == 1
+        assert workers(10) == 1
 
     def test_usable_cpus(self, monkeypatch):
         assert harness._usable_cpus() == len(os.sched_getaffinity(0))
@@ -568,13 +559,13 @@ class TestParallelSearch:
     def test_no_pool_without_fork_or_in_a_daemon(self, fallback,
                                                  monkeypatch):
         self.cpus(monkeypatch, 2)
-        assert harness._search_workers(2, 8) == 2
+        assert harness._search_workers(2) == 2
         if fallback == "no fork":
             monkeypatch.delattr(os, "fork")
         else:
             monkeypatch.setattr(multiprocessing, "current_process",
                                 lambda: SimpleNamespace(daemon=True))
-        assert harness._search_workers(2, 8) == 1
+        assert harness._search_workers(2) == 1
 
     def test_replaced_fit_candidates_sees_the_search(self, monkeypatch):
         # a tracer or a spy that wraps fit_candidates records in this

@@ -32,6 +32,20 @@ def test_teacher_round_trip(tmp_path):
                                predict_teacher(tm, X), atol=1e-12)
 
 
+def test_numpy_integer_order_round_trips(tmp_path):
+    # the model stores a plain int, so the JSON encoder takes it
+    rng = np.random.default_rng(3)
+    X = rng.uniform(0, 1, (20, 2))
+    tm = fit_teacher(build_rule_base(2, 2, seed=3), X,
+                     rng.integers(0, 2, 20).astype(float), 100.0,
+                     order=np.int64(2))
+    path = tmp_path / "teacher.json"
+    save_model(tm, path)
+    back = load_model(path)
+    assert type(tm.order) is int and back.order == 2
+    np.testing.assert_array_equal(back.coeffs, tm.coeffs)
+
+
 def test_student_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     rb = build_rule_base(2, 3, seed=1)
@@ -120,6 +134,8 @@ def _v1_record(model) -> dict:
      "malformed model record (n_classes must be an integer >= 2, got 2.0)"),
     (lambda r: r.update(order=1.0),
      "malformed model record (order must be an integer in 0..3, got 1.0)"),
+    (lambda r: r.update(order=True),
+     "malformed model record (order must be an integer in 0..3, got True)"),
     (lambda r: r["coeffs"][0].__setitem__(0, float("nan")),
      "malformed model record (non-finite value nan in coeffs at row 1, "
      "column 1)"),
@@ -132,7 +148,8 @@ def _v1_record(model) -> dict:
      "malformed model record (non-finite value inf in widths at row 1, "
      "column 1)"),
 ], ids=["no kind", "rule base list", "text coeffs", "unknown kind",
-        "teacher reg 0", "float n_classes", "float order", "nan coeff",
+        "teacher reg 0", "float n_classes", "float order", "bool order",
+        "nan coeff",
         "teacher inf coeff", "inf width"])
 def test_malformed_record_named(tmp_path, edit, message):
     path = tmp_path / "model.json"

@@ -8,15 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzykd.data import normalize
-from fuzzykd.distill import train_student
+from fuzzykd.distill import _CE_ONLY, DistillConfig, distill_batch
 from fuzzykd.rules import RuleBase, TSKModel, build_rule_base, predict_outputs
 from fuzzykd.student import (TrainConfig, TrainingDiverged,
-                             _lbfgs_direction, design_matrix,
+                             _lbfgs_direction, _sole, design_matrix,
                              gradient_descent_batch, init_student,
                              onehot_encode, predict_student)
 from fuzzykd.teacher import fit_teacher
 
 from oracles import cross_entropy, softmax
+
+
+def fit_ce(sm, X, Y, cfg):
+    """The plain student's fit: distill_batch at the cross-entropy weights,
+    with the labels as the teacher's logits."""
+    cfg = DistillConfig(cfg.lr, cfg.max_epochs, cfg.tol, **_CE_ONLY)
+    return _sole(distill_batch(Y, sm, X, Y, [cfg]))
 
 
 def toy_separable():
@@ -109,7 +116,8 @@ class TestTrainConfig:
     @pytest.mark.parametrize("kwargs", [dict(lr=0.0), dict(max_epochs=0),
                                         dict(tol=-1.0), dict(max_epochs=2.5),
                                         dict(tol=float("nan")),
-                                        dict(lr=float("nan"))])
+                                        dict(lr=float("nan")),
+                                        dict(max_epochs=True)])
     def test_invalid_values_rejected(self, kwargs):
         (field,) = kwargs
         with pytest.raises(ValueError, match=field):
@@ -155,8 +163,8 @@ class TestTrainStudent:
     def test_separable_toy_set_reaches_full_accuracy(self):
         rb, X, y = toy_separable()
         sm = init_student(rb, 2)
-        sm, trace = train_student(sm, X, onehot_encode(y, 2),
-                                  TrainConfig(lr=0.01, max_epochs=30))
+        sm, trace = fit_ce(sm, X, onehot_encode(y, 2),
+                           TrainConfig(lr=0.01, max_epochs=30))
         assert (predict_student(sm, X) == y).all()
         assert all(np.isfinite(row["total"]) for row in trace)
 
@@ -164,8 +172,7 @@ class TestTrainStudent:
         rb, X, y = toy_separable()
         sm = init_student(rb, 2)
         Y = onehot_encode(y, 2)
-        trained, trace = train_student(sm, X, Y,
-                                       TrainConfig(lr=0.01, max_epochs=1))
+        trained, trace = fit_ce(sm, X, Y, TrainConfig(lr=0.01, max_epochs=1))
         assert len(trace) == 1
         Xh = design_matrix(sm, X)
 
@@ -179,8 +186,8 @@ class TestTrainStudent:
     def test_huge_tolerance_stops_after_two_epochs(self):
         rb, X, y = toy_separable()
         sm = init_student(rb, 2)
-        _, trace = train_student(sm, X, onehot_encode(y, 2),
-                                 TrainConfig(lr=0.01, max_epochs=30, tol=1e9))
+        _, trace = fit_ce(sm, X, onehot_encode(y, 2),
+                          TrainConfig(lr=0.01, max_epochs=30, tol=1e9))
         assert len(trace) == 2
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -188,8 +195,8 @@ class TestTrainStudent:
         rb, X, y = toy_separable()
         sm = init_student(rb, 2)
         with pytest.raises(TrainingDiverged) as err:
-            train_student(sm, X, onehot_encode(y, 2),
-                          TrainConfig(lr=float("inf"), max_epochs=30))
+            fit_ce(sm, X, onehot_encode(y, 2),
+                   TrainConfig(lr=float("inf"), max_epochs=30))
         assert err.value.epoch >= 1
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -201,8 +208,8 @@ class TestTrainStudent:
         X = np.array([[0.1], [0.3], [0.5], [0.7]])
         sm = init_student(rb, 2, 0)
         with pytest.raises(TrainingDiverged) as err:
-            train_student(sm, X, onehot_encode(np.array([0, 1, 0, 1]), 2),
-                          TrainConfig(lr=float("inf")))
+            fit_ce(sm, X, onehot_encode(np.array([0, 1, 0, 1]), 2),
+                   TrainConfig(lr=float("inf")))
         assert err.value.epoch == 1
 
     def test_divergence_survives_pickling(self):
@@ -215,8 +222,8 @@ class TestTrainStudent:
     def test_trace_totals_decrease_on_toy_set(self):
         rb, X, y = toy_separable()
         sm = init_student(rb, 2)
-        _, trace = train_student(sm, X, onehot_encode(y, 2),
-                                 TrainConfig(lr=0.01, max_epochs=30, tol=0.0))
+        _, trace = fit_ce(sm, X, onehot_encode(y, 2),
+                          TrainConfig(lr=0.01, max_epochs=30, tol=0.0))
         totals = [row["total"] for row in trace]
         assert all(a >= b for a, b in zip(totals, totals[1:]))
 
@@ -224,23 +231,22 @@ class TestTrainStudent:
         rb, X, _ = toy_separable()
         sm = init_student(rb, 2)
         with pytest.raises(ValueError, match="one-hot"):
-            train_student(sm, X, np.full((4, 2), 0.5), TrainConfig())
+            fit_ce(sm, X, np.full((4, 2), 0.5), TrainConfig())
         with pytest.raises(ValueError, match="columns"):
-            train_student(sm, X, onehot_encode([0, 0, 1, 2], 3),
-                          TrainConfig())
+            fit_ce(sm, X, onehot_encode([0, 0, 1, 2], 3), TrainConfig())
 
     def test_row_count_mismatch_rejected(self):
         rb, X, _ = toy_separable()
         with pytest.raises(ValueError, match="disagree on the sample count"):
-            train_student(init_student(rb, 2), X, onehot_encode([0, 1], 2),
-                          TrainConfig())
+            fit_ce(init_student(rb, 2), X, onehot_encode([0, 1], 2),
+                   TrainConfig())
 
     def test_oversized_first_step_is_backtracked(self):
         rb, X, _ = toy_separable()
         y = np.array([0, 1, 1, 1])  # not separable: a huge step overshoots
         sm = init_student(rb, 2)
-        _, trace = train_student(sm, X, onehot_encode(y, 2),
-                                 TrainConfig(lr=1e4, max_epochs=30))
+        _, trace = fit_ce(sm, X, onehot_encode(y, 2),
+                          TrainConfig(lr=1e4, max_epochs=30))
         totals = [row["total"] for row in trace]
         assert totals[0] < 4 * np.log(2.0)  # the loss at zero coefficients
         assert all(a >= b for a, b in zip(totals, totals[1:]))
@@ -250,8 +256,7 @@ class TestTrainStudent:
         # a rise must be backtracked, not taken as convergence
         X, y = blobs(2000)
         sm = init_student(build_rule_base(8, 13, seed=0), 3)
-        trained, trace = train_student(sm, X, onehot_encode(y, 3),
-                                       TrainConfig())
+        trained, trace = fit_ce(sm, X, onehot_encode(y, 3), TrainConfig())
         totals = [row["total"] for row in trace]
         assert all(a >= b for a, b in zip(totals, totals[1:]))
         assert len(trace) > 2
@@ -323,8 +328,8 @@ class TestTrainStudent:
             return cross_entropy(softmax(Xh @ Q), Y)
 
         lr = 1e-3
-        trained, trace = train_student(replace(sm, coeffs=Q0), X, Y,
-                                       TrainConfig(lr=lr, max_epochs=1))
+        trained, trace = fit_ce(replace(sm, coeffs=Q0), X, Y,
+                                TrainConfig(lr=lr, max_epochs=1))
         assert len(trace) == 1
         np.testing.assert_allclose(trained.coeffs,
                                    Q0 - lr * fd_gradient(loss, Q0),
@@ -375,7 +380,7 @@ class TestTrainingTargets:
         with pytest.raises(ValueError, match=r"y_onehot has 2 columns, "
                                              r"expected one per model "
                                              r"output \(1\)"):
-            train_student(tm, X, onehot_encode(y, 2), TrainConfig())
+            fit_ce(tm, X, onehot_encode(y, 2), TrainConfig())
 
 
 class TestStudentModelValidation:
